@@ -25,7 +25,6 @@ from .cmatrix import (
     TWO_PI,
     as_cmatrix,
     principal_arg,
-    random_su,
     random_unitary,
     su_decompose,
 )

@@ -93,13 +93,21 @@ def _enumerate_rows(config: dict):
     ranges = config.get("ranges")
     if not isinstance(ranges, dict):
         raise ValueError("enumerate requires a 'ranges' object in the config")
+
+    def integer(key):
+        return serialize.require_int(ranges[key], key)
+
+    def integer_list(key):
+        if not isinstance(ranges[key], list):
+            raise ValueError(f"{key} must be a list of integers")
+        return [serialize.require_int(x, f"{key} entry") for x in ranges[key]]
+
     try:
-        n_list = [int(x) for x in ranges["n_list"]]
-        m_list = [int(x) for x in ranges["m_list"]]
-        p_vals = range(int(ranges["p_min"]), int(ranges["p_max"]) + 1)
-        q_vals = range(int(ranges["q_min"]), int(ranges["q_max"]) + 1)
-        r_vals = [r for r in range(int(ranges["r_min"]), int(ranges["r_max"]) + 1)
-                  if r != 0]
+        n_list = integer_list("n_list")
+        m_list = integer_list("m_list")
+        p_vals = range(integer("p_min"), integer("p_max") + 1)
+        q_vals = range(integer("q_min"), integer("q_max") + 1)
+        r_vals = [r for r in range(integer("r_min"), integer("r_max") + 1) if r != 0]
     except KeyError as exc:
         raise ValueError(f"ranges is missing field {exc.args[0]!r}")
     if any(n < 2 for n in n_list) or any(m < 1 for m in m_list):

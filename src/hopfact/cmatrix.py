@@ -1,8 +1,7 @@
 """Small dense complex linear algebra.
 
-Matrices are square ``numpy`` arrays of ``complex128``.  The dimensions in
-play are tiny (n rarely exceeds 8), so inverse and determinant use plain
-partial-pivot Gaussian elimination; random unitaries come from QR
+Matrices are square ``numpy`` arrays of ``complex128``; determinants and
+inverses come from ``numpy.linalg``.  Random unitaries come from QR
 orthonormalization of complex Gaussian matrices with a phase-fixed
 diagonal, which is the standard Haar recipe.
 """
@@ -12,10 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a pivot falls below the singularity threshold."""
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -35,73 +30,6 @@ def principal_arg(z: complex) -> float:
     if a >= TWO_PI:
         a -= TWO_PI
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def conj(m) -> np.ndarray:
-    """Entrywise complex conjugate."""
-    return np.conj(np.asarray(m, dtype=np.complex128))
-
-
-def _lu_decompose(m: np.ndarray):
-    """Partial-pivot LU in place; returns (lu, perm_sign, min_pivot)."""
-    a = m.astype(np.complex128, copy=True)
-    n = a.shape[0]
-    sign = 1
-    min_pivot = np.inf
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        pivot = abs(a[col, col])
-        min_pivot = min(min_pivot, pivot)
-        if pivot == 0.0:
-            return a, sign, 0.0
-        a[col + 1:, col] /= a[col, col]
-        a[col + 1:, col + 1:] -= np.outer(a[col + 1:, col], a[col, col + 1:])
-    return a, sign, min_pivot
-
-
-def det(m) -> complex:
-    """Determinant via partial-pivot elimination; 0 for singular input."""
-    a = as_cmatrix(m)
-    lu, sign, min_pivot = _lu_decompose(a)
-    if min_pivot == 0.0:
-        return 0.0 + 0.0j
-    return complex(sign * np.prod(np.diag(lu)))
-
-
-def inverse(m) -> np.ndarray:
-    """Inverse via Gauss-Jordan with partial pivoting.
-
-    Raises SingularMatrixError when some pivot is below 1e-13 times the
-    largest entry magnitude of the input.
-    """
-    a = as_cmatrix(m)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix is singular")
-    aug = np.hstack([a.astype(np.complex128, copy=True), np.eye(n, dtype=np.complex128)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < 1e-13 * scale:
-            raise SingularMatrixError(f"pivot {abs(aug[piv, col]):.3e} below threshold")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
 
 
 def unitarity_residual(a) -> float:
@@ -131,7 +59,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 def random_su(n: int, seed: int) -> np.ndarray:
     """Haar-style special unitary: random unitary rescaled to det 1."""
     u = random_unitary(n, seed)
-    return u * np.exp(-1j * principal_arg(det(u)) / n)
+    return u * np.exp(-1j * principal_arg(np.linalg.det(u)) / n)
 
 
 @dataclass(frozen=True)
@@ -158,6 +86,6 @@ def su_decompose(a) -> UnitaryElement:
     if res > 1e-10:
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
     n = a.shape[0]
-    t = principal_arg(det(a)) / n
+    t = principal_arg(np.linalg.det(a)) / n
     b = np.exp(-1j * t) * a
     return UnitaryElement(matrix=a, t=t, su_part=b)

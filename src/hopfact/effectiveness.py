@@ -59,6 +59,13 @@ class EffectivenessVerdict:
         }
 
 
+def congruent(a: int, b: int, modulus: int) -> bool:
+    """True iff ``modulus`` divides ``a - b``; the modulus must be positive."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be a positive integer, got {modulus}")
+    return (a - b) % modulus == 0
+
+
 def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) -> int:
     base = n * (p * m + q)
     return base + m if kind is ActionKind.TYPE1 else base - m
@@ -130,6 +137,6 @@ def is_effective_corollary(n: int, p: int, r: int, kind: ActionKind) -> bool:
     a = abs(r)
     coef = kind.eps + p * n
     for ell in range(a):
-        if (ell * coef) % a == 0 and (ell * p) % a != 0:
+        if congruent(ell * coef, 0, a) and not congruent(ell * p, 0, a):
             return False
     return True

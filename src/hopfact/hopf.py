@@ -7,6 +7,7 @@ annulus ln||z|| / ln|d| in [0, 1) with a phase normalization for the
 Z_m factor.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ class HopfParams:
 
     def __post_init__(self):
         d = complex(self.d)
+        if not cmath.isfinite(d):
+            raise ValueError(f"d must be finite (got {d!r})")
         if d == 0:
             raise ValueError("d must be nonzero")
         if abs(abs(d) - 1.0) <= 1e-9:

@@ -39,12 +39,19 @@ def matrix_from_json(data) -> np.ndarray:
                     dtype=np.complex128)
 
 
+def require_int(value, name: str) -> int:
+    """A JSON integer; bools and floats, integral or not, are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def params_from_config(config: dict) -> HopfParams:
     for key in ("n", "m", "d"):
         if key not in config:
             raise ValueError(f"config is missing required field {key!r}")
-    return HopfParams(d=pair_to_complex(config["d"]), n=int(config["n"]),
-                      m=int(config["m"]))
+    return HopfParams(d=pair_to_complex(config["d"]), n=require_int(config["n"], "n"),
+                      m=require_int(config["m"], "m"))
 
 
 def spec_from_config(config: dict) -> ActionSpec:
@@ -60,8 +67,8 @@ def spec_from_config(config: dict) -> ActionSpec:
         C = matrix_from_json(config["C"])
     else:
         C = np.eye(params.n, dtype=np.complex128)
-    return ActionSpec(kind=kind, p=int(config["p"]), q=int(config["q"]),
-                      r=int(config["r"]), C=C, params=params)
+    p, q, r = (require_int(config[key], key) for key in ("p", "q", "r"))
+    return ActionSpec(kind=kind, p=p, q=q, r=r, C=C, params=params)
 
 
 def point_from_json(params: HopfParams, data) -> OrbitPoint:

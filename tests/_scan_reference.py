@@ -1,8 +1,8 @@
-"""Pure-Python kernel-scan backend.
+"""Loop reference for the kernel lattice scan.
 
-Same contract as the compiled ``_scan_core`` extension; selected at import
-time when the extension is unavailable or explicitly disabled.  Kernel
-candidates are the scalar unitaries e^{i(2*pi*ell/(n*r) + 2*pi*k/n)} * id;
+One candidate and one sample at a time, written for reading rather than
+speed; ``oracle.numeric_kernel_scan`` must return exactly what this does.
+Kernel candidates are the scalar unitaries e^{i(2*pi*ell/(n*r) + 2*pi*k/n)} * id;
 a lattice pair is reported when the acted sample points all stay within
 ``tol`` orbit distance of themselves.
 """
@@ -13,8 +13,6 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-BACKEND_NAME = "python"
 
 
 def scan_lattice(eps, n, m, p, q, r, d, w, z, tol):
@@ -27,7 +25,6 @@ def scan_lattice(eps, n, m, p, q, r, d, w, z, tol):
     d = complex(d)
     w = np.asarray(w, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
-    nsamp = w.shape[0]
     sigma = eps + (p + q / m) * n
     log_abs_d = math.log(abs(d))
     arg_d = cmath.phase(d) % TWO_PI
@@ -46,14 +43,13 @@ def scan_lattice(eps, n, m, p, q, r, d, w, z, tol):
             s = cmath.exp(1j * sigma * t) * math.exp(mu * log_abs_d) \
                 * cmath.exp(1j * mu * arg_d) * bp
             ok = True
-            for j in range(nsamp):
+            for j in range(w.shape[0]):
                 x = s * w[j]
                 nx = abs(s) * w_norms[j]
                 ell_c = round(math.log(nx / z_norms[j]) / log_abs_d)
                 best = math.inf
                 for ell_d in (ell_c - 1, ell_c, ell_c + 1):
-                    g0 = d ** ell_d
-                    diffs = x[None, :] - np.outer(g0 * rots, z[j])
+                    diffs = x[None, :] - np.outer(d ** ell_d * rots, z[j])
                     best = min(best, float(np.min(np.linalg.norm(diffs, axis=1))) / nx)
                 if best >= tol:
                     ok = False

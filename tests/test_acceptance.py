@@ -8,6 +8,7 @@ budgeted at ten minutes.
 """
 
 import itertools
+import math
 import os
 import time
 
@@ -17,7 +18,6 @@ import pytest
 from hopfact.action import ActionKind, ActionSpec, match_example_to_type1
 from hopfact.effectiveness import find_witness, is_effective, is_effective_corollary
 from hopfact.hopf import HopfParams
-from hopfact.numth import gcd
 from hopfact.oracle import (
     kernel_scan_agrees,
     verify_dimtwo,
@@ -59,7 +59,7 @@ def test_criterion_1_coprimality():
     start = time.time()
     checked = 0
     for n, m, kind, p, q, r in arithmetic_tuples():
-        if gcd(n, m) <= 1:
+        if math.gcd(n, m) <= 1:
             continue
         assert find_witness(kind, n, m, p, q, r) is not None, \
             f"(n={n}, m={m}, kind={kind}, p={p}, q={q}, r={r}) wrongly effective"

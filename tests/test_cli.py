@@ -39,6 +39,23 @@ class TestCheck:
         bad = dict(DEMO, d=[1, 0])
         assert run(["check", "--spec", write_config(tmp_path, bad)]) == 2
 
+    @pytest.mark.parametrize("d0", [float("nan"), float("inf")])
+    def test_non_finite_d_exit_two(self, tmp_path, capsys, d0):
+        bad = dict(NOT_EFFECTIVE, d=[d0, 0])
+        assert run(["check", "--spec", write_config(tmp_path, bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d must be finite" in captured.err
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 2.9), ("n", 2.0), ("m", True), ("p", 1.5), ("q", 0.0), ("r", 3.0),
+        ("p", "1"),
+    ])
+    def test_non_integer_field_exit_two(self, tmp_path, capsys, field, value):
+        bad = dict(NOT_EFFECTIVE, **{field: value})
+        assert run(["check", "--spec", write_config(tmp_path, bad)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
     def test_malformed_json_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -84,6 +101,15 @@ class TestEnumerate:
         cfg = {"ranges": {"n_list": [], "m_list": [1], "p_min": 0, "p_max": 0,
                           "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 1}}
         assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_list", [2.5]), ("m_list", [True]), ("n_list", 2), ("p_min", 0.5),
+        ("q_max", 1.0), ("r_min", False), ("r_max", 3.7),
+    ])
+    def test_non_integer_range_exit_two(self, tmp_path, capsys, field, value):
+        cfg = {"ranges": dict(self.CONFIG["ranges"], **{field: value})}
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == 2
+        assert field in capsys.readouterr().err
 
     def test_r_zero_excluded(self, tmp_path, capsys):
         cfg = {"ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,

@@ -3,33 +3,38 @@ import math
 import numpy as np
 import pytest
 
+from hopfact.action import ActionKind, ActionSpec
 from hopfact.cmatrix import (
-    SingularMatrixError,
-    conj,
-    det,
-    inverse,
-    matmul,
+    as_cmatrix,
     principal_arg,
     random_su,
     random_unitary,
     su_decompose,
     unitarity_residual,
 )
+from hopfact.hopf import HopfParams
+
+
+def _c_inv(c):
+    """The inverse of C that an action stores, the program's one matrix inverse."""
+    c = as_cmatrix(c)
+    params = HopfParams(d=4, n=c.shape[0], m=1)
+    return ActionSpec(ActionKind.TYPE1, 0, 0, 1, c, params).C_inv
 
 
 def test_matmul_identity():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.allclose(matmul(np.eye(2), m), m)
+    m = as_cmatrix([[1, 2j], [3, 4]])
+    assert np.allclose(as_cmatrix(np.eye(2)) @ m, m)
 
 
 def test_matmul_diag_i_squared():
-    d = np.diag([1j, 1j])
-    assert np.allclose(matmul(d, d), np.diag([-1, -1]))
+    d = as_cmatrix(np.diag([1j, 1j]))
+    assert np.allclose(d @ d, np.diag([-1, -1]))
 
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
+        as_cmatrix(np.eye(2)) @ as_cmatrix(np.eye(3))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -40,41 +45,41 @@ def test_matmul_unitary_product_is_unitary(seed):
 
 
 def test_inverse_identity():
-    assert np.allclose(inverse(np.eye(3)), np.eye(3))
+    assert np.allclose(_c_inv(np.eye(3)), np.eye(3))
 
 
 def test_inverse_diagonal():
-    assert np.allclose(inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
+    assert np.allclose(_c_inv(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_inverse_residual(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     c = np.eye(4) + 0.4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    assert np.max(np.abs(c @ inverse(c) - np.eye(4))) < 1e-10
+    assert np.max(np.abs(c @ _c_inv(c) - np.eye(4))) < 1e-10
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        _c_inv(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_det_identity():
-    assert det(np.eye(3)) == pytest.approx(1.0)
+    assert np.linalg.det(np.eye(3)) == pytest.approx(1.0)
 
 
 def test_det_diag_i():
-    assert det(np.diag([1j, 1j])) == pytest.approx(-1.0)
+    assert np.linalg.det(np.diag([1j, 1j])) == pytest.approx(-1.0)
 
 
 def test_det_singular_is_zero():
-    assert det(np.zeros((2, 2))) == 0
+    assert np.linalg.det(np.zeros((2, 2))) == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_det_of_su_is_one(seed):
     b = random_su(3, seed)
-    assert abs(det(b) - 1.0) < 1e-12
+    assert abs(np.linalg.det(b) - 1.0) < 1e-12
 
 
 def test_random_unitary_deterministic():
@@ -98,7 +103,7 @@ def test_random_unitary_seeds_differ():
 @pytest.mark.parametrize("n,seed", [(2, 3), (2, 9), (4, 11)])
 def test_random_su_properties(n, seed):
     b = random_su(n, seed)
-    assert abs(det(b) - 1.0) < 1e-12
+    assert abs(np.linalg.det(b) - 1.0) < 1e-12
     assert unitarity_residual(b) < 1e-12
 
 
@@ -119,7 +124,7 @@ def test_su_decompose_diag_plus_minus():
     ue = su_decompose(np.diag([1.0, -1.0]))
     assert ue.t == pytest.approx(math.pi / 2)
     assert np.allclose(ue.su_part, np.diag([-1j, 1j]), atol=1e-14)
-    assert abs(det(ue.su_part) - 1.0) < 1e-12
+    assert abs(np.linalg.det(ue.su_part) - 1.0) < 1e-12
     assert np.allclose(np.exp(1j * ue.t) * ue.su_part, np.diag([1.0, -1.0]))
 
 
@@ -134,7 +139,7 @@ def test_su_decompose_recombines(seed):
     ue = su_decompose(a)
     assert 0.0 <= ue.t < 2 * math.pi / 3
     assert np.max(np.abs(np.exp(1j * ue.t) * ue.su_part - a)) < 1e-12
-    assert abs(det(ue.su_part) - 1.0) < 1e-12
+    assert abs(np.linalg.det(ue.su_part) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -151,7 +156,7 @@ def test_su_decompose_central_shift_stability(k):
 
 def test_conj_involution():
     m = random_unitary(3, 5)
-    assert np.array_equal(conj(conj(m)), m)
+    assert np.array_equal(np.conj(np.conj(m)), m)
 
 
 def test_principal_arg_range():

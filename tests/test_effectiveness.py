@@ -13,7 +13,6 @@ from hopfact.effectiveness import (
     kernel_witness_element,
 )
 from hopfact.hopf import HopfParams, OrbitPoint, orbit_distance
-from hopfact.numth import gcd
 
 
 def make_spec(kind, n, m, p, q, r, d=4):
@@ -23,7 +22,7 @@ def make_spec(kind, n, m, p, q, r, d=4):
 def test_r_one_always_effective():
     for kind in ActionKind:
         for p, q, n, m in itertools.product(range(-3, 4), range(-3, 4), [2, 3], [1, 3]):
-            if gcd(n, m) != 1:
+            if math.gcd(n, m) != 1:
                 continue
             for r in (1, -1):
                 assert is_effective(make_spec(kind, n, m, p, q, r)).effective
@@ -123,7 +122,7 @@ def test_period_bound_extension_never_changes_verdict():
 
 def test_coprimality_necessary():
     for kind, n, m in itertools.product(ActionKind, [2, 3, 4], range(1, 7)):
-        if gcd(n, m) <= 1:
+        if math.gcd(n, m) <= 1:
             continue
         for p, q, r in itertools.product([-1, 0, 2], [-2, 0, 1], [-2, 1, 3]):
             assert find_witness(kind, n, m, p, q, r) is not None

@@ -1,8 +1,17 @@
+"""The integer conventions of the exact layer.
+
+``math.gcd`` is the coprime gate of the test grids, which rely on its
+nonnegative result and gcd(0, 0) == 0; ``congruent`` is the congruence
+predicate of the m = 1 effectiveness corollary.
+"""
+
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfact.numth import congruent, gcd
+from hopfact.effectiveness import congruent
 
 
 def test_gcd_small():

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 import hopfact.action
-from hopfact import _scan_py
+from _grid import fixed_C
+from _scan_reference import scan_lattice
 from hopfact.action import ActionKind, ActionSpec, d_pow
 from hopfact.hopf import HopfParams
 from hopfact.oracle import (
+    _scan_chunk,
     kernel_scan_agrees,
     nontrivial_pairs,
     numeric_kernel_scan,
     run_full_verification,
+    sample_points,
     verify_group_law,
     verify_power_branch,
     verify_transitivity,
@@ -53,17 +56,24 @@ def test_scan_deterministic():
 
 
 def test_backends_agree():
-    compiled = pytest.importorskip("hopfact._scan_core")
-    rng = np.random.Generator(np.random.Philox(9))
-    for kind, n, m, p, q, r, d in [
-        (ActionKind.TYPE1, 2, 1, 1, 0, 3, 4),
-        (ActionKind.TYPE2, 3, 2, -1, 2, -2, 1 + 2j),
-        (ActionKind.TYPE1, 4, 3, 2, -3, 2, 0.5),
-        (ActionKind.TYPE2, 2, 5, 0, 1, -3, -2),
+    # the broadcast scan against the loop reference, including a spec whose
+    # |r|*m*n candidates span more than one chunk
+    for kind, n, m, p, q, r, d, C in [
+        (ActionKind.TYPE1, 2, 1, 1, 0, 3, 4, None),
+        (ActionKind.TYPE2, 3, 2, -1, 2, -2, 1 + 2j, fixed_C(3)),
+        (ActionKind.TYPE1, 4, 3, 2, -3, 2, 0.5, None),
+        (ActionKind.TYPE2, 2, 5, 0, 1, -3, -2, fixed_C(2)),
+        (ActionKind.TYPE1, 2, 2, 2, 0, 160, 4, None),
     ]:
-        z = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-        args = (kind.eps, n, m, p, q, r, complex(d), z.copy(), z.copy(), 1e-9)
-        assert _scan_py.scan_lattice(*args) == compiled.scan_lattice(*args)
+        spec = ActionSpec(kind, p, q, r, np.eye(n) if C is None else C,
+                          HopfParams(d=d, n=n, m=m))
+        z = sample_points(spec.params, 10, 9)
+        w = (spec.C @ (spec.C_inv @ z.T)).T
+        expected = scan_lattice(kind.eps, n, m, p, q, r, d, w, z, 1e-9)
+        assert numeric_kernel_scan(spec, seed=9) == expected
+    # the last spec has kernel pairs on both sides of the first chunk boundary
+    cells = [ell * n + k for ell, k in expected]
+    assert min(cells) < _scan_chunk(10, m, n) <= max(cells)
 
 
 def test_scan_agreement_including_witness():
