@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -114,10 +115,12 @@ def _enumerate_rows(config: dict):
         raise ValueError("n_list entries must be >= 2 and m_list entries >= 1")
     if not (n_list and m_list and list(p_vals) and list(q_vals) and r_vals):
         raise ValueError("empty enumeration ranges")
+    # The product runs in CLI row order: n, m, kind ("type1" < "type2"),
+    # p, q, r, each ascending and each tuple once, so the rows need no sort.
     kinds = [ActionKind.TYPE1, ActionKind.TYPE2]
     rows = []
     for n, m, kind, p, q, r in itertools.product(
-            sorted(n_list), sorted(m_list), kinds, p_vals, q_vals, sorted(r_vals)):
+            sorted(set(n_list)), sorted(set(m_list)), kinds, p_vals, q_vals, r_vals):
         witness = find_witness(kind, n, m, p, q, r)
         rows.append({
             "n": n, "m": m, "kind": kind.value, "p": p, "q": q, "r": r,
@@ -125,8 +128,6 @@ def _enumerate_rows(config: dict):
             "witness_ell": "" if witness is None else witness.ell,
             "witness_K": "" if witness is None else witness.K,
         })
-    rows.sort(key=lambda row: (row["n"], row["m"], row["kind"],
-                               row["p"], row["q"], row["r"]))
     return rows
 
 
@@ -179,11 +180,26 @@ def cmd_act(args) -> int:
     return EXIT_OK
 
 
+def _verify_settings(config: dict):
+    """``trials`` >= 1 and ``seed`` >= 0 as JSON integers, ``tol`` a finite
+    positive number; nothing is rounded or converted."""
+    trials = serialize.require_int(config.get("trials", 200), "trials")
+    seed = serialize.require_int(config.get("seed", 0), "seed")
+    tol = config.get("tol", 1e-8)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    # the chained comparison is False for NaN and exact for large integers
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    return trials, seed, tol
+
+
 def cmd_verify(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
-    trials = int(config.get("trials", 200))
-    seed = int(config.get("seed", 0))
-    tol = float(config.get("tol", 1e-8))
+    trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
         specs = []
         for row in _enumerate_rows(config):

@@ -4,18 +4,50 @@ The existence of a nontrivial kernel element reduces to integer
 congruences: clearing denominators by r*m turns the classification's
 rational-membership conditions into
 
-    (a)  ell*(m + n*(p*m + q)) ==  n*K*r   (mod |r|*m)     [direct kind]
-    (c)  ell*(n*(p*m + q) - m) ==  n*K*r   (mod |r|*m)     [conjugated kind]
-    (b)  ell*(p*m + q)         !=  K*r     (mod |r|*m)
+    (a)  ell*A  ==  n*K*r   (mod |r|*m),    A = n*(p*m + q) + eps*m
+    (b)  ell*B  !=  K*r     (mod |r|*m),    B = p*m + q
 
-Both sides are periodic in ell with period |r|*m, so the finite search
-ell in {0, ..., |r|*m - 1}, K in {0, ..., m - 1} is complete.  The action
-is effective iff no pair satisfies ((a) or (c), per kind) together with
-(b).  The period bound is validated against wider searches and against
-the floating-point kernel scan in the test suite.
+with eps = +1 for the direct kind and -1 for the conjugated one.  Both
+depend on ell only mod |r|*m and on K only mod m, so a kernel witness is
+a pair (ell, K) in {0, ..., |r|*m - 1} x {0, ..., m - 1} satisfying (a)
+and (b); the action is effective iff there is none.  The witness reported
+is the lexicographically smallest one.  With g = gcd(n, m) and
+h = gcd(r, A) it is
+
+    g > 1:          (0, m/g)
+    g = 1, h = 1:   none; the action is effective
+    g = 1, h > 1:   (ell, K) = (|r|/h, (ell*A/r) * n^{-1} mod m)
+
+Proof.
+
+1. At ell = 0, (a) reads m | n*K, that is (m/g) | K, and (b) reads m ∤ K.
+   K = 0 fails (b).  When g > 1, K = m/g < m passes it, so (0, m/g) is
+   the smallest pair.
+2. Let g = 1, so n is invertible mod m.  Reducing (a) mod |r| gives
+   |r| | ell*A, that is (|r|/h) | ell.  For such ell, ell*A/r is an
+   integer, and (a) divided by r reads ell*A/r == n*K (mod m), which fixes
+   K = (ell*A/r) * n^{-1} mod m.  So the solutions of (a) form the cyclic
+   group generated by (ell1, K1) = (|r|/h, (ell1*A/r) * n^{-1} mod m),
+   and ell = 0 only admits K = 0, which fails (b).  The generator has the
+   smallest positive ell of any solution, so it is the witness whenever
+   it satisfies (b).
+3. If the generator failed (b), subtracting n times ell1*B == K1*r from
+   (a) would give eps*m*ell1 == 0 (mod |r|*m), since A = n*B + eps*m;
+   then |r| divides ell1 = |r|/h, so h = 1.  Hence h > 1 makes the
+   generator the witness.
+4. When h = 1, every solution has |r| | ell, so eps*m*ell == 0 and (a)
+   reads n*(ell*B - K*r) == 0 (mod |r|*m).  Both terms of ell*B - K*r are
+   multiples of |r|, and n is invertible mod m, so ell*B == K*r
+   (mod |r|*m): every solution fails (b) and the action is effective.
+
+For m = 1 the fraction q/m merges into p, K = 0 and g = 1, so the action
+is effective iff gcd(r, eps + p*n) = 1 (``is_effective_corollary``).  The
+tests compare both functions with the period searches they replace and
+the verdicts with the floating-point kernel scan.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -59,39 +91,26 @@ class EffectivenessVerdict:
         }
 
 
-def congruent(a: int, b: int, modulus: int) -> bool:
-    """True iff ``modulus`` divides ``a - b``; the modulus must be positive."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be a positive integer, got {modulus}")
-    return (a - b) % modulus == 0
-
-
 def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) -> int:
-    base = n * (p * m + q)
-    return base + m if kind is ActionKind.TYPE1 else base - m
+    return n * (p * m + q) + kind.eps * m
 
 
-def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int, r: int,
-                 ell_range=None) -> Optional[KernelWitness]:
+def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,
+                 r: int) -> Optional[KernelWitness]:
     """Smallest (ell, K) in lexicographic order satisfying the kernel
-    congruences, or None if the action is effective.
-
-    ``ell_range`` defaults to the complete period {0, ..., |r|*m - 1}; a
-    wider iterable may be passed to double-check the period bound.
-    """
+    congruences, or None if the action is effective; the closed form and
+    its proof are in the module docstring."""
     if r == 0:
         raise ValueError("r must be nonzero")
-    modulus = abs(r) * m
+    g = math.gcd(n, m)
+    if g > 1:
+        return KernelWitness(0, m // g)
     acoef = _congruence_coefficient(kind, n, m, p, q)
-    bcoef = p * m + q
-    if ell_range is None:
-        ell_range = range(modulus)
-    for ell in ell_range:
-        for K in range(m):
-            if (ell * acoef - n * K * r) % modulus == 0 \
-                    and (ell * bcoef - K * r) % modulus != 0:
-                return KernelWitness(ell % modulus, K)
-    return None
+    h = math.gcd(r, acoef)
+    if h == 1:
+        return None
+    ell = abs(r) // h
+    return KernelWitness(ell, ell * acoef // r * pow(n, -1, m) % m)
 
 
 def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:
@@ -109,7 +128,8 @@ def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:
     if kf.denominator != 1:
         raise ValueError(f"(ell, K) = ({ell}, {K}) violates the kernel congruence")
     k = int(kf) % n
-    t = TWO_PI * ell / (n * spec.r)
+    # divide the integers first: TWO_PI * ell overflows for |r| beyond 1e308
+    t = TWO_PI * (ell / (n * spec.r))
     return KernelElement(t=t, k=k, scalar=cmath.exp(1j * (t + TWO_PI * k / n)))
 
 
@@ -129,14 +149,7 @@ def is_effective(spec: ActionSpec) -> EffectivenessVerdict:
 
 
 def is_effective_corollary(n: int, p: int, r: int, kind: ActionKind) -> bool:
-    """The m = 1 shortcut: effective iff no ell with r | ell*(eps + p*n)
-    while r does not divide ell*p.  The search over ell in {0, ..., |r|-1}
-    is complete by periodicity."""
+    """The m = 1 shortcut: effective iff gcd(r, eps + p*n) = 1."""
     if r == 0:
         raise ValueError("r must be nonzero")
-    a = abs(r)
-    coef = kind.eps + p * n
-    for ell in range(a):
-        if congruent(ell * coef, 0, a) and not congruent(ell * p, 0, a):
-            return False
-    return True
+    return math.gcd(r, kind.eps + p * n) == 1

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ class TestCheck:
         assert code == 1
         assert "witness: ell=1 K=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("r", [10**12, 10**400])
+    def test_large_r_answers_at_once(self, tmp_path, capsys, r):
+        # m = 7, A = n*(p*m + q) + m: q = 0 gives A = 7, coprime to r = 10^k;
+        # q = 4 gives A = 15 and h = gcd(r, 15) = 5, so the witness is
+        # (r/5, (ell*A/r) * 2^{-1} mod 7) = (r/5, 5)
+        spec = {"n": 2, "m": 7, "d": [4, 0], "kind": "type1", "p": 0, "r": r}
+        start = time.perf_counter()
+        effective = run(["check", "--spec",
+                         write_config(tmp_path, dict(spec, q=0), "coprime.json")])
+        first = json.loads(capsys.readouterr().out)
+        not_effective = run(["check", "--spec",
+                             write_config(tmp_path, dict(spec, q=4), "shared.json")])
+        second = json.loads(capsys.readouterr().out)
+        elapsed = time.perf_counter() - start
+        assert (effective, first["effective"]) == (0, True)
+        assert (not_effective, second["effective"]) == (1, False)
+        assert second["witness"] == {"ell": r // 5, "K": 5}
+        assert second["kernel_element"]["t"] == pytest.approx(2 * np.pi / 10)
+        assert elapsed < 1.0
+
 
 class TestEnumerate:
     CONFIG = {"ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 1,
@@ -93,9 +114,29 @@ class TestEnumerate:
         second = capsys.readouterr().out
         assert first == second
         body = first.splitlines()[1:]
-        assert body == sorted(body, key=lambda row: (
-            int(row.split(",")[0]), int(row.split(",")[1]), row.split(",")[2],
-            int(row.split(",")[3]), int(row.split(",")[4]), int(row.split(",")[5])))
+        assert body == sorted(body, key=self.row_key)
+
+    @staticmethod
+    def row_key(row):
+        n, m, kind, p, q, r = row.split(",")[:6]
+        return int(n), int(m), kind, int(p), int(q), int(r)
+
+    def test_shuffled_lists_with_duplicates_come_out_sorted(self, tmp_path, capsys):
+        ranges = {"p_min": -1, "p_max": 1, "q_min": -1, "q_max": 0,
+                  "r_min": -2, "r_max": 2}
+        shuffled = {"ranges": dict(ranges, n_list=[3, 2, 3], m_list=[4, 1, 2, 1])}
+        ordered = {"ranges": dict(ranges, n_list=[2, 3], m_list=[1, 2, 4])}
+        assert run(["enumerate", "--spec",
+                    write_config(tmp_path, shuffled, "shuffled.json")]) == 0
+        body = capsys.readouterr().out.splitlines()[1:]
+        assert run(["enumerate", "--spec",
+                    write_config(tmp_path, ordered, "ordered.json")]) == 0
+        assert body == capsys.readouterr().out.splitlines()[1:]
+        # a duplicated list entry counts once: 2 n x 3 m x 2 kinds x 3 p x
+        # 2 q x 4 r rows, strictly increasing in CLI order
+        assert len(body) == 2 * 3 * 2 * 3 * 2 * 4
+        keys = [self.row_key(row) for row in body]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_empty_ranges_exit_two(self, tmp_path):
         cfg = {"ranges": {"n_list": [], "m_list": [1], "p_min": 0, "p_max": 0,
@@ -180,6 +221,47 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert "power_branch" in failed
+
+    def test_settings_reach_the_report_unchanged(self, tmp_path, capsys):
+        cfg = dict(DEMO, trials=3, seed=5, tol=1e-7)
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["seed"], report["tol"]) == (5, 1e-7)
+        group_law = next(c for c in report["checks"] if c["name"] == "group_law")
+        assert group_law["trials"] == 3
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("trials", 0, "trials must be >= 1"),
+        ("trials", -2, "trials must be >= 1"),
+        ("trials", 2.9, "trials must be an integer"),
+        ("trials", 2.0, "trials must be an integer"),
+        ("trials", True, "trials must be an integer"),
+        ("trials", "5", "trials must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("tol", "nan", "tol must be a finite positive number"),
+        ("tol", "1e-8", "tol must be a finite positive number"),
+        ("tol", float("nan"), "tol must be a finite positive number"),
+        ("tol", float("inf"), "tol must be a finite positive number"),
+        ("tol", -1, "tol must be a finite positive number"),
+        ("tol", 0, "tol must be a finite positive number"),
+        ("tol", True, "tol must be a finite positive number"),
+        ("tol", None, "tol must be a finite positive number"),
+    ])
+    def test_bad_setting_exit_two(self, tmp_path, capsys, field, value, message):
+        cfg = dict(DEMO, **{field: value})
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1"),
+                                            ("--tol", "nan"), ("--tol", "-1e-8")])
+    def test_bad_setting_flag_exit_two(self, tmp_path, capsys, flag, value):
+        assert run(["verify", "--spec", write_config(tmp_path, DEMO),
+                    f"{flag}={value}"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_grid_config(self, tmp_path, capsys):
         cfg = {"d": [4, 0],

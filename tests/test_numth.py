@@ -1,8 +1,9 @@
 """The integer conventions of the exact layer.
 
 ``math.gcd`` is the coprime gate of the test grids, which rely on its
-nonnegative result and gcd(0, 0) == 0; ``congruent`` is the congruence
-predicate of the m = 1 effectiveness corollary.
+nonnegative result and gcd(0, 0) == 0, and the closed-form effectiveness
+decision, which relies on gcd(r, 0) == |r|.  ``congruent`` is the
+congruence predicate of the search reference in ``_witness_reference``.
 """
 
 from math import gcd
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfact.effectiveness import congruent
+from _witness_reference import congruent
 
 
 def test_gcd_small():
@@ -20,6 +21,7 @@ def test_gcd_small():
 
 def test_gcd_zero_convention():
     assert gcd(0, 7) == 7
+    assert gcd(-6, 0) == 6
     assert gcd(0, 0) == 0
 
 
