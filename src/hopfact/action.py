@@ -11,6 +11,11 @@ where sigma = eps + (p + q/m)*n, eps = +1 or -1 per kind, and B' is B or
 its conjugate.  The orbit class of the result does not depend on the
 branch of the e^{it} B splitting; that is a tested property rather than an
 assumption.
+
+``d_pow``, ``evaluate_formula`` and the transport solver broadcast over
+leading axes (arrays of t, stacks of B and of vectors), so the oracle
+evaluates many trials in one numpy pass; the single-point entry points
+``act`` and ``solve_transport`` run the same code without those axes.
 """
 
 import cmath
@@ -81,32 +86,51 @@ class ActionSpec:
         return float(self.sigma)
 
 
-def d_pow(d: complex, mu: float, branch: int = 0) -> complex:
+def d_pow(d: complex, mu, branch: int = 0):
     """Real power d^mu on the branch |d|^mu * e^{i*mu*(arg d + 2*pi*branch)}.
 
     The default branch uses the ordinary argument in [0, 2*pi).  Any other
-    admissible power function differs by the integer ``branch``.
+    admissible power function differs by the integer ``branch``.  ``mu``
+    may be an array; a power too large for a float is infinite or NaN, not
+    an error.
     """
     d = complex(d)
     if d == 0:
         raise ValueError("d must be nonzero")
     theta = principal_arg(d) + TWO_PI * branch
-    return abs(d) ** mu * cmath.exp(1j * mu * theta)
+    mu = np.asarray(mu, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (abs(d) ** mu * np.exp(1j * mu * theta))[()]
 
 
-def evaluate_formula(spec: ActionSpec, t: float, B: np.ndarray, vec: np.ndarray,
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for matrices a (..., n, n) and vectors v (..., n), broadcast."""
+    return (a @ v[..., None])[..., 0]
+
+
+def evaluate_formula(spec: ActionSpec, t, B: np.ndarray, vec: np.ndarray,
                      branch: int = 0) -> np.ndarray:
     """Raw action formula for one explicit (t, B) representation of A.
 
     Exposed separately from :func:`act` so that well-definedness and
     power-branch identities can be probed with non-canonical splittings.
+    t (...), B (..., n, n) and vec (..., n) broadcast over leading axes.
     """
     p = spec.params
     Bp = B if spec.kind is ActionKind.TYPE1 else np.conj(B)
-    scalar = cmath.exp(1j * spec.sigma_float * t) * d_pow(
+    t = np.asarray(t, dtype=np.float64)
+    # d_pow is looked up at call time, so a substituted power function
+    # reaches every check
+    scalar = np.exp(1j * spec.sigma_float * t) * d_pow(
         p.d, p.n * spec.r * t / TWO_PI, branch=branch
     )
-    return scalar * (spec.C @ (Bp @ (spec.C_inv @ vec)))
+    return scalar[..., None] * _matvec(spec.C, _matvec(Bp, _matvec(spec.C_inv, vec)))
+
+
+def _apply(spec: ActionSpec, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The action of the unitaries A (..., n, n) on the vectors vec (..., n)."""
+    ue = su_decompose(A)
+    return evaluate_formula(spec, ue.t, ue.su_part, vec)
 
 
 def act(spec: ActionSpec, A: np.ndarray, z: OrbitPoint) -> OrbitPoint:
@@ -122,8 +146,7 @@ def act(spec: ActionSpec, A: np.ndarray, z: OrbitPoint) -> OrbitPoint:
         raise ValueError(
             f"A has dimension {A.shape[0]}, manifold has n = {spec.params.n}"
         )
-    ue = su_decompose(A)
-    return OrbitPoint(spec.params, evaluate_formula(spec, ue.t, ue.su_part, z.rep))
+    return OrbitPoint(spec.params, _apply(spec, A, z.rep))
 
 
 def example_lambda(params: HopfParams) -> complex:
@@ -168,38 +191,62 @@ def match_example_to_type1(params: HopfParams, samples: int = 20, seed: int = 20
     return spec
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u v^H for vectors (..., n), broadcast."""
+    return u[..., :, None] * v.conj()[..., None, :]
+
+
 def _reflector_to_axis(x: np.ndarray):
     """Householder H with H x = alpha * e1, |alpha| = ||x||; returns (H, alpha)."""
-    n = x.shape[0]
-    norm = np.linalg.norm(x)
-    alpha = -norm * (cmath.exp(1j * principal_arg(x[0])) if x[0] != 0 else 1.0)
+    n = x.shape[-1]
+    x0 = x[..., 0]
+    alpha = -np.linalg.norm(x, axis=-1) * np.where(x0 != 0, np.exp(1j * principal_arg(x0)), 1.0)
     v = x.copy()
-    v[0] -= alpha
-    h = np.eye(n, dtype=np.complex128) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v)
-    return h, alpha
+    v[..., 0] -= alpha
+    vv = np.sum(v.conj() * v, axis=-1)[..., None, None]
+    return np.eye(n, dtype=np.complex128) - 2.0 * _outer(v, v) / vv, alpha
 
 
 def _unitary_mapping(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A unitary U with U x = y, for ||x|| = ||y||."""
     hx, ax = _reflector_to_axis(x)
     hy, ay = _reflector_to_axis(y)
-    phase = np.eye(x.shape[0], dtype=np.complex128)
-    phase[0, 0] = ay / ax
-    return hy.conj().T @ phase @ hx
+    hx[..., 0, :] *= (ay / ax)[..., None]
+    return hy.conj().swapaxes(-1, -2) @ hx
 
 
 def _fix_determinant(u: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     """Scale u to determinant 1 by a phase on a direction orthogonal to ``fixed``."""
-    n = u.shape[0]
+    n = u.shape[-1]
     delta = np.linalg.det(u)
-    f = fixed / np.linalg.norm(fixed)
-    j = int(np.argmin(np.abs(f)))
-    q = np.zeros(n, dtype=np.complex128)
-    q[j] = 1.0
-    q -= np.vdot(f, q) * f
-    q /= np.linalg.norm(q)
+    f = fixed / np.linalg.norm(fixed, axis=-1)[..., None]
+    j = np.argmin(np.abs(f), axis=-1)
+    q = (np.arange(n) == j[..., None]).astype(np.complex128)
+    q -= np.sum(f.conj() * q, axis=-1)[..., None] * f
+    q /= np.linalg.norm(q, axis=-1)[..., None]
     return (np.eye(n, dtype=np.complex128)
-            + (1.0 / delta - 1.0) * np.outer(q, q.conj())) @ u
+            + (1.0 / delta - 1.0)[..., None, None] * _outer(q, q)) @ u
+
+
+def _transport(spec: ActionSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unitaries (..., n, n) carrying the vectors z to w (..., n); see
+    :func:`solve_transport`."""
+    p = spec.params
+    u = _matvec(spec.C_inv, z)
+    v = _matvec(spec.C_inv, w)
+    t = TWO_PI * np.log(np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)) / (
+        p.n * spec.r * math.log(abs(p.d))
+    )
+    scalar = np.exp(1j * spec.sigma_float * t) * d_pow(p.d, p.n * spec.r * t / TWO_PI)
+    target = v / scalar[..., None]
+    if spec.kind is ActionKind.TYPE1:
+        b0 = _unitary_mapping(u, target)
+        b = _fix_determinant(b0, target)
+    else:
+        # need conj(B) u = target, i.e. B conj(u) = conj(target)
+        b0 = _unitary_mapping(np.conj(u), np.conj(target))
+        b = _fix_determinant(b0, np.conj(target))
+    return np.exp(1j * t)[..., None, None] * b
 
 
 def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarray:
@@ -213,21 +260,7 @@ def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarra
     p = spec.params
     if z.params != p or w.params != p:
         raise ValueError("points and action live on different quotient manifolds")
-    u = spec.C_inv @ z.rep
-    v = spec.C_inv @ w.rep
-    t = TWO_PI * math.log(np.linalg.norm(v) / np.linalg.norm(u)) / (
-        p.n * spec.r * math.log(abs(p.d))
-    )
-    scalar = cmath.exp(1j * spec.sigma_float * t) * d_pow(p.d, p.n * spec.r * t / TWO_PI)
-    target = v / scalar
-    if spec.kind is ActionKind.TYPE1:
-        b0 = _unitary_mapping(u, target)
-        b = _fix_determinant(b0, target)
-    else:
-        # need conj(B) u = target, i.e. B conj(u) = conj(target)
-        b0 = _unitary_mapping(np.conj(u), np.conj(target))
-        b = _fix_determinant(b0, np.conj(target))
-    return cmath.exp(1j * t) * b
+    return _transport(spec, z.rep, w.rep)
 
 
 def type2_as_type1(spec: ActionSpec) -> ActionSpec:

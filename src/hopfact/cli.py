@@ -168,7 +168,8 @@ def cmd_act(args) -> int:
     point = serialize.point_from_json(spec.params, _load_json_or_path(args.point))
     if matrix.shape[0] != spec.params.n:
         raise ValueError("matrix dimension does not match the manifold")
-    if unitarity_residual(matrix) > 1e-8:
+    # written so that a NaN residual (a NaN or infinite entry) is rejected too
+    if not unitarity_residual(matrix) <= 1e-8:
         raise ValueError("matrix is not unitary to 1e-8")
     result = act(spec, matrix, point)
     canonical = canonicalize(result)

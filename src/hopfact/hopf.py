@@ -50,46 +50,38 @@ class OrbitPoint:
         v = np.asarray(self.rep, dtype=np.complex128)
         if v.ndim != 1 or v.shape[0] != self.params.n:
             raise ValueError(f"expected a vector of length {self.params.n}")
+        if not np.isfinite(v).all():
+            raise ValueError("orbit representative must be finite")
         if float(np.linalg.norm(v)) <= 1e-300:
             raise ValueError("orbit representative must be nonzero")
         object.__setattr__(self, "rep", v)
 
 
-def _deck_scalars(params: HopfParams, ell_center: int):
-    """Deck elements d^ell * e^{2*pi*i*K/m} for ell within one of ell_center+-1."""
-    d = params.d
-    for ell in (ell_center - 1, ell_center, ell_center + 1):
-        base = d ** ell
-        for K in range(params.m):
-            yield base * complex(math.cos(TWO_PI * K / params.m),
-                                 math.sin(TWO_PI * K / params.m))
-
-
-def orbit_distance(x: np.ndarray, y: np.ndarray, params: HopfParams) -> float:
+def orbit_distance(x, y, params: HopfParams):
     """min over deck candidates g of ||x - g*y|| / ||x||.
 
     Only the modulus-compatible candidate ell* = round(ln(||x||/||y||)/ln|d|)
-    and its two neighbours are searched; |d|^ell spacing is exponential, so
-    these cover any small ball.
+    and its two neighbours are searched, each times all m rotations;
+    |d|^ell spacing is exponential, so these cover any small ball.  x and y
+    broadcast over leading axes, one distance per vector pair.  A zero or
+    non-finite norm makes ell* infinite or NaN, and d to that power is NaN,
+    so the distance is NaN, never a number that could pass a tolerance.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    ell_center = round(math.log(nx / ny) / math.log(abs(params.d)))
-    best = math.inf
-    for g in _deck_scalars(params, ell_center):
-        dist = float(np.linalg.norm(x - g * y)) / nx
-        if dist < best:
-            best = dist
-    return best
+    nx = np.linalg.norm(x, axis=-1)
+    ell_center = np.rint(np.log(nx / np.linalg.norm(y, axis=-1)) / math.log(abs(params.d)))
+    rots = np.exp(2j * math.pi * np.arange(params.m) / params.m)
+    g = params.d ** (ell_center[..., None] + np.arange(-1.0, 2.0))[..., None] * rots
+    diffs = x[..., None, None, :] - g[..., None] * y[..., None, None, :]
+    return (np.linalg.norm(diffs, axis=-1).min(axis=(-2, -1)) / nx)[()]
 
 
 def deck_equal(z: OrbitPoint, w: OrbitPoint, tol: float = 1e-9) -> bool:
     """Decide whether z and w represent the same point of M_d^n/Z_m."""
     if z.params != w.params:
         raise ValueError("points live on different quotient manifolds")
-    return orbit_distance(w.rep, z.rep, z.params) <= tol
+    return bool(orbit_distance(w.rep, z.rep, z.params) <= tol)
 
 
 def canonicalize(z: OrbitPoint) -> OrbitPoint:

@@ -5,25 +5,33 @@ here: the kernel lattice is scanned numerically, and the group-action
 axioms, well-definedness under re-splitting, transitivity, and the two
 remark identities are checked on seeded random samples.  Residuals are
 orbit distances, i.e. scale-free distances in the quotient.
+
+Each check runs its trials as numpy batches, a chunk of trials at a time,
+with the trial index on the leading axis of every array; trial i keeps the
+sample points and the Philox-seeded unitaries it would have alone.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .action import ActionKind, ActionSpec, act, evaluate_formula, solve_transport, type2_as_type1
-from .cmatrix import TWO_PI, random_unitary, su_decompose
+from .action import ActionKind, ActionSpec, _apply, _transport, evaluate_formula, type2_as_type1
+from .cmatrix import TWO_PI, _rng, random_unitary, su_decompose
 from .effectiveness import is_effective, kernel_witness_element
-from .hopf import HopfParams, OrbitPoint, orbit_distance
+from .hopf import HopfParams, orbit_distance
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; ``max_residual`` is None when some trial's
+    residual was NaN or infinite, and such a check never passes."""
+
     name: str
     trials: int
-    max_residual: float
+    max_residual: Optional[float]
     passed: bool
 
     def to_dict(self) -> dict:
@@ -48,10 +56,6 @@ class VerificationReport:
                 "all_passed": self.all_passed}
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def sample_points(params: HopfParams, count: int, seed: int,
                   log10_scale: float = 0.0) -> np.ndarray:
     """Deterministic nonzero sample vectors, optionally spread in norm."""
@@ -62,15 +66,24 @@ def sample_points(params: HopfParams, count: int, seed: int,
     return v
 
 
-# Candidates per scan chunk are chosen so that one (candidates x samples x
-# 3 deck shells x m x n) complex temporary stays near this many bytes;
-# 256 KB scans faster than 1 MB and adds almost nothing to peak memory.
-_SCAN_CHUNK_BYTES = 1 << 18
+# Scan candidates and check trials are processed in chunks so that the
+# largest complex temporary of one chunk stays near this many bytes; 256 KB
+# scans faster than 1 MB and adds almost nothing to peak memory.  Per item
+# that temporary is an orbit distance's 3 shells x m rotations x n
+# coordinates (for each sample of a scan candidate, or each of the 5n
+# re-splittings of a well-definedness trial), or an n x n matrix.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk(values_per_item: int) -> int:
+    """Items per chunk when each item's largest temporary holds this many
+    complex values."""
+    return max(1, _CHUNK_BYTES // (16 * values_per_item))
 
 
 def _scan_chunk(samples: int, m: int, n: int) -> int:
     """Kernel candidates per chunk of the lattice scan."""
-    return max(1, _SCAN_CHUNK_BYTES // (16 * 3 * samples * m * n))
+    return _chunk(3 * samples * m * n)
 
 
 def _scan_lattice(spec: ActionSpec, w: np.ndarray, z: np.ndarray, tol: float) -> list:
@@ -79,18 +92,12 @@ def _scan_lattice(spec: ActionSpec, w: np.ndarray, z: np.ndarray, tol: float) ->
     ``w`` holds the rows C C^{-1} z_j (the matrix part of the action for a
     scalar special-unitary factor) and ``z`` the samples z_j.  A candidate
     is reported when every acted sample lies within ``tol`` orbit distance
-    of its original; the distance searches the shells ell_c - 1, ell_c,
-    ell_c + 1 around the modulus-compatible ell_c, times all m rotations.
+    of its original.
     """
     p = spec.params
     n, m, r = p.n, p.m, spec.r
     log_abs_d = math.log(abs(p.d))
     arg_d = cmath.phase(p.d) % TWO_PI
-    rots = np.exp(2j * math.pi * np.arange(m) / m)
-    shells = np.arange(-1, 2)
-    w_norms = np.linalg.norm(w, axis=1)
-    z_norms = np.linalg.norm(z, axis=1)
-    zb = z[:, None, None, :]
     cells = abs(r) * m * n
     step = _scan_chunk(len(z), m, n)
     out = []
@@ -101,13 +108,9 @@ def _scan_lattice(spec: ActionSpec, w: np.ndarray, z: np.ndarray, tol: float) ->
         b = np.exp(1j * (theta - t))
         mu = n * r * t / TWO_PI
         s = (np.exp(1j * spec.sigma_float * t) * np.exp(mu * log_abs_d)
-             * np.exp(1j * mu * arg_d) * (b if spec.kind.eps == 1 else b.conj()))[:, None]
-        nx = np.abs(s) * w_norms                                    # (c, S)
-        ell_c = np.rint(np.log(nx / z_norms) / log_abs_d).astype(np.int64)
-        g = p.d ** (ell_c[..., None] + shells)[..., None] * rots   # (c, S, 3, m)
-        x = (s[..., None] * w)[:, :, None, None, :]                 # (c, S, 1, 1, n)
-        dist = np.linalg.norm(x - g[..., None] * zb, axis=-1)       # (c, S, 3, m)
-        hit = (dist.min(axis=(2, 3)) / nx < tol).all(axis=1)
+             * np.exp(1j * mu * arg_d) * (b if spec.kind.eps == 1 else b.conj()))
+        x = s[:, None, None] * w                                    # (c, S, n)
+        hit = (orbit_distance(x, z, p) < tol).all(axis=1)
         out += zip(ell[hit].tolist(), k[hit].tolist())
     return out
 
@@ -158,20 +161,34 @@ def kernel_scan_agrees(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
     return bool(nontrivial) and (w.ell % (abs(spec.r) * spec.params.m), element.k) in nontrivial
 
 
+def _run_check(name: str, trials: int, chunk: int, tol: float, residuals) -> CheckResult:
+    """Evaluate ``residuals(lo, hi)``, the residuals of trials lo..hi-1, over
+    chunks of ``chunk`` trials.  Overflow and invalid arithmetic are let
+    through as inf and NaN, and any non-finite residual fails the check."""
+    with np.errstate(all="ignore"):
+        res = np.concatenate([residuals(lo, min(lo + chunk, trials))
+                              for lo in range(0, trials, chunk)])
+    if not np.isfinite(res).all():
+        return CheckResult(name, trials, None, False)
+    worst = float(res.max())
+    return CheckResult(name, trials, worst, worst < tol)
+
+
 def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
                      tol: float = 1e-8) -> CheckResult:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
     p = spec.params
     z = sample_points(p, trials, seed)
-    worst = 0.0
-    for i in range(trials):
-        a1 = random_unitary(p.n, seed * 1_000_003 + 2 * i)
-        a2 = random_unitary(p.n, seed * 1_000_003 + 2 * i + 1)
-        pt = OrbitPoint(p, z[i])
-        lhs = act(spec, a1 @ a2, pt)
-        rhs = act(spec, a1, act(spec, a2, pt))
-        worst = max(worst, orbit_distance(lhs.rep, rhs.rep, p))
-    return CheckResult("group_law", trials, worst, worst < tol)
+    first = seed * 1_000_003
+
+    def residuals(lo, hi):
+        a1 = random_unitary(p.n, range(first + 2 * lo, first + 2 * hi, 2))
+        a2 = random_unitary(p.n, range(first + 2 * lo + 1, first + 2 * hi, 2))
+        lhs = _apply(spec, a1 @ a2, z[lo:hi])
+        rhs = _apply(spec, a1, _apply(spec, a2, z[lo:hi]))
+        return orbit_distance(lhs, rhs, p)
+
+    return _run_check("group_law", trials, _chunk(p.n * max(3 * p.m, p.n)), tol, residuals)
 
 
 def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
@@ -180,20 +197,22 @@ def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
     all k and ell in {-2, ..., 2} and compare the raw formula outputs in
     the quotient."""
     p = spec.params
+    n = p.n
     z = sample_points(p, trials, seed)
-    worst = 0.0
-    for i in range(trials):
-        a = random_unitary(p.n, seed * 999_983 + i)
-        pt = OrbitPoint(p, z[i])
-        base = act(spec, a, pt)
-        ue = su_decompose(a)
-        for k in range(p.n):
-            for ell in range(-2, 3):
-                t2 = ue.t + TWO_PI * k / p.n + TWO_PI * ell
-                b2 = np.exp(-2j * math.pi * k / p.n) * ue.su_part
-                shifted = evaluate_formula(spec, t2, b2, pt.rep)
-                worst = max(worst, orbit_distance(shifted, base.rep, p))
-    return CheckResult("well_definedness", trials, worst, worst < tol)
+    k = np.arange(n)
+    ell = np.arange(-2, 3)
+
+    def residuals(lo, hi):
+        ue = su_decompose(random_unitary(n, range(seed * 999_983 + lo, seed * 999_983 + hi)))
+        base = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])           # (T, n)
+        t2 = ue.t[:, None, None] + TWO_PI * k[:, None] / n + TWO_PI * ell   # (T, n, 5)
+        b2 = (np.exp(-2j * math.pi * k / n)[:, None, None, None]
+              * ue.su_part[:, None, None])                                  # (T, n, 1, n, n)
+        shifted = evaluate_formula(spec, t2, b2, z[lo:hi, None, None])      # (T, n, 5, n)
+        return orbit_distance(shifted, base[:, None, None], p).max(axis=(1, 2))
+
+    return _run_check("well_definedness", trials, _chunk(5 * n * n * max(3 * p.m, n)),
+                      tol, residuals)
 
 
 def verify_transitivity(spec: ActionSpec, trials: int = 200, seed: int = 3,
@@ -202,13 +221,12 @@ def verify_transitivity(spec: ActionSpec, trials: int = 200, seed: int = 3,
     p = spec.params
     zs = sample_points(p, trials, seed)
     ws = sample_points(p, trials, seed + 1, log10_scale=log10_scale)
-    worst = 0.0
-    for i in range(trials):
-        z = OrbitPoint(p, zs[i])
-        w = OrbitPoint(p, ws[i])
-        a = solve_transport(spec, z, w)
-        worst = max(worst, orbit_distance(act(spec, a, z).rep, w.rep, p))
-    return CheckResult("transitivity", trials, worst, worst < tol)
+
+    def residuals(lo, hi):
+        a = _transport(spec, zs[lo:hi], ws[lo:hi])
+        return orbit_distance(_apply(spec, a, zs[lo:hi]), ws[lo:hi], p)
+
+    return _run_check("transitivity", trials, _chunk(p.n * max(3 * p.m, p.n)), tol, residuals)
 
 
 def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
@@ -218,18 +236,17 @@ def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
     exactly, as raw vectors."""
     p = spec.params
     z = sample_points(p, trials, seed)
-    worst = 0.0
-    for i in range(trials):
-        a = random_unitary(p.n, seed * 7_919 + i)
-        ue = su_decompose(a)
-        base = evaluate_formula(spec, ue.t, ue.su_part, z[i])
-        scale = float(np.linalg.norm(base))
-        for L in range(-2, 3):
-            shifted_spec = ActionSpec(spec.kind, spec.p - L * spec.r, spec.q,
-                                      spec.r, spec.C, spec.params)
-            alt = evaluate_formula(shifted_spec, ue.t, ue.su_part, z[i], branch=L)
-            worst = max(worst, float(np.linalg.norm(alt - base)) / scale)
-    return CheckResult("power_branch", trials, worst, worst < tol)
+    shifted = {L: ActionSpec(spec.kind, spec.p - L * spec.r, spec.q, spec.r, spec.C, p)
+               for L in range(-2, 3)}
+
+    def residuals(lo, hi):
+        ue = su_decompose(random_unitary(p.n, range(seed * 7_919 + lo, seed * 7_919 + hi)))
+        base = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])
+        alt = np.stack([evaluate_formula(s, ue.t, ue.su_part, z[lo:hi], branch=L)
+                        for L, s in shifted.items()])
+        return np.linalg.norm(alt - base, axis=-1).max(axis=0) / np.linalg.norm(base, axis=-1)
+
+    return _run_check("power_branch", trials, _chunk(5 * p.n * p.n), tol, residuals)
 
 
 def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
@@ -238,18 +255,16 @@ def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
     as raw vectors."""
     if spec.params.n != 2 or spec.kind is not ActionKind.TYPE2:
         raise ValueError("dimtwo identity applies to Type2 actions with n = 2")
-    p = spec.params
     twin = type2_as_type1(spec)
-    z = sample_points(p, trials, seed)
-    worst = 0.0
-    for i in range(trials):
-        a = random_unitary(2, seed * 104_729 + i)
-        pt = OrbitPoint(p, z[i])
-        lhs = act(spec, a, pt)
-        rhs = act(twin, a, pt)
-        scale = float(np.linalg.norm(lhs.rep))
-        worst = max(worst, float(np.linalg.norm(lhs.rep - rhs.rep)) / scale)
-    return CheckResult("dimtwo", trials, worst, worst < tol)
+    z = sample_points(spec.params, trials, seed)
+
+    def residuals(lo, hi):
+        ue = su_decompose(random_unitary(2, range(seed * 104_729 + lo, seed * 104_729 + hi)))
+        lhs = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])
+        rhs = evaluate_formula(twin, ue.t, ue.su_part, z[lo:hi])
+        return np.linalg.norm(lhs - rhs, axis=-1) / np.linalg.norm(lhs, axis=-1)
+
+    return _run_check("dimtwo", trials, _chunk(4), tol, residuals)
 
 
 def run_full_verification(spec: ActionSpec, trials: int = 200, seed: int = 0,

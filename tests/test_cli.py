@@ -193,6 +193,28 @@ class TestAct:
                     "--point", json.dumps([[1, 0], [0, 0]])])
         assert code == 2
 
+    def test_nan_matrix_exit_two(self, tmp_path, capsys):
+        # a NaN entry gives a NaN unitarity residual, which must not pass
+        code = run(["act", "--spec", write_config(tmp_path, DEMO),
+                    "--matrix", "[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]",
+                    "--point", json.dumps([[1, 0], [0, 0]])])
+        assert code == 2
+        assert "matrix is not unitary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,point", [
+        # diag(i, i) has t = pi/2, so the power is (1e12)^30, beyond a float
+        (dict(DEMO, d=[1e12, 0], r=60), [[1, 0], [0, 0]]),
+        (DEMO, [["NaN", 0], [0, 0]]),
+    ])
+    def test_non_finite_point_exit_two(self, tmp_path, capsys, cfg, point):
+        code = run(["act", "--spec", write_config(tmp_path, cfg),
+                    "--matrix", json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]),
+                    "--point", json.dumps(point).replace('"NaN"', "NaN")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "orbit representative must be finite" in captured.err
+
     def test_matrix_from_file(self, tmp_path, capsys):
         mpath = tmp_path / "matrix.json"
         mpath.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
@@ -221,6 +243,28 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert "power_branch" in failed
+
+    @pytest.mark.parametrize("cfg,flags", [
+        ({"n": 6, "m": 1, "p": 0, "q": 0, "r": 48, "d": [0.5, 0]}, ["--trials", "8"]),
+        ({"n": 3, "m": 2, "p": 1, "q": 0, "r": 5, "d": [1e12, 0]}, []),
+    ])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_unrepresentable_power_fails_the_check(self, tmp_path, capsys, cfg, flags, kind):
+        # the 2*pi*ell re-splittings of well_definedness need |d|^(n*r*ell)
+        # beyond a float; that check fails with no residual, the rest run
+        def reject(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        code = run(["verify", "--spec", write_config(tmp_path, dict(cfg, kind=kind))]
+                   + flags)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=reject)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["well_definedness"]["max_residual"] is None
+        assert checks["well_definedness"]["pass"] is False
+        assert [name for name, c in checks.items() if not c["pass"]] == ["well_definedness"]
 
     def test_settings_reach_the_report_unchanged(self, tmp_path, capsys):
         cfg = dict(DEMO, trials=3, seed=5, tol=1e-7)

@@ -86,6 +86,26 @@ def test_random_unitary_deterministic():
     assert np.array_equal(random_unitary(2, 42), random_unitary(2, 42))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_random_unitary_seed_stack_is_bitwise_per_seed(n):
+    seeds = list(range(150)) + [10**20 + 7, 2**64 + 1]
+    stack = random_unitary(n, seeds)
+    assert stack.shape == (len(seeds), n, n)
+    for s, u in zip(seeds, stack):
+        assert u.tobytes() == random_unitary(n, s).tobytes()
+
+
+def test_random_unitary_pins_its_philox_stream():
+    # trials are replayed from their seeds, so the matrix of a seed is fixed
+    u = random_unitary(3, 7)
+    assert u[0, 1] == pytest.approx(0.3840492826488002 - 0.6274767856464746j, abs=1e-12)
+    assert u[2, 0] == pytest.approx(0.3860086889011959 + 0.17148718198615376j, abs=1e-12)
+    assert u[1, 2] == pytest.approx(-0.566710950609994 + 0.3795255108405644j, abs=1e-12)
+    v = random_unitary(2, [10**20 + 7])[0]
+    assert v[0, 0] == pytest.approx(-0.7363777543634991 - 0.2302599117044959j, abs=1e-12)
+    assert v[1, 0] == pytest.approx(0.5703371129071939 - 0.2818576832039437j, abs=1e-12)
+
+
 def test_random_unitary_is_unitary():
     assert unitarity_residual(random_unitary(3, 7)) < 1e-12
 

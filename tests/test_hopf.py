@@ -127,3 +127,26 @@ def test_orbit_distance_zero_on_deck_translates():
     v = np.array([1.0, 2.0 - 1j])
     g = p.d ** 2 * np.exp(1j * math.pi)
     assert orbit_distance(g * v, v, p) < 1e-12
+
+
+def test_orbit_distance_broadcasts_over_stacks():
+    p = HopfParams(d=0.5, n=3, m=4)
+    rng = np.random.Generator(np.random.Philox(3))
+    x = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+    y = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    stacked = orbit_distance(x, y, p)
+    assert stacked.shape == (5, 2)
+    for i in range(5):
+        for j in range(2):
+            assert stacked[i, j] == orbit_distance(x[i, j], y[j], p)
+
+
+@pytest.mark.parametrize("d", [4, 0.5, 0.3 + 0.1j])
+@pytest.mark.parametrize("scale_x,scale_y", [(1.0, 0.0), (0.0, 1.0), (math.inf, 1.0),
+                                             (1.0, math.nan)])
+def test_orbit_distance_degenerate_norm_is_nan(d, scale_x, scale_y):
+    # no deck candidate is meaningful, so no tolerance may accept the pair
+    p = HopfParams(d=d, n=2, m=3)
+    v = np.array([1.0, 2.0 - 1j])
+    with np.errstate(all="ignore"):
+        assert math.isnan(orbit_distance(scale_x * v, scale_y * v, p))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import _oracle_reference
 import hopfact.action
+import hopfact.oracle
 from _grid import fixed_C
 from _scan_reference import scan_lattice
 from hopfact.action import ActionKind, ActionSpec, d_pow
@@ -137,3 +139,55 @@ def test_well_definedness_and_group_law_pass_type2():
     spec = make_spec(ActionKind.TYPE2, 3, 1, 0, 0, 1, d=-2)
     assert verify_group_law(spec, trials=60, seed=2).passed
     assert verify_well_definedness(spec, trials=20, seed=2).passed
+
+
+@pytest.mark.parametrize("chunk_bytes,perturbed", [(None, False), (4096, False),
+                                                   (4096, True)])
+@pytest.mark.parametrize("kind,n,m,p,q,r,d,C", [
+    (ActionKind.TYPE2, 2, 3, 1, 0, 2, 1 + 2j, fixed_C(2)),
+    (ActionKind.TYPE1, 3, 4, -1, 2, -3, 0.5, fixed_C(3)),
+    (ActionKind.TYPE2, 4, 2, 2, -1, 1, -2, None),
+])
+def test_checks_match_loop_reference(monkeypatch, chunk_bytes, perturbed,
+                                     kind, n, m, p, q, r, d, C):
+    # the batched checks against the per-trial loops they replaced: same
+    # verdicts, residuals equal up to summation order.  At the default
+    # chunk size well_definedness on n = 3, m = 4 spans two chunks of 30
+    # trials; at 4096 bytes every check spans several, remainders included.
+    # Exact residuals are rounding noise; a power with an extra phase
+    # e^{0.001*i*mu^2} breaks the group law, well-definedness and transport
+    # with residuals near 1e-3 that differ from trial to trial and stay far
+    # below the orbit distance's ceiling, so matching them pins every trial
+    # to its own points and seeds.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
+    if perturbed:
+        def bent_power(d, mu, branch=0):
+            return d_pow(d, mu, branch=branch) * np.exp(0.001j * np.square(mu))
+
+        monkeypatch.setattr(hopfact.action, "d_pow", bent_power)
+    spec = ActionSpec(kind, p, q, r, np.eye(n) if C is None else C,
+                      HopfParams(d=d, n=n, m=m))
+    runs = [("verify_group_law", 40, 7, {}),
+            ("verify_well_definedness", 40, 8, {}),
+            ("verify_transitivity", 40, 9, {}),
+            ("verify_transitivity", 30, 10, {"tol": 1e-7, "log10_scale": 3}),
+            ("verify_power_branch", 20, 11, {})]
+    if n == 2 and kind is ActionKind.TYPE2:
+        runs.append(("verify_dimtwo", 40, 12, {}))
+    for name, trials, seed, kwargs in runs:
+        got = getattr(hopfact.oracle, name)(spec, trials, seed, **kwargs)
+        want = getattr(_oracle_reference, name)(spec, trials, seed, **kwargs)
+        assert (got.name, got.trials, got.passed) == (want.name, want.trials, want.passed)
+        assert want.passed == (not perturbed or name in ("verify_power_branch",
+                                                        "verify_dimtwo")), name
+        assert abs(got.max_residual - want.max_residual) <= 1e-13, name
+
+
+def test_non_finite_residual_fails_with_no_value():
+    # r = 48 with d = 0.5: the 2*pi*ell re-splittings need |d|^(n*r*ell)
+    # far beyond a float, so the shifted images are infinite
+    spec = make_spec(ActionKind.TYPE1, 6, 1, 0, 0, 48, d=0.5)
+    check = verify_well_definedness(spec, trials=3, seed=2)
+    assert (check.max_residual, check.passed) == (None, False)
+    assert check.to_dict()["max_residual"] is None
