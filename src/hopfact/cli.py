@@ -32,6 +32,11 @@ EXIT_NOT_EFFECTIVE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
+# The first format of each subcommand is its default.
+CHECK_FORMATS = ("json", "text")
+ENUMERATE_FORMATS = ("csv", "json", "text")
+FIELDS = ("n", "m", "kind", "p", "q", "r", "effective", "witness_ell", "witness_K")
+
 
 def _load_config(path: str) -> dict:
     if path == "-":
@@ -73,11 +78,20 @@ def _load_json_or_path(value: str):
         raise ValueError(f"{value!r} is neither inline JSON nor an existing file")
 
 
+def _format(config: dict, command: str, choices: tuple) -> str:
+    """The config's output format, one of ``choices``; the first is the default."""
+    fmt = config.get("format", choices[0])
+    if fmt not in choices:
+        raise ValueError(f"{command} format must be one of "
+                         f"{', '.join(choices)}, got {fmt!r}")
+    return fmt
+
+
 def cmd_check(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
+    fmt = _format(config, "check", CHECK_FORMATS)
     spec = serialize.spec_from_config(config)
     verdict = is_effective(spec)
-    fmt = config.get("format", "json")
     if fmt == "text":
         lines = [f"effective: {verdict.effective}"]
         if verdict.witness is not None:
@@ -90,7 +104,9 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.effective else EXIT_NOT_EFFECTIVE
 
 
-def _enumerate_rows(config: dict):
+def _grid(config: dict) -> list:
+    """The (n, m, kind, p, q, r) tuples of the config's ``ranges``: each
+    once, r = 0 left out, sorted by n, m, kind ("type1" < "type2"), p, q, r."""
     ranges = config.get("ranges")
     if not isinstance(ranges, dict):
         raise ValueError("enumerate requires a 'ranges' object in the config")
@@ -113,51 +129,41 @@ def _enumerate_rows(config: dict):
         raise ValueError(f"ranges is missing field {exc.args[0]!r}")
     if any(n < 2 for n in n_list) or any(m < 1 for m in m_list):
         raise ValueError("n_list entries must be >= 2 and m_list entries >= 1")
-    if not (n_list and m_list and list(p_vals) and list(q_vals) and r_vals):
+    if not (n_list and m_list and p_vals and q_vals and r_vals):
         raise ValueError("empty enumeration ranges")
-    # The product runs in CLI row order: n, m, kind ("type1" < "type2"),
-    # p, q, r, each ascending and each tuple once, so the rows need no sort.
-    kinds = [ActionKind.TYPE1, ActionKind.TYPE2]
-    rows = []
-    for n, m, kind, p, q, r in itertools.product(
-            sorted(set(n_list)), sorted(set(m_list)), kinds, p_vals, q_vals, r_vals):
-        witness = find_witness(kind, n, m, p, q, r)
-        rows.append({
-            "n": n, "m": m, "kind": kind.value, "p": p, "q": q, "r": r,
-            "effective": witness is None,
-            "witness_ell": "" if witness is None else witness.ell,
-            "witness_K": "" if witness is None else witness.K,
-        })
-    return rows
+    return list(itertools.product(sorted(set(n_list)), sorted(set(m_list)), ActionKind,
+                                  p_vals, q_vals, r_vals))
+
+
+def _enumerate_rows(config: dict) -> list:
+    """One (key, witness) row per grid tuple; the witness is None when the
+    action is effective."""
+    return [((n, m, kind, p, q, r), find_witness(kind, n, m, p, q, r))
+            for n, m, kind, p, q, r in _grid(config)]
 
 
 def cmd_enumerate(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
+    fmt = _format(config, "enumerate", ENUMERATE_FORMATS)
     rows = _enumerate_rows(config)
-    fmt = config.get("format", "csv")
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["n", "m", "kind", "p", "q", "r", "effective",
-                             "witness_ell", "witness_K"],
-            lineterminator="\r\n")
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["effective"] = "true" if row["effective"] else "false"
-            writer.writerow(out)
-        _emit(buf.getvalue(), args)
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(FIELDS)
+        writer.writerows((n, m, kind.value, p, q, r, "true", "", "") if w is None else
+                         (n, m, kind.value, p, q, r, "false", w.ell, w.K)
+                         for (n, m, kind, p, q, r), w in rows)
+        text = buf.getvalue()
     elif fmt == "json":
-        clean = [{**row,
-                  "witness_ell": None if row["witness_ell"] == "" else row["witness_ell"],
-                  "witness_K": None if row["witness_K"] == "" else row["witness_K"]}
-                 for row in rows]
-        _emit(json.dumps(clean, indent=2) + "\n", args)
+        text = json.dumps([dict(zip(FIELDS, (n, m, kind.value, p, q, r, w is None,
+                                             None if w is None else w.ell,
+                                             None if w is None else w.K)))
+                           for (n, m, kind, p, q, r), w in rows], indent=2) + "\n"
     else:
-        lines = [f"{r['n']} {r['m']} {r['kind']} p={r['p']} q={r['q']} r={r['r']} "
-                 f"effective={r['effective']} witness=({r['witness_ell']},{r['witness_K']})"
-                 for r in rows]
-        _emit("\n".join(lines) + "\n", args)
+        text = "".join(f"{n} {m} {kind.value} p={p} q={q} r={r} effective={w is None} "
+                       + ("witness=(,)\n" if w is None else f"witness=({w.ell},{w.K})\n")
+                       for (n, m, kind, p, q, r), w in rows)
+    _emit(text, args)
     return EXIT_OK
 
 
@@ -202,18 +208,14 @@ def cmd_verify(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
-        specs = []
-        for row in _enumerate_rows(config):
-            sub = dict(config)
-            sub.update({k: row[k] for k in ("n", "m", "kind", "p", "q", "r")})
-            sub.pop("ranges")
-            specs.append(serialize.spec_from_config(sub))
+        specs = [serialize.spec_from_config({**config, **dict(zip(FIELDS, key))})
+                 for key in _grid(config)]
     else:
         specs = [serialize.spec_from_config(config)]
     reports = [run_full_verification(s, trials=trials, seed=seed, tol=tol)
                for s in specs]
     payload = [r.to_dict() for r in reports]
-    _emit(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n",
+    _emit(json.dumps(payload if "ranges" in config else payload[0], indent=2) + "\n",
           args)
     return EXIT_OK if all(r.all_passed for r in reports) else EXIT_VERIFY_FAILED
 
@@ -229,17 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True,
                        help="JSON config path, or - for stdin")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv", "text"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--trials", type=int)
 
     p_check = sub.add_parser("check", help="decide effectiveness of one spec")
     common(p_check)
+    p_check.add_argument("--format", choices=CHECK_FORMATS)
     p_check.set_defaults(func=cmd_check)
 
     p_enum = sub.add_parser("enumerate", help="effectiveness table over ranges")
     common(p_enum)
+    p_enum.add_argument("--format", choices=ENUMERATE_FORMATS)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_act = sub.add_parser("act", help="apply a unitary to a point")
@@ -252,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--trials", type=int)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -67,21 +67,14 @@ def random_unitary(n: int, seed) -> np.ndarray:
     return u[0] if single else u
 
 
-def random_su(n: int, seed: int) -> np.ndarray:
-    """Haar-style special unitary: random unitary rescaled to det 1."""
-    u = random_unitary(n, seed)
-    return u * np.exp(-1j * principal_arg(np.linalg.det(u)) / n)
-
-
 @dataclass(frozen=True)
 class UnitaryElement:
-    """A unitary A together with its canonical A = e^{it} B splitting.
+    """The canonical A = e^{it} B splitting of a unitary A.
 
     t lies in [0, 2*pi/n) and B has determinant 1; the branch is fixed by
     the principal argument of det A.
     """
 
-    matrix: np.ndarray
     t: float
     su_part: np.ndarray
 
@@ -101,4 +94,4 @@ def su_decompose(a) -> UnitaryElement:
         raise ValueError(f"matrix is not unitary (residual {np.nanmax(res):.3e})")
     t = principal_arg(np.linalg.det(a)) / a.shape[-1]
     b = np.exp(-1j * t)[..., None, None] * a
-    return UnitaryElement(matrix=a, t=t, su_part=b)
+    return UnitaryElement(t=t, su_part=b)

@@ -52,8 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .action import ActionKind, ActionSpec
 from .cmatrix import TWO_PI
 
@@ -131,10 +129,6 @@ def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:
     # divide the integers first: TWO_PI * ell overflows for |r| beyond 1e308
     t = TWO_PI * (ell / (n * spec.r))
     return KernelElement(t=t, k=k, scalar=cmath.exp(1j * (t + TWO_PI * k / n)))
-
-
-def kernel_matrix(spec: ActionSpec, element: KernelElement) -> np.ndarray:
-    return element.scalar * np.eye(spec.params.n, dtype=np.complex128)
 
 
 def is_effective(spec: ActionSpec) -> EffectivenessVerdict:

@@ -133,16 +133,11 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
 def nontrivial_pairs(spec: ActionSpec, pairs) -> list:
     """Filter scan output down to pairs whose scalar differs from 1.
 
-    Lattice scalars are (n*r)-th roots of unity times integer powers of d,
-    so nontrivial ones are bounded away from 1; the 1e-6 cut is safe.
+    The scalar of (ell, k) is e^{2*pi*i*(ell + k*r)/(n*r)}, which is 1
+    exactly when n*|r| divides ell + k*r.
     """
-    p = spec.params
-    out = []
-    for ell, k in pairs:
-        theta = TWO_PI * ell / (p.n * spec.r) + TWO_PI * k / p.n
-        if abs(np.exp(1j * theta) - 1.0) > 1e-6:
-            out.append((ell, k))
-    return out
+    period = spec.params.n * abs(spec.r)
+    return [(ell, k) for ell, k in pairs if (ell + k * spec.r) % period != 0]
 
 
 def kernel_scan_agrees(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,

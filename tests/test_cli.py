@@ -106,6 +106,44 @@ class TestEnumerate:
         assert "2,1,type1,1,0,3,false,1,0" in lines
         assert "2,1,type2,1,0,3,true,," in lines
 
+    # n = 2, m = 2 has the witness (0, 1), whose ell is 0; n = 3, m = 2 is effective
+    PINNED = {"ranges": {"n_list": [3, 2], "m_list": [2], "p_min": 0, "p_max": 0,
+                         "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 1}}
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert run(["enumerate", "--spec", write_config(tmp_path, self.PINNED),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (b"n,m,kind,p,q,r,effective,witness_ell,witness_K\r\n"
+                                    b"2,2,type1,0,0,1,false,0,1\r\n"
+                                    b"2,2,type2,0,0,1,false,0,1\r\n"
+                                    b"3,2,type1,0,0,1,true,,\r\n"
+                                    b"3,2,type2,0,0,1,true,,\r\n")
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_json_pinned(self, tmp_path, capsys, from_config):
+        cfg = dict(self.PINNED, format="json") if from_config else self.PINNED
+        flags = [] if from_config else ["--format", "json"]
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)] + flags) == 0
+        keys = ["n", "m", "kind", "p", "q", "r", "effective", "witness_ell", "witness_K"]
+        rows = [(2, 2, "type1", 0, 0, 1, False, 0, 1), (2, 2, "type2", 0, 0, 1, False, 0, 1),
+                (3, 2, "type1", 0, 0, 1, True, None, None),
+                (3, 2, "type2", 0, 0, 1, True, None, None)]
+        out = capsys.readouterr().out
+        assert out == json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+        assert out.count('"witness_ell": 0,') == 2
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_text_pinned(self, tmp_path, capsys, from_config):
+        cfg = dict(self.PINNED, format="text") if from_config else self.PINNED
+        flags = [] if from_config else ["--format", "text"]
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)] + flags) == 0
+        assert capsys.readouterr().out == (
+            "2 2 type1 p=0 q=0 r=1 effective=False witness=(0,1)\n"
+            "2 2 type2 p=0 q=0 r=1 effective=False witness=(0,1)\n"
+            "3 2 type1 p=0 q=0 r=1 effective=True witness=(,)\n"
+            "3 2 type2 p=0 q=0 r=1 effective=True witness=(,)\n")
+
     def test_sorted_and_deterministic(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)
         run(["enumerate", "--spec", path])
@@ -316,6 +354,58 @@ class TestVerify:
         assert code == 0
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == 4
+
+    def test_smallest_grid_prints_a_list(self, tmp_path, capsys):
+        # one value per field still gives one spec of each kind
+        cfg = {"d": [4, 0],
+               "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
+                          "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 1}}
+        assert run(["verify", "--spec", write_config(tmp_path, cfg), "--trials", "3"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["spec"]["kind"] for r in reports] == ["type1", "type2"]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flags", [
+        ("check", ["--format", "csv"]),
+        ("check", ["--trials", "5"]),
+        ("check", ["--seed", "1"]),
+        ("check", ["--tol", "1e-6"]),
+        ("enumerate", ["--format", "xml"]),
+        ("enumerate", ["--trials", "5"]),
+        ("enumerate", ["--seed", "1"]),
+        ("enumerate", ["--tol", "1e-6"]),
+        ("act", ["--format", "json"]),
+        ("act", ["--trials", "5"]),
+        ("verify", ["--format", "json"]),
+    ])
+    def test_flag_a_subcommand_does_not_honour_exit_two(self, tmp_path, capsys,
+                                                        command, flags):
+        extra = ["--matrix", json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+                 "--point", json.dumps([[1, 0], [0, 0]])] if command == "act" else []
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--spec", write_config(tmp_path, DEMO)] + extra + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err or "invalid choice" in captured.err
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("check", dict(DEMO, format="csv"),
+         "check format must be one of json, text, got 'csv'"),
+        ("check", dict(DEMO, format=None),
+         "check format must be one of json, text, got None"),
+        ("enumerate", dict(TestEnumerate.CONFIG, format="xml"),
+         "enumerate format must be one of csv, json, text, got 'xml'"),
+        ("enumerate", dict(TestEnumerate.CONFIG, format=["csv"]),
+         "enumerate format must be one of csv, json, text, got ['csv']"),
+    ])
+    def test_config_format_outside_the_set_exit_two(self, tmp_path, capsys,
+                                                    command, cfg, message):
+        assert run([command, "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestSchemas:

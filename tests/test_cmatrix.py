@@ -7,7 +7,6 @@ from hopfact.action import ActionKind, ActionSpec
 from hopfact.cmatrix import (
     as_cmatrix,
     principal_arg,
-    random_su,
     random_unitary,
     su_decompose,
     unitarity_residual,
@@ -78,7 +77,7 @@ def test_det_singular_is_zero():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_det_of_su_is_one(seed):
-    b = random_su(3, seed)
+    b = su_decompose(random_unitary(3, seed)).su_part
     assert abs(np.linalg.det(b) - 1.0) < 1e-12
 
 
@@ -122,7 +121,7 @@ def test_random_unitary_seeds_differ():
 
 @pytest.mark.parametrize("n,seed", [(2, 3), (2, 9), (4, 11)])
 def test_random_su_properties(n, seed):
-    b = random_su(n, seed)
+    b = su_decompose(random_unitary(n, seed)).su_part
     assert abs(np.linalg.det(b) - 1.0) < 1e-12
     assert unitarity_residual(b) < 1e-12
 

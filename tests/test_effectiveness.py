@@ -9,7 +9,6 @@ from hopfact.effectiveness import (
     find_witness,
     is_effective,
     is_effective_corollary,
-    kernel_matrix,
     kernel_witness_element,
 )
 from hopfact.hopf import HopfParams, OrbitPoint, orbit_distance
@@ -113,7 +112,7 @@ class TestKernelWitnessElement:
                 v = is_effective(spec)
                 if v.effective:
                     continue
-                a = kernel_matrix(spec, v.kernel_element)
+                a = v.kernel_element.scalar * np.eye(n)
                 for _ in range(10):
                     z = OrbitPoint(spec.params,
                                    rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -36,6 +36,18 @@ def test_scan_effective_spec_only_identity():
     assert (0, 0) in pairs
 
 
+@pytest.mark.parametrize("n,m,r", [(2, 1, 1), (2, 3, -4), (3, 2, 6), (4, 5, -7), (6, 4, 12)])
+def test_nontrivial_filter_matches_float_criterion(n, m, r):
+    # every lattice cell of the scan, against |e^{i*theta} - 1| > 1e-6
+    spec = make_spec(ActionKind.TYPE2, n, m, 1, 0, r)
+    cells = [(ell, k) for ell in range(abs(r) * m) for k in range(n)]
+    theta = [2 * np.pi * ell / (n * r) + 2 * np.pi * k / n for ell, k in cells]
+    expected = [c for c, t in zip(cells, theta) if abs(np.exp(1j * t) - 1.0) > 1e-6]
+    assert nontrivial_pairs(spec, cells) == expected
+    # the trivial cells are ell = j*|r| for j < m, each with one k
+    assert len(cells) - len(expected) == m
+
+
 def test_scan_finds_known_kernel():
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
     pairs = numeric_kernel_scan(spec)
