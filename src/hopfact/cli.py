@@ -8,7 +8,8 @@ Subcommands:
 
 Configuration is a single JSON document (path or ``-`` for stdin); flags
 override config fields.  Exit codes: 0 success / effective, 1 not
-effective (check only), 2 invalid input, 3 verification failure.
+effective (check only), 2 invalid input, 3 verification failure, 4 internal
+error (an exception that is not an input error).
 """
 
 import argparse
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from . import serialize
 from .action import ActionKind, act
@@ -31,11 +33,14 @@ EXIT_OK = 0
 EXIT_NOT_EFFECTIVE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_INTERNAL = 4
 
 # The first format of each subcommand is its default.
 CHECK_FORMATS = ("json", "text")
 ENUMERATE_FORMATS = ("csv", "json", "text")
 FIELDS = ("n", "m", "kind", "p", "q", "r", "effective", "witness_ell", "witness_K")
+# A value of these flags may start with "-" (``--tol -1e-8``).
+NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
 
 
 def _load_config(path: str) -> dict:
@@ -85,6 +90,12 @@ def _format(config: dict, command: str, choices: tuple) -> str:
         raise ValueError(f"{command} format must be one of "
                          f"{', '.join(choices)}, got {fmt!r}")
     return fmt
+
+
+def _no_format(config: dict, command: str) -> None:
+    if "format" in config:
+        raise ValueError(f"{command} has no output format; "
+                         f"remove the config field 'format'")
 
 
 def cmd_check(args) -> int:
@@ -169,6 +180,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_act(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
+    _no_format(config, "act")
     spec = serialize.spec_from_config(config)
     matrix = serialize.matrix_from_json(_load_json_or_path(args.matrix))
     point = serialize.point_from_json(spec.params, _load_json_or_path(args.point))
@@ -206,8 +218,13 @@ def _verify_settings(config: dict):
 
 def cmd_verify(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
+    _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
+        for name in FIELDS[:6]:
+            if name in config:
+                raise ValueError(f"the grid of 'ranges' sets {name}; "
+                                 f"remove the config field {name!r}")
         specs = [serialize.spec_from_config({**config, **dict(zip(FIELDS, key))})
                  for key in _grid(config)]
     else:
@@ -260,14 +277,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list) -> list:
+    """Write ``--tol -1e-8`` as ``--tol=-1e-8``.  argparse reads a token
+    that starts with "-" and is not a plain decimal as a flag, so it would
+    report the value as missing instead of checking it."""
+    out = []
+    for token in argv:
+        if out and out[-1] in NUMERIC_FLAGS and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # a fault of the program, not of the input; never exit 1, which
+        # means "not effective"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

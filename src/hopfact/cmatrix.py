@@ -7,6 +7,20 @@ diagonal, which is the standard Haar recipe.  ``principal_arg``,
 ``unitarity_residual``, ``random_unitary`` and ``su_decompose`` also take
 stacks, broadcasting over leading axes, so that the oracle can run many
 trials in one numpy pass.
+
+The unitary of a seed s comes from the stream of ``Generator(Philox(s))``,
+so each trial can be rebuilt from its seed alone.  Philox is counter-based:
+its whole state is a 128-bit key and a counter, and the key is a fixed
+hash of the seed, ``SeedSequence(s).generate_state(2, np.uint64)``.
+``random_unitary`` computes that hash for a whole batch of seeds at once,
+in uint32 array arithmetic that follows numpy's ``SeedSequence`` step by
+step (``_philox_keys``).  It then builds one ``Philox`` per call and, for
+each seed, sets its state to (key, counter 0, empty buffer) before the
+draws.  A seed below 2**128 enters the hash as four little-endian 32-bit
+words, zero-padded, exactly as ``SeedSequence`` pads it to its pool of
+four.  A larger seed hashes its extra words in a further round, so such
+seeds are hashed by ``SeedSequence`` itself, one at a time, and then take
+the same draw path.
 """
 
 import numbers
@@ -47,6 +61,70 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _running_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init, init*mult, init*mult**2, ... mod 2**32: the successive values
+    of a ``SeedSequence`` hash constant."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)
+
+
+# numpy's SeedSequence constants.  Its k-th hashmix call xors with _HASH_A[k]
+# and multiplies by _HASH_A[k + 1]; word k of generate_state does the same
+# with _HASH_B.
+_HASH_A = _running_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _running_constants(0x8B51F9DD, 0x58F38DED, 5)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _operands(table: np.ndarray, calls) -> tuple:
+    """The xor and multiply constants of the numbered calls, as columns."""
+    calls = np.asarray(calls)[:, None]
+    return table[calls], table[calls + 1]
+
+
+# Calls 0..3 hash the four seed words into the pool.  Then each pool word i
+# is hashed into every other word j in turn, by calls 4..15; row i itself
+# takes call 0's constants and is put back afterwards.
+_FILL = _operands(_HASH_A, range(4))
+_MIX = [_operands(_HASH_A, [4 + 3 * i + j - (j > i) if j != i else 0 for j in range(4)])
+        for i in range(4)]
+_READ = _operands(_HASH_B, range(4))
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _philox_keys(seeds) -> np.ndarray:
+    """The Philox key ``SeedSequence(s).generate_state(2, np.uint64)`` of
+    each seed s, as the rows of a (len(seeds), 2) array."""
+    a = np.asarray(seeds)
+    # seeds that no numpy integer type holds together (one of 2**64 or more,
+    # or one of 2**63 or more beside smaller ones), or that are not integers
+    wide = a.dtype.kind not in "iu"
+    if wide:
+        a = np.array(seeds, dtype=object)
+    if a.size and a.min() < 0:
+        raise ValueError("seeds must be non-negative integers")
+    words = np.zeros((4, a.size), dtype=np.uint32)
+    for j in range(4 if wide else 2):
+        words[j] = (a >> 32 * j) & 0xFFFFFFFF
+    pool = _hashmix(words, *_FILL)
+    for i, operands in enumerate(_MIX):
+        own = pool[i].copy()
+        pool = _MIX_L * pool - _MIX_R * _hashmix(pool[i], *operands)
+        pool ^= pool >> 16
+        pool[i] = own
+    keys = np.ascontiguousarray(_hashmix(pool, *_READ).T, dtype="<u4").view("<u8")
+    if wide:
+        for i in np.flatnonzero(a >= 1 << 128):
+            keys[i] = np.random.SeedSequence(a[i]).generate_state(2, np.uint64)
+    return keys
+
+
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary, deterministic in the seed.
 
@@ -57,11 +135,16 @@ def random_unitary(n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     single = isinstance(seed, numbers.Integral)
-    gaussians = []
-    for s in [seed] if single else seed:
-        rng = _rng(s)
-        gaussians.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    q, r = np.linalg.qr(np.stack(gaussians))
+    keys = _philox_keys([seed] if single else seed)
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state                    # counter 0, empty buffer; the key is set per seed
+    g = np.empty((len(keys), 2, n, n))
+    for key, out in zip(keys, g):
+        state["state"]["key"] = key
+        bits.state = state
+        rng.standard_normal(out=out)      # the real part's n*n draws, then the imaginary part's
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (phases / np.abs(phases))[:, None, :]
     return u[0] if single else u

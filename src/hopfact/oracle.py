@@ -127,7 +127,10 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
         raise ValueError("z_samples must be >= 1")
     z = sample_points(spec.params, z_samples, seed)
     w = (spec.C @ (spec.C_inv @ z.T)).T
-    return _scan_lattice(spec, w, z, tol)
+    # a power of d beyond the float range gives an inf or NaN distance,
+    # which is never below tol, so numpy's warnings about it are noise
+    with np.errstate(all="ignore"):
+        return _scan_lattice(spec, w, z, tol)
 
 
 def nontrivial_pairs(spec: ActionSpec, pairs) -> list:

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,15 @@ class TestAct:
         assert captured.out == ""
         assert "orbit representative must be finite" in captured.err
 
+    def test_config_format_exit_two(self, tmp_path, capsys):
+        code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, format="csv")),
+                    "--matrix", json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+                    "--point", json.dumps([[1, 0], [0, 0]])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "act has no output format; remove the config field 'format'" in captured.err
+
     def test_matrix_from_file(self, tmp_path, capsys):
         mpath = tmp_path / "matrix.json"
         mpath.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
@@ -345,10 +355,61 @@ class TestVerify:
                     f"{flag}={value}"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_tol_as_a_separate_token(self, tmp_path, capsys):
+        # argparse alone reads "-1e-8" as a flag and reports a missing value
+        spec = write_config(tmp_path, DEMO)
+        assert run(["verify", "--spec", spec, "--tol=-1e-8"]) == 2
+        joined = capsys.readouterr()
+        assert run(["verify", "--spec", spec, "--tol", "-1e-8"]) == 2
+        assert capsys.readouterr() == joined
+        assert "tol must be a finite positive number, got -1e-08" in joined.err
+
+    def test_config_format_exit_two(self, tmp_path, capsys):
+        assert run(["verify", "--spec", write_config(tmp_path, dict(DEMO, format="csv"))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify has no output format; remove the config field 'format'" in captured.err
+
+    def test_internal_error_exit_four(self, tmp_path, monkeypatch, capsys):
+        # exit 1 means "not effective", so an unexpected exception must not use it
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "run_full_verification", broken)
+        assert run(["verify", "--spec", write_config(tmp_path, DEMO)]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, rest = captured.err.split("\n", 1)
+        assert first == "internal error: RuntimeError: injected fault"
+        assert rest.startswith("Traceback (most recent call last):")
+
+    def test_scan_beyond_the_float_range_is_quiet(self, tmp_path, capsys):
+        # d^(n*r*t/2pi) overflows in the kernel scan; the exit code is not
+        # asserted, since well_definedness still fails on this valid spec
+        cfg = dict(DEMO, d=[1e12, 0], r=48)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(["verify", "--spec", write_config(tmp_path, cfg), "--trials", "4"])
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
+    GRID = {"d": [4, 0],
+            "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
+                       "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 2}}
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 7), ("m", 1), ("kind", "bogus"), ("p", 0), ("q", 0), ("r", 1),
+    ])
+    def test_spec_field_next_to_ranges_exit_two(self, tmp_path, capsys, field, value):
+        cfg = dict(self.GRID, **{field: value})
+        assert run(["verify", "--spec", write_config(tmp_path, cfg), "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the grid of 'ranges' sets {field}; remove the config field {field!r}"
+                in captured.err)
+
     def test_grid_config(self, tmp_path, capsys):
-        cfg = {"d": [4, 0],
-               "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
-                          "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 2}}
+        cfg = self.GRID
         code = run(["verify", "--spec", write_config(tmp_path, cfg),
                     "--trials", "5"])
         assert code == 0

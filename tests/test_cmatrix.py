@@ -5,6 +5,7 @@ import pytest
 
 from hopfact.action import ActionKind, ActionSpec
 from hopfact.cmatrix import (
+    _philox_keys,
     as_cmatrix,
     principal_arg,
     random_unitary,
@@ -103,6 +104,34 @@ def test_random_unitary_pins_its_philox_stream():
     v = random_unitary(2, [10**20 + 7])[0]
     assert v[0, 0] == pytest.approx(-0.7363777543634991 - 0.2302599117044959j, abs=1e-12)
     assert v[1, 0] == pytest.approx(0.5703371129071939 - 0.2818576832039437j, abs=1e-12)
+
+
+EDGE_SEEDS = [2**32 - 1, 2**32 + 1, 2**64 - 1, 2**64 + 1, 2**128 - 1, 2**128, 3**200]
+
+
+@pytest.mark.parametrize("seeds", [range(5000), EDGE_SEEDS, [2**63, 2**63 + 5, 1]])
+def test_philox_keys_equal_seed_sequence(seeds):
+    # the batch hash must give the key Philox(s) takes from its SeedSequence;
+    # this also catches any change of that hash in numpy
+    keys = _philox_keys(seeds)
+    assert keys.shape == (len(seeds), 2)
+    for s, key in zip(seeds, keys):
+        expected = np.random.SeedSequence(s).generate_state(2, np.uint64)
+        assert key.tolist() == expected.tolist(), s
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_random_unitary_batch_across_2_to_the_128_is_bitwise_per_seed(n):
+    seeds = [5, 2**128, 2**64 + 1, 3**200, 2**128 - 1, 0, 2**40]
+    stack = random_unitary(n, seeds)
+    for s, u in zip(seeds, stack):
+        assert u.tobytes() == random_unitary(n, s).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -2], [2**70, -1]])
+def test_random_unitary_rejects_negative_seeds(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        random_unitary(2, seed)
 
 
 def test_random_unitary_is_unitary():
