@@ -108,6 +108,13 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
+def _scalar_factor(spec: ActionSpec, t, branch: int = 0):
+    """The scalar e^{i*sigma*t} * d^{n*r*t/(2*pi)}; d_pow is looked up at call
+    time, so a substituted power function reaches every use of the action."""
+    p = spec.params
+    return np.exp(1j * spec.sigma_float * t) * d_pow(p.d, p.n * spec.r * t / TWO_PI, branch)
+
+
 def evaluate_formula(spec: ActionSpec, t, B: np.ndarray, vec: np.ndarray,
                      branch: int = 0) -> np.ndarray:
     """Raw action formula for one explicit (t, B) representation of A.
@@ -116,14 +123,8 @@ def evaluate_formula(spec: ActionSpec, t, B: np.ndarray, vec: np.ndarray,
     power-branch identities can be probed with non-canonical splittings.
     t (...), B (..., n, n) and vec (..., n) broadcast over leading axes.
     """
-    p = spec.params
     Bp = B if spec.kind is ActionKind.TYPE1 else np.conj(B)
-    t = np.asarray(t, dtype=np.float64)
-    # d_pow is looked up at call time, so a substituted power function
-    # reaches every check
-    scalar = np.exp(1j * spec.sigma_float * t) * d_pow(
-        p.d, p.n * spec.r * t / TWO_PI, branch=branch
-    )
+    scalar = _scalar_factor(spec, np.asarray(t, dtype=np.float64), branch)
     return scalar[..., None] * _matvec(spec.C, _matvec(Bp, _matvec(spec.C_inv, vec)))
 
 
@@ -237,8 +238,7 @@ def _transport(spec: ActionSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     t = TWO_PI * np.log(np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)) / (
         p.n * spec.r * math.log(abs(p.d))
     )
-    scalar = np.exp(1j * spec.sigma_float * t) * d_pow(p.d, p.n * spec.r * t / TWO_PI)
-    target = v / scalar[..., None]
+    target = v / _scalar_factor(spec, t)[..., None]
     if spec.kind is ActionKind.TYPE1:
         b0 = _unitary_mapping(u, target)
         b = _fix_determinant(b0, target)

@@ -39,6 +39,8 @@ EXIT_INTERNAL = 4
 CHECK_FORMATS = ("json", "text")
 ENUMERATE_FORMATS = ("csv", "json", "text")
 FIELDS = ("n", "m", "kind", "p", "q", "r", "effective", "witness_ell", "witness_K")
+# Every config field some subcommand reads; any other key is a mistake.
+CONFIG_FIELDS = FIELDS[:6] + ("d", "C", "ranges", "trials", "seed", "tol", "format")
 # A value of these flags may start with "-" (``--tol -1e-8``).
 NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
 
@@ -52,6 +54,10 @@ def _load_config(path: str) -> dict:
     config = json.loads(text)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
+    for key in config:
+        if key not in CONFIG_FIELDS:
+            raise ValueError(f"unknown config field {key!r}; "
+                             f"the fields are {', '.join(CONFIG_FIELDS)}")
     return config
 
 
@@ -121,6 +127,10 @@ def _grid(config: dict) -> list:
     ranges = config.get("ranges")
     if not isinstance(ranges, dict):
         raise ValueError("enumerate requires a 'ranges' object in the config")
+    for name in FIELDS[:6]:
+        if name in config:
+            raise ValueError(f"the grid of 'ranges' sets {name}; "
+                             f"remove the config field {name!r}")
 
     def integer(key):
         return serialize.require_int(ranges[key], key)
@@ -182,7 +192,7 @@ def cmd_act(args) -> int:
     config = _apply_overrides(_load_config(args.spec), args)
     _no_format(config, "act")
     spec = serialize.spec_from_config(config)
-    matrix = serialize.matrix_from_json(_load_json_or_path(args.matrix))
+    matrix = serialize.matrix_from_json(_load_json_or_path(args.matrix), "--matrix")
     point = serialize.point_from_json(spec.params, _load_json_or_path(args.point))
     if matrix.shape[0] != spec.params.n:
         raise ValueError("matrix dimension does not match the manifold")
@@ -221,10 +231,6 @@ def cmd_verify(args) -> int:
     _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
-        for name in FIELDS[:6]:
-            if name in config:
-                raise ValueError(f"the grid of 'ranges' sets {name}; "
-                                 f"remove the config field {name!r}")
         specs = [serialize.spec_from_config({**config, **dict(zip(FIELDS, key))})
                  for key in _grid(config)]
     else:

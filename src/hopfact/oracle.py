@@ -1,17 +1,17 @@
 """Independent floating-point verification layer.
 
 Every exact-arithmetic verdict has a second, formula-level confirmation
-here: the kernel lattice is scanned numerically, and the group-action
-axioms, well-definedness under re-splitting, transitivity, and the two
-remark identities are checked on seeded random samples.  Residuals are
-orbit distances, i.e. scale-free distances in the quotient.
+here: each of the n*|r| scalar unitaries that can lie in the kernel is
+applied through the action itself and tested for acting trivially, and the
+group-action axioms, well-definedness under re-splitting, transitivity, and
+the two remark identities are checked on seeded random samples.  Residuals
+are orbit distances, i.e. scale-free distances in the quotient.
 
 Each check runs its trials as numpy batches, a chunk of trials at a time,
 with the trial index on the leading axis of every array; trial i keeps the
 sample points and the Philox-seeded unitaries it would have alone.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,12 +66,12 @@ def sample_points(params: HopfParams, count: int, seed: int,
     return v
 
 
-# Scan candidates and check trials are processed in chunks so that the
+# Scanned scalars and check trials are processed in chunks so that the
 # largest complex temporary of one chunk stays near this many bytes; 256 KB
 # scans faster than 1 MB and adds almost nothing to peak memory.  Per item
 # that temporary is an orbit distance's 3 shells x m rotations x n
-# coordinates (for each sample of a scan candidate, or each of the 5n
-# re-splittings of a well-definedness trial), or an n x n matrix.
+# coordinates (for each sample acted on by a scanned scalar, or each of the
+# 5n re-splittings of a well-definedness trial), or an n x n matrix.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -82,37 +82,8 @@ def _chunk(values_per_item: int) -> int:
 
 
 def _scan_chunk(samples: int, m: int, n: int) -> int:
-    """Kernel candidates per chunk of the lattice scan."""
+    """Scalars per chunk of the kernel scan."""
     return _chunk(3 * samples * m * n)
-
-
-def _scan_lattice(spec: ActionSpec, w: np.ndarray, z: np.ndarray, tol: float) -> list:
-    """Broadcast lattice scan over (ell, k) x samples x deck shells x m.
-
-    ``w`` holds the rows C C^{-1} z_j (the matrix part of the action for a
-    scalar special-unitary factor) and ``z`` the samples z_j.  A candidate
-    is reported when every acted sample lies within ``tol`` orbit distance
-    of its original.
-    """
-    p = spec.params
-    n, m, r = p.n, p.m, spec.r
-    log_abs_d = math.log(abs(p.d))
-    arg_d = cmath.phase(p.d) % TWO_PI
-    cells = abs(r) * m * n
-    step = _scan_chunk(len(z), m, n)
-    out = []
-    for lo in range(0, cells, step):
-        ell, k = np.divmod(np.arange(lo, min(lo + step, cells)), n)
-        theta = TWO_PI * ell / (n * r) + TWO_PI * k / n
-        t = np.mod(n * theta, TWO_PI) / n
-        b = np.exp(1j * (theta - t))
-        mu = n * r * t / TWO_PI
-        s = (np.exp(1j * spec.sigma_float * t) * np.exp(mu * log_abs_d)
-             * np.exp(1j * mu * arg_d) * (b if spec.kind.eps == 1 else b.conj()))
-        x = s[:, None, None] * w                                    # (c, S, n)
-        hit = (orbit_distance(x, z, p) < tol).all(axis=1)
-        out += zip(ell[hit].tolist(), k[hit].tolist())
-    return out
 
 
 def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
@@ -120,17 +91,32 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
     """All lattice pairs (ell, k) whose scalar unitary acts trivially.
 
     The candidate kernel elements are e^{i(2*pi*ell/(n*r) + 2*pi*k/n)} * id
-    for ell in {0, ..., |r|*m - 1}, k in {0, ..., n - 1}.  The identity
-    pair (0, 0) is always included.  Returns the pairs in sorted order.
+    for ell in {0, ..., |r|*m - 1}, k in {0, ..., n - 1}; cell (ell, k) is
+    the scalar e^{2*pi*i*j/N}, N = n*|r|, j = (sign(r)*ell + k*|r|) mod N.
+    Each of the N scalars is acted through the action on every sample once,
+    and acts trivially when every image lies within ``tol`` orbit distance
+    of its sample.  The identity pair (0, 0) is always included.  Returns
+    the pairs in sorted order.
     """
     if z_samples < 1:
         raise ValueError("z_samples must be >= 1")
-    z = sample_points(spec.params, z_samples, seed)
-    w = (spec.C @ (spec.C_inv @ z.T)).T
+    p = spec.params
+    n, r = p.n, spec.r
+    N = n * abs(r)
+    z = sample_points(p, z_samples, seed)
+    step = _scan_chunk(z_samples, p.m, n)
+    hit = np.empty(N, dtype=bool)
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
-        return _scan_lattice(spec, w, z, tol)
+        for lo in range(0, N, step):
+            j = np.arange(lo, min(lo + step, N))
+            scalars = np.exp(2j * math.pi * j / N)[:, None, None, None] * np.eye(n)
+            x = _apply(spec, scalars, z)                                    # (c, S, n)
+            hit[lo:lo + len(j)] = (orbit_distance(x, z, p) < tol).all(axis=1)
+    ell, k = np.divmod(np.arange(N * p.m), n)
+    cells = np.flatnonzero(hit[((1 if r > 0 else -1) * ell + k * abs(r)) % N])
+    return list(zip(ell[cells].tolist(), k[cells].tolist()))
 
 
 def nontrivial_pairs(spec: ActionSpec, pairs) -> list:

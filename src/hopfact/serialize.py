@@ -17,16 +17,21 @@ def complex_to_pair(z: complex) -> list:
 
 
 def pair_to_complex(pair) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise ValueError(f"expected an [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        try:
+            return complex(float(pair[0]), float(pair[1]))
+        except (TypeError, OverflowError):
+            pass
+    raise ValueError(f"expected an [re, im] pair of numbers, got {pair!r}")
 
 
 def vector_to_json(v) -> list:
     return [complex_to_pair(x) for x in np.asarray(v, dtype=np.complex128)]
 
 
-def vector_from_json(data) -> np.ndarray:
+def vector_from_json(data, name: str = "vector") -> np.ndarray:
+    if not isinstance(data, list):
+        raise ValueError(f"{name} must be a list of [re, im] pairs, got {data!r}")
     return np.array([pair_to_complex(p) for p in data], dtype=np.complex128)
 
 
@@ -34,7 +39,9 @@ def matrix_to_json(m) -> list:
     return [vector_to_json(row) for row in np.asarray(m, dtype=np.complex128)]
 
 
-def matrix_from_json(data) -> np.ndarray:
+def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError(f"{name} must be a list of rows of [re, im] pairs, got {data!r}")
     return np.array([[pair_to_complex(p) for p in row] for row in data],
                     dtype=np.complex128)
 
@@ -64,7 +71,7 @@ def spec_from_config(config: dict) -> ActionSpec:
     except ValueError:
         raise ValueError(f"kind must be 'type1' or 'type2', got {config['kind']!r}")
     if "C" in config and config["C"] is not None:
-        C = matrix_from_json(config["C"])
+        C = matrix_from_json(config["C"], "C")
     else:
         C = np.eye(params.n, dtype=np.complex128)
     p, q, r = (require_int(config[key], key) for key in ("p", "q", "r"))
@@ -72,4 +79,4 @@ def spec_from_config(config: dict) -> ActionSpec:
 
 
 def point_from_json(params: HopfParams, data) -> OrbitPoint:
-    return OrbitPoint(params, vector_from_json(data))
+    return OrbitPoint(params, vector_from_json(data, "point"))

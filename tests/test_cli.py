@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfact.action
 from hopfact import cli, serialize
@@ -66,6 +72,12 @@ class TestCheck:
     def test_missing_field_exit_two(self, tmp_path):
         bad = {k: v for k, v in DEMO.items() if k != "r"}
         assert run(["check", "--spec", write_config(tmp_path, bad)]) == 2
+
+    def test_non_list_C_exit_two(self, tmp_path, capsys):
+        assert run(["check", "--spec", write_config(tmp_path, dict(DEMO, C=5))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "C must be a list of rows of [re, im] pairs, got 5" in captured.err
 
     def test_text_format(self, tmp_path, capsys):
         code = run(["check", "--spec", write_config(tmp_path, NOT_EFFECTIVE),
@@ -191,6 +203,17 @@ class TestEnumerate:
         assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 7), ("m", 1), ("kind", "bogus"), ("p", 0), ("q", 0), ("r", 1),
+    ])
+    def test_spec_field_next_to_ranges_exit_two(self, tmp_path, capsys, field, value):
+        cfg = dict(self.CONFIG, **{field: value})
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the grid of 'ranges' sets {field}; remove the config field {field!r}"
+                in captured.err)
+
     def test_r_zero_excluded(self, tmp_path, capsys):
         cfg = {"ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
                           "q_min": 0, "q_max": 0, "r_min": -1, "r_max": 1}}
@@ -262,6 +285,20 @@ class TestAct:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "act has no output format; remove the config field 'format'" in captured.err
+
+    @pytest.mark.parametrize("matrix,point,message", [
+        ("7", "[[1, 0], [0, 0]]", "--matrix must be a list of rows of [re, im] pairs, got 7"),
+        ("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "5",
+         "point must be a list of [re, im] pairs, got 5"),
+    ])
+    def test_non_list_matrix_or_point_exit_two(self, tmp_path, capsys, matrix, point,
+                                               message):
+        code = run(["act", "--spec", write_config(tmp_path, DEMO),
+                    "--matrix", matrix, "--point", point])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_matrix_from_file(self, tmp_path, capsys):
         mpath = tmp_path / "matrix.json"
@@ -467,6 +504,70 @@ class TestFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+class TestUnknownField:
+    @pytest.mark.parametrize("command,cfg", [
+        ("check", DEMO), ("enumerate", TestEnumerate.CONFIG), ("act", DEMO),
+        ("verify", DEMO), ("verify", TestVerify.GRID),
+    ])
+    def test_misspelt_key_exit_two(self, tmp_path, capsys, command, cfg):
+        extra = ["--matrix", "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]",
+                 "--point", "[[1, 0], [0, 0]]"] if command == "act" else []
+        code = run([command, "--spec", write_config(tmp_path, dict(cfg, trails=3))] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config field 'trails'" in captured.err
+
+
+# Any JSON value, to put where a config field should be.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=10)
+FINITE = st.floats(-8, 8)
+
+
+@st.composite
+def check_configs(draw):
+    """A well-formed `check` config, then up to three of its fields dropped,
+    replaced by any JSON value, wrapped in a list or cut short."""
+    n = draw(st.integers(2, 4))
+    config = {"n": n, "m": draw(st.integers(1, 6)),
+              "kind": draw(st.sampled_from(["type1", "type2"])),
+              "p": draw(st.integers(-3, 3)), "q": draw(st.integers(-3, 3)),
+              "r": draw(st.integers(-10**6, 10**6).filter(bool)),
+              "d": [draw(FINITE), draw(FINITE)]}
+    if draw(st.booleans()):
+        config["C"] = [[[draw(FINITE), draw(FINITE)] for _ in range(n)] for _ in range(n)]
+    keys = ["n", "m", "kind", "p", "q", "r", "d", "C", "format", "trails"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        how = draw(st.sampled_from(["drop", "any", "wrap", "cut"]))
+        if how == "drop":
+            config.pop(key, None)
+        elif how == "any":
+            config[key] = draw(JSON_VALUES)
+        elif how == "wrap":
+            config[key] = [config.get(key)]
+        elif isinstance(config.get(key), list):
+            config[key] = config[key][:-1]
+    return config
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(check_configs())
+def test_check_never_fails_internally(config):
+    # every config is answered (0, 1) or rejected (2); exit 4 is a fault
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["check", "--spec", path])
+    assert code in (0, 1, 2), err.getvalue()
 
 
 class TestSchemas:

@@ -70,13 +70,16 @@ def test_scan_deterministic():
 
 
 def test_backends_agree():
-    # the broadcast scan against the loop reference, including a spec whose
-    # |r|*m*n candidates span more than one chunk
+    # the broadcast scan against the loop reference: m = 6 with r < 0, a
+    # complex d and a non-identity C, and a spec whose n*|r| scalars span
+    # more than one chunk
     for kind, n, m, p, q, r, d, C in [
         (ActionKind.TYPE1, 2, 1, 1, 0, 3, 4, None),
         (ActionKind.TYPE2, 3, 2, -1, 2, -2, 1 + 2j, fixed_C(3)),
         (ActionKind.TYPE1, 4, 3, 2, -3, 2, 0.5, None),
         (ActionKind.TYPE2, 2, 5, 0, 1, -3, -2, fixed_C(2)),
+        (ActionKind.TYPE1, 3, 6, 1, -1, -4, 0.5 + 0.3j, fixed_C(3)),
+        (ActionKind.TYPE2, 5, 6, 0, 1, -1, -1 + 0.5j, fixed_C(5)),
         (ActionKind.TYPE1, 2, 2, 2, 0, 160, 4, None),
     ]:
         spec = ActionSpec(kind, p, q, r, np.eye(n) if C is None else C,
@@ -85,9 +88,21 @@ def test_backends_agree():
         w = (spec.C @ (spec.C_inv @ z.T)).T
         expected = scan_lattice(kind.eps, n, m, p, q, r, d, w, z, 1e-9)
         assert numeric_kernel_scan(spec, seed=9) == expected
-    # the last spec has kernel pairs on both sides of the first chunk boundary
-    cells = [ell * n + k for ell, k in expected]
-    assert min(cells) < _scan_chunk(10, m, n) <= max(cells)
+    # the last spec's trivially acting scalars e^{2*pi*i*j/(n*r)} lie on both
+    # sides of the first chunk end, j = 136
+    hits = sorted({(ell + k * r) % (n * r) for ell, k in expected})
+    assert hits == list(range(0, 320, 32))
+    assert min(hits) < _scan_chunk(10, m, n) == 136 <= max(hits)
+
+
+def test_scan_runs_through_the_action(monkeypatch):
+    # the scan forms no power of d itself: a d_pow gone bad reaches it, and
+    # the exact verdict no longer agrees with it
+    spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
+    assert kernel_scan_agrees(spec)
+    monkeypatch.setattr(hopfact.action, "d_pow", lambda d, mu, branch=0: np.full_like(mu, np.nan))
+    assert numeric_kernel_scan(spec) == []
+    assert not kernel_scan_agrees(spec)
 
 
 def test_scan_agreement_including_witness():
