@@ -19,6 +19,7 @@ evaluates many trials in one numpy pass; the single-point entry points
 """
 
 import cmath
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -84,6 +85,16 @@ class ActionSpec:
     @property
     def sigma_float(self) -> float:
         return float(self.sigma)
+
+
+def _replace(spec: ActionSpec, **changes) -> ActionSpec:
+    """A copy of ``spec`` with some fields changed and the rest, C and C_inv
+    included, carried over.  Nothing is validated again, so a change must
+    keep r nonzero, C well conditioned and C_inv its inverse."""
+    new = copy.copy(spec)
+    for name, value in changes.items():
+        setattr(new, name, value)
+    return new
 
 
 def d_pow(d: complex, mu, branch: int = 0):
@@ -274,5 +285,7 @@ def type2_as_type1(spec: ActionSpec) -> ActionSpec:
         raise ValueError("the conjugation identity is specific to n = 2")
     if spec.kind is not ActionKind.TYPE2:
         raise ValueError("expected a Type2 action")
-    return ActionSpec(ActionKind.TYPE1, p=spec.p - 1, q=spec.q, r=spec.r,
-                      C=spec.C @ SU2_CONJUGATOR, params=spec.params)
+    # the conjugator's entries are 0 and +-1, so both products are exact:
+    # C @ J is as well conditioned as C, and J^T C^{-1} is its inverse
+    return _replace(spec, kind=ActionKind.TYPE1, p=spec.p - 1, C=spec.C @ SU2_CONJUGATOR,
+                    C_inv=SU2_CONJUGATOR.T @ spec.C_inv)

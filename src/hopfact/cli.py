@@ -27,7 +27,7 @@ from .action import ActionKind, act
 from .cmatrix import unitarity_residual
 from .effectiveness import find_witness, is_effective
 from .hopf import canonicalize
-from .oracle import run_full_verification
+from .oracle import run_verifications
 
 EXIT_OK = 0
 EXIT_NOT_EFFECTIVE = 1
@@ -39,17 +39,26 @@ EXIT_INTERNAL = 4
 CHECK_FORMATS = ("json", "text")
 ENUMERATE_FORMATS = ("csv", "json", "text")
 FIELDS = ("n", "m", "kind", "p", "q", "r", "effective", "witness_ell", "witness_K")
-# Every config field some subcommand reads; any other key is a mistake.
-CONFIG_FIELDS = FIELDS[:6] + ("d", "C", "ranges", "trials", "seed", "tol", "format")
+SPEC_FIELDS = FIELDS[:6] + ("d", "C")
+# The config fields of each subcommand; any other key is a mistake.  A ranges
+# config's spec fields and a format where none is offered are listed, so
+# that the subcommand can reject them with a message of its own.
+COMMAND_FIELDS = {
+    "check": SPEC_FIELDS + ("format",),
+    "enumerate": FIELDS[:6] + ("ranges", "format"),
+    "act": SPEC_FIELDS + ("format",),
+    "verify": SPEC_FIELDS + ("ranges", "trials", "seed", "tol", "format"),
+}
+CONFIG_FIELDS = COMMAND_FIELDS["verify"]
 # A value of these flags may start with "-" (``--tol -1e-8``).
 NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
 
 
-def _load_config(path: str) -> dict:
-    if path == "-":
+def _load_config(args) -> dict:
+    if args.spec == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     config = json.loads(text)
     if not isinstance(config, dict):
@@ -58,6 +67,9 @@ def _load_config(path: str) -> dict:
         if key not in CONFIG_FIELDS:
             raise ValueError(f"unknown config field {key!r}; "
                              f"the fields are {', '.join(CONFIG_FIELDS)}")
+        if key not in COMMAND_FIELDS[args.command]:
+            raise ValueError(f"{args.command} does not read the config field {key!r}; "
+                             f"remove it")
     return config
 
 
@@ -105,7 +117,7 @@ def _no_format(config: dict, command: str) -> None:
 
 
 def cmd_check(args) -> int:
-    config = _apply_overrides(_load_config(args.spec), args)
+    config = _apply_overrides(_load_config(args), args)
     fmt = _format(config, "check", CHECK_FORMATS)
     spec = serialize.spec_from_config(config)
     verdict = is_effective(spec)
@@ -164,7 +176,7 @@ def _enumerate_rows(config: dict) -> list:
 
 
 def cmd_enumerate(args) -> int:
-    config = _apply_overrides(_load_config(args.spec), args)
+    config = _apply_overrides(_load_config(args), args)
     fmt = _format(config, "enumerate", ENUMERATE_FORMATS)
     rows = _enumerate_rows(config)
     if fmt == "csv":
@@ -189,7 +201,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_act(args) -> int:
-    config = _apply_overrides(_load_config(args.spec), args)
+    config = _apply_overrides(_load_config(args), args)
     _no_format(config, "act")
     spec = serialize.spec_from_config(config)
     matrix = serialize.matrix_from_json(_load_json_or_path(args.matrix), "--matrix")
@@ -227,7 +239,7 @@ def _verify_settings(config: dict):
 
 
 def cmd_verify(args) -> int:
-    config = _apply_overrides(_load_config(args.spec), args)
+    config = _apply_overrides(_load_config(args), args)
     _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
@@ -235,8 +247,7 @@ def cmd_verify(args) -> int:
                  for key in _grid(config)]
     else:
         specs = [serialize.spec_from_config(config)]
-    reports = [run_full_verification(s, trials=trials, seed=seed, tol=tol)
-               for s in specs]
+    reports = run_verifications(specs, trials=trials, seed=seed, tol=tol)
     payload = [r.to_dict() for r in reports]
     _emit(json.dumps(payload if "ranges" in config else payload[0], indent=2) + "\n",
           args)

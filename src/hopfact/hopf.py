@@ -52,7 +52,9 @@ class OrbitPoint:
             raise ValueError(f"expected a vector of length {self.params.n}")
         if not np.isfinite(v).all():
             raise ValueError("orbit representative must be finite")
-        if float(np.linalg.norm(v)) <= 1e-300:
+        # hypot scales its arguments, so the norm of a finite vector neither
+        # overflows nor underflows where its sum of squares would
+        if math.hypot(*v.real, *v.imag) <= 1e-300:
             raise ValueError("orbit representative must be nonzero")
         object.__setattr__(self, "rep", v)
 
@@ -93,7 +95,7 @@ def canonicalize(z: OrbitPoint) -> OrbitPoint:
     (earliest such coordinate on modulus ties).
     """
     p = z.params
-    s = math.log(float(np.linalg.norm(z.rep))) / math.log(abs(p.d))
+    s = math.log(math.hypot(*z.rep.real, *z.rep.imag)) / math.log(abs(p.d))
     v = z.rep * p.d ** (-math.floor(s))
     j = int(np.argmax(np.abs(v)))
     base_arg = principal_arg(v[j])

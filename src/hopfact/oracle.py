@@ -10,16 +10,26 @@ are orbit distances, i.e. scale-free distances in the quotient.
 Each check runs its trials as numpy batches, a chunk of trials at a time,
 with the trial index on the leading axis of every array; trial i keeps the
 sample points and the Philox-seeded unitaries it would have alone.
+
+The random inputs depend on n, the trial counts and the seeds, never on the
+rest of the spec.  ``run_verifications`` runs the suite over many specs and
+draws each chunk of trials once for each run of specs of one n: the sample
+points and the e^{it} B splittings of the seeded unitaries and of the group
+law's products are kept, as read-only arrays, in small caches that hold the
+draws of one n and are emptied when the call returns.  Outside such a run
+every call draws afresh.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .action import ActionKind, ActionSpec, _apply, _transport, evaluate_formula, type2_as_type1
-from .cmatrix import TWO_PI, _rng, random_unitary, su_decompose
+from .action import (ActionKind, ActionSpec, _apply, _replace, _transport, evaluate_formula,
+                     type2_as_type1)
+from .cmatrix import TWO_PI, UnitaryElement, _rng, random_unitary, su_decompose
 from .effectiveness import is_effective, kernel_witness_element
 from .hopf import HopfParams, orbit_distance
 
@@ -56,16 +66,6 @@ class VerificationReport:
                 "all_passed": self.all_passed}
 
 
-def sample_points(params: HopfParams, count: int, seed: int,
-                  log10_scale: float = 0.0) -> np.ndarray:
-    """Deterministic nonzero sample vectors, optionally spread in norm."""
-    rng = _rng(seed)
-    v = rng.standard_normal((count, params.n)) + 1j * rng.standard_normal((count, params.n))
-    if log10_scale:
-        v = v * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=(count, 1))
-    return v
-
-
 # Scanned scalars and check trials are processed in chunks so that the
 # largest complex temporary of one chunk stays near this many bytes; 256 KB
 # scans faster than 1 MB and adds almost nothing to peak memory.  Per item
@@ -79,6 +79,73 @@ def _chunk(values_per_item: int) -> int:
     """Items per chunk when each item's largest temporary holds this many
     complex values."""
     return max(1, _CHUNK_BYTES // (16 * values_per_item))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Each cache below keeps at most this many entries.  A point array is cached
+# only up to _CHUNK_BYTES, and every check sizes its chunks by at least n*n
+# complex values per trial, so one split of a chunk (its B stack and its t)
+# takes at most 9/8 * _CHUNK_BYTES (for n <= 128, where one n x n matrix
+# fits in _CHUNK_BYTES).  A group-law entry holds three splits.  The caches
+# together thus hold at most 8 * (1 + 9/8 + 27/8) = 44 times _CHUNK_BYTES
+# (11 MB); the bound is reached only by checks of hundreds of trials or
+# more, whose chunks are full.  Eight entries hold the draws of one spec of
+# the benchmark workloads: seven point arrays and up to five chunks of
+# splits.  A check with more chunks than that simply redraws.
+_SHARED_ENTRIES = 8
+
+
+@functools.lru_cache(maxsize=_SHARED_ENTRIES)
+def _points(n: int, count: int, seed: int, log10_scale: float) -> np.ndarray:
+    """The draw behind :func:`sample_points`."""
+    rng = _rng(seed)
+    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    if log10_scale:
+        v = v * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=(count, 1))
+    return _read_only(v)
+
+
+def _frozen_split(a: np.ndarray) -> UnitaryElement:
+    ue = su_decompose(a)
+    return UnitaryElement(_read_only(ue.t), _read_only(ue.su_part))
+
+
+@functools.lru_cache(maxsize=_SHARED_ENTRIES)
+def _split(n: int, seeds: range) -> UnitaryElement:
+    """The e^{it} B splitting of the unitaries of ``seeds``."""
+    return _frozen_split(random_unitary(n, seeds))
+
+
+@functools.lru_cache(maxsize=_SHARED_ENTRIES)
+def _group_law_splits(n: int, seeds1: range, seeds2: range) -> tuple:
+    """The e^{it} B splittings of the unitaries A1 of ``seeds1``, A2 of
+    ``seeds2`` and their products A1 A2, taken pairwise."""
+    a1, a2 = random_unitary(n, seeds1), random_unitary(n, seeds2)
+    return _frozen_split(a1), _frozen_split(a2), _frozen_split(a1 @ a2)
+
+
+_CACHES = (_points, _split, _group_law_splits)
+# True while run_verifications runs: only then do the caches serve draws, so
+# that a check called on its own keeps no state from one call to the next.
+_in_run = False
+
+
+def _draw(cache, *key):
+    """``cache(*key)`` during a run, a fresh draw outside one."""
+    return cache(*key) if _in_run else cache.__wrapped__(*key)
+
+
+def sample_points(params: HopfParams, count: int, seed: int,
+                  log10_scale: float = 0.0) -> np.ndarray:
+    """Deterministic nonzero sample vectors, optionally spread in norm, as a
+    read-only (count, n) array."""
+    if 16 * count * params.n > _CHUNK_BYTES:
+        return _points.__wrapped__(params.n, count, seed, log10_scale)
+    return _draw(_points, params.n, count, seed, log10_scale)
 
 
 def _scan_chunk(samples: int, m: int, n: int) -> int:
@@ -166,10 +233,11 @@ def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
     first = seed * 1_000_003
 
     def residuals(lo, hi):
-        a1 = random_unitary(p.n, range(first + 2 * lo, first + 2 * hi, 2))
-        a2 = random_unitary(p.n, range(first + 2 * lo + 1, first + 2 * hi, 2))
-        lhs = _apply(spec, a1 @ a2, z[lo:hi])
-        rhs = _apply(spec, a1, _apply(spec, a2, z[lo:hi]))
+        a1, a2, a12 = _draw(_group_law_splits, p.n, range(first + 2 * lo, first + 2 * hi, 2),
+                            range(first + 2 * lo + 1, first + 2 * hi, 2))
+        lhs = evaluate_formula(spec, a12.t, a12.su_part, z[lo:hi])
+        rhs = evaluate_formula(spec, a1.t, a1.su_part,
+                               evaluate_formula(spec, a2.t, a2.su_part, z[lo:hi]))
         return orbit_distance(lhs, rhs, p)
 
     return _run_check("group_law", trials, _chunk(p.n * max(3 * p.m, p.n)), tol, residuals)
@@ -187,7 +255,7 @@ def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
     ell = np.arange(-2, 3)
 
     def residuals(lo, hi):
-        ue = su_decompose(random_unitary(n, range(seed * 999_983 + lo, seed * 999_983 + hi)))
+        ue = _draw(_split, n, range(seed * 999_983 + lo, seed * 999_983 + hi))
         base = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])           # (T, n)
         t2 = ue.t[:, None, None] + TWO_PI * k[:, None] / n + TWO_PI * ell   # (T, n, 5)
         b2 = (np.exp(-2j * math.pi * k / n)[:, None, None, None]
@@ -220,11 +288,10 @@ def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
     exactly, as raw vectors."""
     p = spec.params
     z = sample_points(p, trials, seed)
-    shifted = {L: ActionSpec(spec.kind, spec.p - L * spec.r, spec.q, spec.r, spec.C, p)
-               for L in range(-2, 3)}
+    shifted = {L: _replace(spec, p=spec.p - L * spec.r) for L in range(-2, 3)}
 
     def residuals(lo, hi):
-        ue = su_decompose(random_unitary(p.n, range(seed * 7_919 + lo, seed * 7_919 + hi)))
+        ue = _draw(_split, p.n, range(seed * 7_919 + lo, seed * 7_919 + hi))
         base = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])
         alt = np.stack([evaluate_formula(s, ue.t, ue.su_part, z[lo:hi], branch=L)
                         for L, s in shifted.items()])
@@ -243,7 +310,7 @@ def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
     z = sample_points(spec.params, trials, seed)
 
     def residuals(lo, hi):
-        ue = su_decompose(random_unitary(2, range(seed * 104_729 + lo, seed * 104_729 + hi)))
+        ue = _draw(_split, 2, range(seed * 104_729 + lo, seed * 104_729 + hi))
         lhs = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])
         rhs = evaluate_formula(twin, ue.t, ue.su_part, z[lo:hi])
         return np.linalg.norm(lhs - rhs, axis=-1) / np.linalg.norm(lhs, axis=-1)
@@ -270,3 +337,29 @@ def run_full_verification(spec: ActionSpec, trials: int = 200, seed: int = 0,
     report.checks.append(CheckResult("kernel_scan_agreement", 10,
                                      0.0 if agrees else 1.0, agrees))
     return report
+
+
+def _empty_caches() -> None:
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def run_verifications(specs, trials: int = 200, seed: int = 0,
+                      tol: float = 1e-8) -> list:
+    """``run_full_verification`` of each spec, in order, with the draws that
+    consecutive specs of one n have in common made once.  No draw is of use
+    to another n, so the caches are emptied whenever n changes, and on
+    exit: a run holds the draws of one n at a time, and none outlives it."""
+    global _in_run
+    reports, n = [], None
+    _in_run = True
+    try:
+        for spec in specs:
+            if spec.params.n != n:
+                _empty_caches()
+                n = spec.params.n
+            reports.append(run_full_verification(spec, trials, seed, tol))
+        return reports
+    finally:
+        _in_run = False
+        _empty_caches()

@@ -42,6 +42,10 @@ def matrix_to_json(m) -> list:
 def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError(f"{name} must be a list of rows of [re, im] pairs, got {data!r}")
+    lengths = [len(row) for row in data]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{name} must have rows of equal length, got rows of "
+                         f"{', '.join(map(str, lengths))} entries")
     return np.array([[pair_to_complex(p) for p in row] for row in data],
                     dtype=np.complex128)
 

@@ -12,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfact.action
+import hopfact.oracle
 from hopfact import cli, serialize
+from hopfact.cli import ENUMERATE_FORMATS
 from hopfact.action import d_pow
+from hopfact.cmatrix import random_unitary
+
+HERE = os.path.dirname(__file__)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -412,13 +417,42 @@ class TestVerify:
         def broken(*args, **kwargs):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli, "run_full_verification", broken)
+        monkeypatch.setattr(hopfact.oracle, "run_full_verification", broken)
         assert run(["verify", "--spec", write_config(tmp_path, DEMO)]) == cli.EXIT_INTERNAL == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         first, rest = captured.err.split("\n", 1)
         assert first == "internal error: RuntimeError: injected fault"
         assert rest.startswith("Traceback (most recent call last):")
+
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_no_draw_outlives_the_command(self, tmp_path, monkeypatch, capsys, fault):
+        # the second spec's transitivity check raises when fault is set,
+        # after the first spec has filled the caches
+        held = []
+        real = hopfact.oracle.verify_transitivity
+
+        def transitivity(*args, **kwargs):
+            held.append(sum(c.cache_info().currsize for c in hopfact.oracle._CACHES))
+            if fault and len(held) == 2:
+                raise RuntimeError("injected fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hopfact.oracle, "verify_transitivity", transitivity)
+        code = run(["verify", "--spec", write_config(tmp_path, self.GRID), "--trials", "5"])
+        assert code == (4 if fault else 0)
+        assert held[1] > 0
+        assert [c.cache_info().currsize for c in hopfact.oracle._CACHES] == [0, 0, 0]
+
+    def test_ranges_output_pinned(self, tmp_path, capsys):
+        # stdout of the CLI before specs shared their draws (numpy 2.4,
+        # OpenBLAS): the shared draws must not move a single residual bit
+        cfg = {"d": [0.5, 0.3], "trials": 10, "seed": 7,
+               "ranges": {"n_list": [2, 3], "m_list": [3], "p_min": 0, "p_max": 0,
+                          "q_min": 0, "q_max": 0, "r_min": -2, "r_max": 2}}
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
+        with open(os.path.join(HERE, "verify_ranges_pinned.json"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_scan_beyond_the_float_range_is_quiet(self, tmp_path, capsys):
         # d^(n*r*t/2pi) overflows in the kernel scan; the exit code is not
@@ -521,19 +555,94 @@ class TestUnknownField:
         assert "unknown config field 'trails'" in captured.err
 
 
-# Any JSON value, to put where a config field should be.
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=10)
+    ACT_FLAGS = ["--matrix", "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]",
+                 "--point", "[[1, 0], [0, 0]]"]
+    CHECK_ONLY = [("ranges", TestEnumerate.CONFIG["ranges"]), ("trials", 3), ("seed", 4),
+                  ("tol", 1e-6)]
+
+    @pytest.mark.parametrize("key,value", CHECK_ONLY)
+    def test_check_rejects_fields_it_does_not_read(self, tmp_path, capsys, key, value):
+        code = run(["check", "--spec", write_config(tmp_path, dict(DEMO, **{key: value}))])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"check does not read the config field {key!r}" in captured.err
+
+    @pytest.mark.parametrize("key,value", CHECK_ONLY)
+    def test_act_rejects_fields_it_does_not_read(self, tmp_path, capsys, key, value):
+        code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, **{key: value}))]
+                   + self.ACT_FLAGS)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"act does not read the config field {key!r}" in captured.err
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", [4, 0]), ("C", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]), ("trials", 3),
+        ("seed", 4), ("tol", 1e-6),
+    ])
+    def test_enumerate_rejects_fields_it_does_not_read(self, tmp_path, capsys, key, value):
+        cfg = dict(TestEnumerate.CONFIG, **{key: value})
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"enumerate does not read the config field {key!r}" in captured.err
+
+
+class TestRaggedMatrix:
+    RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
+    def test_ragged_C_exit_two(self, tmp_path, capsys):
+        assert run(["check", "--spec", write_config(tmp_path, dict(DEMO, C=self.RAGGED))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "C must have rows of equal length, got rows of 2, 1 entries" in captured.err
+
+    def test_ragged_matrix_exit_two(self, tmp_path, capsys):
+        code = run(["act", "--spec", write_config(tmp_path, DEMO),
+                    "--matrix", json.dumps(self.RAGGED), "--point", "[[1, 0], [0, 0]]"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--matrix must have rows of equal length" in captured.err
+
+    @pytest.mark.parametrize("name", ["C", "--matrix"])
+    def test_matrix_from_json_names_the_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must have rows of equal length"):
+            serialize.matrix_from_json([[[1, 0]], [], [[0, 0], [1, 0]]], name)
+
+
+def json_values(integers):
+    """Any JSON value, to put where a config field should be."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=10)
+
+
+JSON_VALUES = json_values(st.integers())
+# Integers that keep an enumeration grid small whichever field they land in.
+WINDOW = st.integers(-50, 50)
 FINITE = st.floats(-8, 8)
 
 
-@st.composite
-def check_configs(draw):
-    """A well-formed `check` config, then up to three of its fields dropped,
-    replaced by any JSON value, wrapped in a list or cut short."""
+def mutate(draw, doc, keys, values=JSON_VALUES, most=3):
+    """Up to ``most`` of the ``keys`` of ``doc`` dropped, replaced by any JSON
+    value, wrapped in a list or cut short."""
+    for key in draw(st.lists(st.sampled_from(keys), max_size=most, unique=True)):
+        how = draw(st.sampled_from(["drop", "any", "wrap", "cut"]))
+        if how == "drop":
+            doc.pop(key, None)
+        elif how == "any":
+            doc[key] = draw(values)
+        elif how == "wrap":
+            doc[key] = [doc.get(key)]
+        elif isinstance(doc.get(key), list):
+            doc[key] = doc[key][:-1]
+
+
+def spec_config(draw):
     n = draw(st.integers(2, 4))
     config = {"n": n, "m": draw(st.integers(1, 6)),
               "kind": draw(st.sampled_from(["type1", "type2"])),
@@ -542,32 +651,96 @@ def check_configs(draw):
               "d": [draw(FINITE), draw(FINITE)]}
     if draw(st.booleans()):
         config["C"] = [[[draw(FINITE), draw(FINITE)] for _ in range(n)] for _ in range(n)]
-    keys = ["n", "m", "kind", "p", "q", "r", "d", "C", "format", "trails"]
-    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
-        how = draw(st.sampled_from(["drop", "any", "wrap", "cut"]))
-        if how == "drop":
-            config.pop(key, None)
-        elif how == "any":
-            config[key] = draw(JSON_VALUES)
-        elif how == "wrap":
-            config[key] = [config.get(key)]
-        elif isinstance(config.get(key), list):
-            config[key] = config[key][:-1]
     return config
+
+
+@st.composite
+def check_configs(draw):
+    """A well-formed `check` config, then up to three of its fields mutated."""
+    config = spec_config(draw)
+    mutate(draw, config, ["n", "m", "kind", "p", "q", "r", "d", "C", "format", "trails",
+                          "trials"])
+    return config
+
+
+@st.composite
+def act_inputs(draw):
+    """A well-formed `act` config, unitary and point, then up to three of the
+    config's fields and up to two of the matrix and point mutated."""
+    config = spec_config(draw)
+    n = config["n"]
+    flags = {"matrix": serialize.matrix_to_json(random_unitary(n, draw(st.integers(0, 99)))),
+             "point": [[draw(FINITE), draw(FINITE)] for _ in range(n)]}
+    mutate(draw, config, ["n", "m", "kind", "p", "q", "r", "d", "C", "format", "ranges",
+                          "seed"])
+    mutate(draw, flags, ["matrix", "point"])
+    return config, flags
+
+
+@st.composite
+def enumerate_configs(draw):
+    """A well-formed `enumerate` config with every integer in -50..50 and
+    spans of at most 4, then up to two of its fields and one field of its
+    ranges mutated, to integers in -50..50 as well."""
+    ranges = {"n_list": draw(st.lists(WINDOW, min_size=1, max_size=3)),
+              "m_list": draw(st.lists(WINDOW, min_size=1, max_size=3))}
+    for name in "pqr":
+        low = draw(WINDOW)
+        ranges[f"{name}_min"], ranges[f"{name}_max"] = low, low + draw(st.integers(-1, 3))
+    config = {"ranges": ranges}
+    if draw(st.booleans()):
+        config["format"] = draw(st.sampled_from(ENUMERATE_FORMATS))
+    values = json_values(WINDOW)
+    mutate(draw, ranges, list(ranges), values, most=1)
+    mutate(draw, config, ["ranges", "format", "n", "d", "trials", "trails"], values, most=2)
+    return config
+
+
+def run_quietly(argv, config):
+    """``cli.main`` on a config file; returns its exit code, its stderr and the
+    warnings raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([argv[0], "--spec", path] + argv[1:])
+    return code, err.getvalue(), [str(w.message) for w in caught]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(check_configs())
 def test_check_never_fails_internally(config):
     # every config is answered (0, 1) or rejected (2); exit 4 is a fault
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["check", "--spec", path])
-    assert code in (0, 1, 2), err.getvalue()
+    code, err, caught = run_quietly(["check"], config)
+    assert code in (0, 1, 2), err
+    if code != 2:
+        assert (err, caught) == ("", [])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(act_inputs())
+def test_act_never_fails_internally(inputs):
+    config, flags = inputs
+    argv = ["act"] + [x for name in ("matrix", "point")
+                      for x in (f"--{name}", json.dumps(flags[name]) if name in flags
+                                else "no-such-file")]
+    code, err, caught = run_quietly(argv, config)
+    assert code in (0, 2), err
+    if code == 0:
+        assert (err, caught) == ("", [])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(enumerate_configs())
+def test_enumerate_never_fails_internally(config):
+    code, err, caught = run_quietly(["enumerate"], config)
+    assert code in (0, 2), err
+    if code == 0:
+        assert (err, caught) == ("", [])
 
 
 class TestSchemas:

@@ -7,6 +7,7 @@ import hopfact.oracle
 from _grid import fixed_C
 from _scan_reference import scan_lattice
 from hopfact.action import ActionKind, ActionSpec, d_pow
+from hopfact.cmatrix import _rng, random_unitary
 from hopfact.hopf import HopfParams
 from hopfact.oracle import (
     _scan_chunk,
@@ -14,6 +15,7 @@ from hopfact.oracle import (
     nontrivial_pairs,
     numeric_kernel_scan,
     run_full_verification,
+    run_verifications,
     sample_points,
     verify_group_law,
     verify_power_branch,
@@ -218,3 +220,87 @@ def test_non_finite_residual_fails_with_no_value():
     check = verify_well_definedness(spec, trials=3, seed=2)
     assert (check.max_residual, check.passed) == (None, False)
     assert check.to_dict()["max_residual"] is None
+
+
+def cached_entries():
+    return sum(cache.cache_info().currsize for cache in hopfact.oracle._CACHES)
+
+
+# n 2..4, both kinds, non-identity C, m up to 6 and complex d; runs of one n,
+# and an n that comes back after others
+SHARED_SPECS = [
+    (ActionKind.TYPE2, 2, 3, 1, 0, 2, 1 + 2j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 5, -1, 2, 3, 4, fixed_C(2)),
+    (ActionKind.TYPE1, 3, 6, 0, 1, -2, 0.5 + 0.3j, fixed_C(3)),
+    (ActionKind.TYPE2, 4, 2, 2, -1, 1, -2, None),
+    (ActionKind.TYPE1, 4, 6, 1, -1, -3, 1 + 2j, fixed_C(4)),
+    (ActionKind.TYPE2, 3, 1, 0, 0, 1, 0.5, None),
+    (ActionKind.TYPE2, 2, 6, 0, 1, -1, 0.5 + 0.3j, None),
+]
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
+    # at 4096 bytes a check spans up to 10 chunks of trials, more than a
+    # cache keeps, so entries are evicted and redrawn mid-run
+    if chunk_bytes is not None:
+        monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
+    draws = []
+
+    def counted(n, seeds):
+        draws.append(len(seeds))
+        return random_unitary(n, seeds)
+
+    monkeypatch.setattr(hopfact.oracle, "random_unitary", counted)
+    specs = [ActionSpec(kind, p, q, r, np.eye(n) if C is None else C, HopfParams(d=d, n=n, m=m))
+             for kind, n, m, p, q, r, d, C in SHARED_SPECS]
+    alone = []
+    for spec in specs:
+        hopfact.oracle._empty_caches()
+        alone.append(run_full_verification(spec, trials=40, seed=17).to_dict())
+    drawn_alone, draws[:] = sum(draws), []
+    shared = run_verifications(specs, trials=40, seed=17)
+    assert [report.to_dict() for report in shared] == alone
+    assert all(report["all_passed"] for report in alone)
+    if chunk_bytes is None:
+        # 40 trials are one chunk of every check, so the second spec of each
+        # run of one n (n = 2, n = 4) draws none of the group law's 2 * 40,
+        # well-definedness's 40 // 4 or power-branch's 40 // 10 unitaries
+        assert sum(draws) == drawn_alone - 2 * (2 * 40 + 40 // 4 + 40 // 10)
+    assert cached_entries() == 0
+
+
+def test_draws_are_cached_only_during_a_run(monkeypatch):
+    # a check called on its own draws its points afresh each time and leaves
+    # the caches empty; in a run the second spec of one n draws none
+    seeds = []
+
+    def recorded(seed):
+        seeds.append(seed)
+        return _rng(seed)
+
+    monkeypatch.setattr(hopfact.oracle, "_rng", recorded)
+    spec = demo_spec()
+    twin = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
+    expected = [run_full_verification(s, trials=50, seed=3).to_dict() for s in (spec, twin)]
+    assert len(seeds) == 2 * 6 and cached_entries() == 0    # 6 point arrays per spec
+    seeds.clear()
+    assert [r.to_dict() for r in run_verifications([spec, twin], trials=50, seed=3)] == expected
+    assert len(seeds) == 6 and cached_entries() == 0
+
+
+def test_cached_draws_are_read_only(monkeypatch):
+    monkeypatch.setattr(hopfact.oracle, "_in_run", True)
+    params = HopfParams(d=4, n=3, m=2)
+    big = hopfact.oracle._CHUNK_BYTES // 16      # too large for the cache
+    split = hopfact.oracle._split(3, range(10, 14))
+    group_law = hopfact.oracle._group_law_splits(3, range(10, 14), range(20, 24))
+    arrays = [sample_points(params, 8, 1), sample_points(params, big, 1, log10_scale=2),
+              split.t, split.su_part] + [a for ue in group_law for a in (ue.t, ue.su_part)]
+    try:
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert hopfact.oracle._points.cache_info().currsize == 1
+    finally:
+        hopfact.oracle._empty_caches()
