@@ -31,8 +31,8 @@ from .oracle import (
     verify_well_definedness,
 )
 
-# The kernel scan has one implementation, a broadcast numpy scan; reports
-# and benchmark records carry this name for it.
+# The kernel probe and the checks have one implementation, broadcast numpy;
+# reports and benchmark records carry this name for it.
 BACKEND_NAME = "python"
 
 __all__ = [

@@ -50,6 +50,8 @@ COMMAND_FIELDS = {
     "verify": SPEC_FIELDS + ("ranges", "trials", "seed", "tol", "format"),
 }
 CONFIG_FIELDS = COMMAND_FIELDS["verify"]
+# The most rows of a ranges grid, which is built in memory (enumerate: ~300 B a row).
+MAX_GRID_ROWS = 1_000_000
 # A value of these flags may start with "-" (``--tol -1e-8``).
 NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
 
@@ -153,19 +155,24 @@ def _grid(config: dict) -> list:
         return [serialize.require_int(x, f"{key} entry") for x in ranges[key]]
 
     try:
-        n_list = integer_list("n_list")
-        m_list = integer_list("m_list")
-        p_vals = range(integer("p_min"), integer("p_max") + 1)
-        q_vals = range(integer("q_min"), integer("q_max") + 1)
-        r_vals = [r for r in range(integer("r_min"), integer("r_max") + 1) if r != 0]
+        n_list = sorted(set(integer_list("n_list")))
+        m_list = sorted(set(integer_list("m_list")))
+        p_vals, q_vals, r_vals = (range(integer(f"{x}_min"), integer(f"{x}_max") + 1)
+                                  for x in "pqr")
     except KeyError as exc:
         raise ValueError(f"ranges is missing field {exc.args[0]!r}")
     if any(n < 2 for n in n_list) or any(m < 1 for m in m_list):
         raise ValueError("n_list entries must be >= 2 and m_list entries >= 1")
-    if not (n_list and m_list and p_vals and q_vals and r_vals):
+    # counted from the bounds: len() of a range fails beyond sys.maxsize
+    rows = math.prod([len(n_list), len(m_list), len(ActionKind),
+                      *(max(0, v.stop - v.start) for v in (p_vals, q_vals)),
+                      max(0, r_vals.stop - r_vals.start) - (0 in r_vals)])
+    if not rows:
         raise ValueError("empty enumeration ranges")
-    return list(itertools.product(sorted(set(n_list)), sorted(set(m_list)), ActionKind,
-                                  p_vals, q_vals, r_vals))
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(f"ranges give {rows} rows; a grid may have at most {MAX_GRID_ROWS}")
+    return list(itertools.product(n_list, m_list, ActionKind, p_vals, q_vals,
+                                  [r for r in r_vals if r]))
 
 
 def _enumerate_rows(config: dict) -> list:

@@ -97,13 +97,10 @@ def canonicalize(z: OrbitPoint) -> OrbitPoint:
     p = z.params
     s = math.log(math.hypot(*z.rep.real, *z.rep.imag)) / math.log(abs(p.d))
     v = z.rep * p.d ** (-math.floor(s))
-    j = int(np.argmax(np.abs(v)))
-    base_arg = principal_arg(v[j])
-    best_K, best_arg = 0, math.inf
-    for K in range(p.m):
-        a = (base_arg + TWO_PI * K / p.m) % TWO_PI
-        if a < best_arg:
-            best_arg = a
-            best_K = K
-    v = v * np.exp(2j * math.pi * best_K / p.m)
-    return OrbitPoint(p, v)
+    arg = principal_arg(v[int(np.argmax(np.abs(v)))])
+    # K = -floor(arg*m/(2*pi)) mod m minimizes (arg + 2*pi*K/m) mod 2*pi up to
+    # rounding; the float key, least K on ties, picks among it and its neighbours
+    k0 = -math.floor(arg * p.m / TWO_PI)
+    K = min({(k0 + e) % p.m for e in (-1, 0, 1)},
+            key=lambda K: ((arg + TWO_PI * K / p.m) % TWO_PI, K))
+    return OrbitPoint(p, v * np.exp(2j * math.pi * K / p.m))

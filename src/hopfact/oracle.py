@@ -1,11 +1,12 @@
 """Independent floating-point verification layer.
 
 Every exact-arithmetic verdict has a second, formula-level confirmation
-here: each of the n*|r| scalar unitaries that can lie in the kernel is
-applied through the action itself and tested for acting trivially, and the
-group-action axioms, well-definedness under re-splitting, transitivity, and
-the two remark identities are checked on seeded random samples.  Residuals
-are orbit distances, i.e. scale-free distances in the quotient.
+here: the scalar unitaries of prime-power order that can lie in the kernel
+are applied through the action itself, which finds the whole subgroup of
+trivially acting scalars, and the group-action axioms, well-definedness
+under re-splitting, transitivity, and the two remark identities are checked
+on seeded random samples.  Residuals are orbit distances, i.e. scale-free
+distances in the quotient.
 
 Each check runs its trials as numpy batches, a chunk of trials at a time,
 with the trial index on the leading axis of every array; trial i keeps the
@@ -30,7 +31,7 @@ import numpy as np
 from .action import (ActionKind, ActionSpec, _apply, _replace, _transport, evaluate_formula,
                      type2_as_type1)
 from .cmatrix import TWO_PI, UnitaryElement, _rng, random_unitary, su_decompose
-from .effectiveness import is_effective, kernel_witness_element
+from .effectiveness import is_effective
 from .hopf import HopfParams, orbit_distance
 
 
@@ -66,12 +67,12 @@ class VerificationReport:
                 "all_passed": self.all_passed}
 
 
-# Scanned scalars and check trials are processed in chunks so that the
-# largest complex temporary of one chunk stays near this many bytes; 256 KB
-# scans faster than 1 MB and adds almost nothing to peak memory.  Per item
-# that temporary is an orbit distance's 3 shells x m rotations x n
-# coordinates (for each sample acted on by a scanned scalar, or each of the
-# 5n re-splittings of a well-definedness trial), or an n x n matrix.
+# Check trials are processed in chunks so that the largest complex
+# temporary of one chunk stays near this many bytes; 256 KB runs faster
+# than 1 MB and adds almost nothing to peak memory.  Per trial that
+# temporary is an orbit distance's 3 shells x m rotations x n coordinates
+# (for each of the 5n re-splittings of a well-definedness trial), or an
+# n x n matrix.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -148,68 +149,66 @@ def sample_points(params: HopfParams, count: int, seed: int,
     return _draw(_points, params.n, count, seed, log10_scale)
 
 
-def _scan_chunk(samples: int, m: int, n: int) -> int:
-    """Scalars per chunk of the kernel scan."""
-    return _chunk(3 * samples * m * n)
+# The largest n*|r| the kernel scan factors, by at most 10^6 trial divisions
+# (0.05 s); the sample checks stop passing long before, as phases lose bits.
+MAX_SCAN_ORDER = 10**12
+
+
+def _prime_powers(N: int) -> list:
+    """Every prime power q > 1 that divides N, found by trial division."""
+    powers, p = [], 2
+    while N > 1:
+        if p * p > N:
+            p = N                       # no factor up to sqrt(N): N is prime
+        q = p
+        while N % p == 0:
+            powers.append(q)
+            N //= p
+            q *= p
+        p += 1
+    return powers
 
 
 def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
                         seed: int = 0) -> list:
-    """All lattice pairs (ell, k) whose scalar unitary acts trivially.
-
-    The candidate kernel elements are e^{i(2*pi*ell/(n*r) + 2*pi*k/n)} * id
-    for ell in {0, ..., |r|*m - 1}, k in {0, ..., n - 1}; cell (ell, k) is
-    the scalar e^{2*pi*i*j/N}, N = n*|r|, j = (sign(r)*ell + k*|r|) mod N.
-    Each of the N scalars is acted through the action on every sample once,
-    and acts trivially when every image lies within ``tol`` orbit distance
-    of its sample.  The identity pair (0, 0) is always included.  Returns
-    the pairs in sorted order.
-    """
+    """The j, among 0 and N/q for each prime power q | N (N = n*|r|), whose
+    scalar e^{2*pi*i*j/N} * id acts trivially: every sample's image lies
+    within ``tol`` orbit distance of it.  Those scalars form a subgroup mu_h
+    (Cauchy: it is nontrivial iff it has an element of prime order), and
+    N/q is a hit iff q | h, so these O(log N) probes, acted through the
+    action in one pass, find h.  Returns the hits in sorted order."""
     if z_samples < 1:
         raise ValueError("z_samples must be >= 1")
     p = spec.params
-    n, r = p.n, spec.r
-    N = n * abs(r)
+    N = p.n * abs(spec.r)
+    if N > MAX_SCAN_ORDER:
+        raise ValueError(f"n*|r| = {N} exceeds {MAX_SCAN_ORDER}, the most the kernel scan factors")
     z = sample_points(p, z_samples, seed)
-    step = _scan_chunk(z_samples, p.m, n)
-    hit = np.empty(N, dtype=bool)
+    j = np.array([0] + [N // q for q in _prime_powers(N)])
+    scalars = np.exp(2j * math.pi * j / N)[:, None, None, None] * np.eye(p.n)
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
-        for lo in range(0, N, step):
-            j = np.arange(lo, min(lo + step, N))
-            scalars = np.exp(2j * math.pi * j / N)[:, None, None, None] * np.eye(n)
-            x = _apply(spec, scalars, z)                                    # (c, S, n)
-            hit[lo:lo + len(j)] = (orbit_distance(x, z, p) < tol).all(axis=1)
-    ell, k = np.divmod(np.arange(N * p.m), n)
-    cells = np.flatnonzero(hit[((1 if r > 0 else -1) * ell + k * abs(r)) % N])
-    return list(zip(ell[cells].tolist(), k[cells].tolist()))
-
-
-def nontrivial_pairs(spec: ActionSpec, pairs) -> list:
-    """Filter scan output down to pairs whose scalar differs from 1.
-
-    The scalar of (ell, k) is e^{2*pi*i*(ell + k*r)/(n*r)}, which is 1
-    exactly when n*|r| divides ell + k*r.
-    """
-    period = spec.params.n * abs(spec.r)
-    return [(ell, k) for ell, k in pairs if (ell + k * spec.r) % period != 0]
+        hit = (orbit_distance(_apply(spec, scalars, z), z, p) < tol).all(axis=1)
+    return sorted(j[hit].tolist())
 
 
 def kernel_scan_agrees(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
                        seed: int = 0) -> bool:
-    """Exact verdict vs numeric scan: effective iff no nontrivial pair acts
-    trivially, and the exact witness element shows up in the scan."""
+    """Exact verdict vs numeric scan: the identity acts trivially, and the
+    trivially acting scalars, the j divisible by s = gcd(N, hits), are the
+    identity alone if the action is effective and else hold the witness."""
     verdict = is_effective(spec)
-    pairs = numeric_kernel_scan(spec, z_samples=z_samples, tol=tol, seed=seed)
-    if (0, 0) not in pairs:
+    hits = numeric_kernel_scan(spec, z_samples=z_samples, tol=tol, seed=seed)
+    if 0 not in hits:
         return False
-    nontrivial = nontrivial_pairs(spec, pairs)
+    r = spec.r
+    N = spec.params.n * abs(r)
+    s = math.gcd(N, *hits)
     if verdict.effective:
-        return not nontrivial
-    w = verdict.witness
-    element = kernel_witness_element(spec, w.ell, w.K)
-    return bool(nontrivial) and (w.ell % (abs(spec.r) * spec.params.m), element.k) in nontrivial
+        return s == N
+    j_w = ((1 if r > 0 else -1) * verdict.witness.ell + verdict.kernel_element.k * abs(r)) % N
+    return j_w != 0 and j_w % s == 0
 
 
 def _run_check(name: str, trials: int, chunk: int, tol: float, residuals) -> CheckResult:
@@ -327,13 +326,14 @@ def run_full_verification(spec: ActionSpec, trials: int = 200, seed: int = 0,
                       "r": spec.r, "n": p.n, "m": p.m,
                       "d": [p.d.real, p.d.imag]},
         seed=seed, tol=tol)
+    # first, so that an n*|r| the scan rejects stops the suite at once
+    agrees = kernel_scan_agrees(spec, z_samples=10, tol=1e-9, seed=seed + 6)
     report.checks.append(verify_group_law(spec, trials, seed + 1, tol))
     report.checks.append(verify_well_definedness(spec, max(trials // 4, 1), seed + 2, tol))
     report.checks.append(verify_transitivity(spec, trials, seed + 3, tol))
     report.checks.append(verify_power_branch(spec, max(trials // 10, 1), seed + 4, 1e-12))
     if p.n == 2 and spec.kind is ActionKind.TYPE2:
         report.checks.append(verify_dimtwo(spec, trials // 2 or 1, seed + 5, 1e-10))
-    agrees = kernel_scan_agrees(spec, z_samples=10, tol=1e-9, seed=seed + 6)
     report.checks.append(CheckResult("kernel_scan_agreement", 10,
                                      0.0 if agrees else 1.0, agrees))
     return report

@@ -40,15 +40,14 @@ def arithmetic_tuples(p_range=P_RANGE, q_range=Q_RANGE, r_range=R_RANGE,
 
 
 def grid_specs(p_range=P_RANGE, q_range=Q_RANGE, r_range=R_RANGE,
-               d_list=D_LIST, n_list=N_LIST, m_list=M_LIST):
-    """Full ActionSpec stream over the requested sub-grid."""
+               d_list=D_LIST, n_list=N_LIST, m_list=M_LIST, step=1):
+    """Full ActionSpec stream over the requested sub-grid, or every
+    ``step``-th spec of it; the specs skipped are never built."""
     cs = {n: (np.eye(n, dtype=np.complex128), fixed_C(n)) for n in n_list}
-    for n, m, kind, p, q, r in arithmetic_tuples(p_range, q_range, r_range,
-                                                 n_list, m_list):
-        for d in d_list:
-            params = HopfParams(d=d, n=n, m=m)
-            for c in cs[n]:
-                yield ActionSpec(kind, p, q, r, c, params)
+    cells = itertools.product(arithmetic_tuples(p_range, q_range, r_range, n_list, m_list),
+                              d_list, (0, 1))
+    for (n, m, kind, p, q, r), d, c in itertools.islice(cells, 0, None, step):
+        yield ActionSpec(kind, p, q, r, cs[n][c], HopfParams(d=d, n=n, m=m))
 
 
 REDUCED_P = tuple(range(-2, 3))

@@ -219,6 +219,25 @@ class TestEnumerate:
         assert (f"the grid of 'ranges' sets {field}; remove the config field {field!r}"
                 in captured.err)
 
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_huge_grid_exit_two_at_once(self, tmp_path, capsys, command):
+        # 2 kinds x 2*10^7 values of r: rejected from the counts, before any
+        # row is built
+        cfg = {"ranges": dict(self.CONFIG["ranges"], r_min=-10**7, r_max=10**7, p_max=0)}
+        start = time.perf_counter()
+        assert run([command, "--spec", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ranges give 40000000 rows; a grid may have at most 1000000" in captured.err
+
+    @pytest.mark.parametrize("most,code", [(12, 0), (11, 2)])
+    def test_grid_row_limit_is_inclusive(self, tmp_path, monkeypatch, most, code):
+        # r_min = 0 leaves CONFIG's 12 rows: r = 0 is not counted
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", most)
+        cfg = {"ranges": dict(self.CONFIG["ranges"], r_min=0)}
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == code
+
     def test_r_zero_excluded(self, tmp_path, capsys):
         cfg = {"ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
                           "q_min": 0, "q_max": 0, "r_min": -1, "r_max": 1}}
@@ -253,6 +272,16 @@ class TestAct:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["raw"] == [[1.0, 0.0], [2.0, 0.0]]
+
+    def test_huge_m_answers_at_once(self, tmp_path, capsys):
+        # canonicalize picks its rotation without a loop over the m rotations
+        start = time.perf_counter()
+        code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, m=10**12)),
+                    "--matrix", json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]),
+                    "--point", json.dumps([[1, 0], [0, 0]])])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["raw"] == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_non_unitary_exit_two(self, tmp_path):
         code = run(["act", "--spec", write_config(tmp_path, DEMO),
@@ -463,6 +492,18 @@ class TestVerify:
             run(["verify", "--spec", write_config(tmp_path, cfg), "--trials", "4"])
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("r", [10**12, 10**400])
+    def test_order_beyond_the_scan_exit_two_at_once(self, tmp_path, capsys, r):
+        # n*|r| = 2r is more than the kernel scan factors; the scan runs
+        # first, so r = 10^400 is rejected before a check can overflow on it
+        start = time.perf_counter()
+        code = run(["verify", "--spec", write_config(tmp_path, dict(DEMO, r=r))])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n*|r| = {2 * r} exceeds 1000000000000" in captured.err
 
     GRID = {"d": [4, 0],
             "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
@@ -696,6 +737,18 @@ def enumerate_configs(draw):
     return config
 
 
+@st.composite
+def verify_configs(draw):
+    """A well-formed `verify` config of one to three trials, then up to three
+    of its fields, the settings included, mutated."""
+    config = spec_config(draw)
+    config.update(trials=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10**6)),
+                  tol=draw(st.floats(1e-12, 1e-4)))
+    mutate(draw, config, ["n", "m", "kind", "p", "q", "r", "d", "C", "trials", "seed", "tol",
+                          "format", "ranges", "trails"])
+    return config
+
+
 def run_quietly(argv, config):
     """``cli.main`` on a config file; returns its exit code, its stderr and the
     warnings raised."""
@@ -740,6 +793,16 @@ def test_enumerate_never_fails_internally(config):
     code, err, caught = run_quietly(["enumerate"], config)
     assert code in (0, 2), err
     if code == 0:
+        assert (err, caught) == ("", [])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(verify_configs())
+def test_verify_never_fails_internally(config):
+    # every config is verified (0), rejected (2) or fails a check (3)
+    code, err, caught = run_quietly(["verify"], config)
+    assert code in (0, 2, 3), err
+    if code != 2:
         assert (err, caught) == ("", [])
 
 

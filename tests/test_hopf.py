@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from _canonical_reference import rotation_index
+from hopfact.cmatrix import TWO_PI, principal_arg
 from hopfact.hopf import HopfParams, OrbitPoint, canonicalize, deck_equal, orbit_distance
 
 
@@ -112,6 +114,36 @@ def test_canonicalize_deck_invariant(ell, K):
         moved = OrbitPoint(p, g * v)
         c1, c2 = canonicalize(z), canonicalize(moved)
         assert np.max(np.abs(c1.rep - c2.rep)) / np.linalg.norm(c1.rep) < 1e-10
+
+
+def test_canonical_rotation_matches_the_loop():
+    # the leading coordinate at the angles k*2*pi/m and their float
+    # neighbours, where the float key ties or nearly does, and at seeded
+    # uniform angles; d = 2 and a second coordinate of modulus 0.5 leave
+    # the point unscaled, so only the rotation is compared with the loop
+    # over all m rotations
+    rng = np.random.Generator(np.random.Philox(5))
+    checked = 0
+    for m in range(1, 61):
+        p = HopfParams(d=2, n=2, m=m)
+        edges = TWO_PI * np.arange(m) / m
+        angles = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 7.0),
+                                 rng.uniform(0.0, TWO_PI, 100)])
+        for a in angles.tolist():
+            v = np.array([np.exp(1j * a), 0.5])
+            K = rotation_index(principal_arg(v[0]), m)
+            c = canonicalize(OrbitPoint(p, v))
+            assert np.allclose(c.rep, v * np.exp(2j * math.pi * K / m), rtol=0, atol=1e-12), (a, m)
+        checked += len(angles)
+    assert checked > 10_000
+
+
+def test_canonicalize_huge_m_at_once():
+    # the rotation is found without a loop over the m rotations
+    p = HopfParams(d=2, n=2, m=10**12)
+    c = canonicalize(pt(p, np.exp(2j * math.pi * 0.3), 0.5))
+    assert abs(c.rep[0]) == pytest.approx(1.0)
+    assert principal_arg(c.rep[0]) < TWO_PI / p.m * 2
 
 
 def test_deck_equal_canonical_representative():

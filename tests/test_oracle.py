@@ -1,18 +1,22 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 import _oracle_reference
 import hopfact.action
 import hopfact.oracle
-from _grid import fixed_C
+from _grid import fixed_C, grid_specs
 from _scan_reference import scan_lattice
 from hopfact.action import ActionKind, ActionSpec, d_pow
 from hopfact.cmatrix import _rng, random_unitary
+from hopfact.effectiveness import is_effective
 from hopfact.hopf import HopfParams
 from hopfact.oracle import (
-    _scan_chunk,
+    MAX_SCAN_ORDER,
+    _prime_powers,
     kernel_scan_agrees,
-    nontrivial_pairs,
     numeric_kernel_scan,
     run_full_verification,
     run_verifications,
@@ -33,28 +37,17 @@ def demo_spec():
 
 
 def test_scan_effective_spec_only_identity():
-    pairs = numeric_kernel_scan(demo_spec())
-    assert nontrivial_pairs(demo_spec(), pairs) == []
-    assert (0, 0) in pairs
-
-
-@pytest.mark.parametrize("n,m,r", [(2, 1, 1), (2, 3, -4), (3, 2, 6), (4, 5, -7), (6, 4, 12)])
-def test_nontrivial_filter_matches_float_criterion(n, m, r):
-    # every lattice cell of the scan, against |e^{i*theta} - 1| > 1e-6
-    spec = make_spec(ActionKind.TYPE2, n, m, 1, 0, r)
-    cells = [(ell, k) for ell in range(abs(r) * m) for k in range(n)]
-    theta = [2 * np.pi * ell / (n * r) + 2 * np.pi * k / n for ell, k in cells]
-    expected = [c for c, t in zip(cells, theta) if abs(np.exp(1j * t) - 1.0) > 1e-6]
-    assert nontrivial_pairs(spec, cells) == expected
-    # the trivial cells are ell = j*|r| for j < m, each with one k
-    assert len(cells) - len(expected) == m
+    assert numeric_kernel_scan(demo_spec()) == [0]
 
 
 def test_scan_finds_known_kernel():
+    # N = 6: the probes are j = 0, 3 and 2, and the scalars of order 3 act
+    # trivially; the exact witness (ell, k) = (1, 1) is j_w = 1 + 1*3 = 4
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
-    pairs = numeric_kernel_scan(spec)
-    assert (1, 1) in pairs  # matches the exact witness element
-    assert (0, 0) in pairs
+    assert numeric_kernel_scan(spec) == [0, 2]
+    verdict = is_effective(spec)
+    assert (verdict.witness.ell + verdict.kernel_element.k * 3) % 6 == 4
+    assert kernel_scan_agrees(spec)
 
 
 @pytest.mark.parametrize("kind,n,m,p,q,r", [
@@ -63,7 +56,7 @@ def test_scan_finds_known_kernel():
     (ActionKind.TYPE1, 2, 3, -2, 2, -3),
 ])
 def test_identity_always_present(kind, n, m, p, q, r):
-    assert (0, 0) in numeric_kernel_scan(make_spec(kind, n, m, p, q, r))
+    assert 0 in numeric_kernel_scan(make_spec(kind, n, m, p, q, r))
 
 
 def test_scan_deterministic():
@@ -71,10 +64,41 @@ def test_scan_deterministic():
     assert numeric_kernel_scan(spec, seed=5) == numeric_kernel_scan(spec, seed=5)
 
 
+def test_prime_powers_by_brute_force():
+    # the divisors q > 1 of N that have exactly one prime factor
+    primes = [f for f in range(2, 2000) if all(f % e for e in range(2, f))]
+    for N in range(1, 2000):
+        expected = [q for q in range(2, N + 1)
+                    if N % q == 0 and sum(q % f == 0 for f in primes) == 1]
+        assert sorted(_prime_powers(N)) == expected, N
+
+
+def reference_hits(spec, seed):
+    """The j of every scalar e^{2*pi*i*j/N} * id, N = n*|r|, that acts
+    trivially, from the loop scan of all lattice cells (ell, k)."""
+    p = spec.params
+    z = sample_points(p, 10, seed)
+    w = (spec.C @ (spec.C_inv @ z.T)).T
+    pairs = scan_lattice(spec.kind.eps, p.n, p.m, spec.p, spec.q, spec.r, p.d, w, z, 1e-9)
+    sign, N = (1 if spec.r > 0 else -1), p.n * abs(spec.r)
+    return sorted({(sign * ell + k * abs(spec.r)) % N for ell, k in pairs})
+
+
+def assert_probe_matches_reference(spec, seed):
+    """The probe's hits are the reference's hits among the probed j, and the
+    reference's hits are exactly the multiples of gcd(N, probe hits)."""
+    N = spec.params.n * abs(spec.r)
+    hits = numeric_kernel_scan(spec, seed=seed)
+    expected = reference_hits(spec, seed)
+    probed = {N // q % N for q in [1] + _prime_powers(N)}
+    assert hits == [j for j in expected if j in probed]
+    assert expected == list(range(0, N, math.gcd(N, *hits)))
+    return expected
+
+
 def test_backends_agree():
-    # the broadcast scan against the loop reference: m = 6 with r < 0, a
-    # complex d and a non-identity C, and a spec whose n*|r| scalars span
-    # more than one chunk
+    # the probe against the loop reference: m = 6 with r < 0, a complex d
+    # and a non-identity C, and a spec with a kernel of order 10 in N = 320
     for kind, n, m, p, q, r, d, C in [
         (ActionKind.TYPE1, 2, 1, 1, 0, 3, 4, None),
         (ActionKind.TYPE2, 3, 2, -1, 2, -2, 1 + 2j, fixed_C(3)),
@@ -86,15 +110,31 @@ def test_backends_agree():
     ]:
         spec = ActionSpec(kind, p, q, r, np.eye(n) if C is None else C,
                           HopfParams(d=d, n=n, m=m))
-        z = sample_points(spec.params, 10, 9)
-        w = (spec.C @ (spec.C_inv @ z.T)).T
-        expected = scan_lattice(kind.eps, n, m, p, q, r, d, w, z, 1e-9)
-        assert numeric_kernel_scan(spec, seed=9) == expected
-    # the last spec's trivially acting scalars e^{2*pi*i*j/(n*r)} lie on both
-    # sides of the first chunk end, j = 136
-    hits = sorted({(ell + k * r) % (n * r) for ell, k in expected})
-    assert hits == list(range(0, 320, 32))
-    assert min(hits) < _scan_chunk(10, m, n) == 136 <= max(hits)
+        expected = assert_probe_matches_reference(spec, 9)
+    assert expected == list(range(0, 320, 32))
+
+
+def test_probe_matches_reference_on_grid_sample():
+    # every 400th spec of grid G: all d, both C, every n, m and kind
+    specs = list(grid_specs(step=400))
+    assert len(specs) == 212
+    for i, spec in enumerate(specs):
+        assert_probe_matches_reference(spec, i)
+
+
+def test_scan_of_large_r_at_once():
+    # O(log N) probes: N = 400,000 = 2^7 * 5^5 has 12 prime-power divisors
+    spec = make_spec(ActionKind.TYPE1, 2, 7, 1, 0, 200_000)
+    start = time.perf_counter()
+    hits = numeric_kernel_scan(spec)
+    assert time.perf_counter() - start < 0.5
+    assert 0 in hits
+
+
+def test_scan_rejects_an_order_it_cannot_factor():
+    numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, MAX_SCAN_ORDER // 2))
+    with pytest.raises(ValueError, match="exceeds"):
+        numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, MAX_SCAN_ORDER // 2 + 1))
 
 
 def test_scan_runs_through_the_action(monkeypatch):
