@@ -13,14 +13,13 @@ error (an exception that is not an input error).
 """
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import traceback
+from typing import Iterator
 
 from . import serialize
 from .action import ActionKind, act
@@ -50,8 +49,13 @@ COMMAND_FIELDS = {
     "verify": SPEC_FIELDS + ("ranges", "trials", "seed", "tol", "format"),
 }
 CONFIG_FIELDS = COMMAND_FIELDS["verify"]
-# The most rows of a ranges grid, which is built in memory (enumerate: ~300 B a row).
+# The most rows of a ranges grid.  enumerate makes its rows one at a time, but
+# holds its output text before writing it: a traced peak of about 115 B a row
+# for csv, 165 B for text and 1.8 kB for json.
 MAX_GRID_ROWS = 1_000_000
+# The largest m of act and verify: beyond 2**53 the m-th roots of unity cannot
+# be told apart in floats.  check and enumerate are exact and take any m.
+MAX_NUMERIC_M = 2**53
 # A value of these flags may start with "-" (``--tol -1e-8``).
 NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
 
@@ -135,9 +139,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.effective else EXIT_NOT_EFFECTIVE
 
 
-def _grid(config: dict) -> list:
+def _grid(config: dict) -> Iterator:
     """The (n, m, kind, p, q, r) tuples of the config's ``ranges``: each
-    once, r = 0 left out, sorted by n, m, kind ("type1" < "type2"), p, q, r."""
+    once, r = 0 left out, sorted by n, m, kind ("type1" < "type2"), p, q, r.
+    The ranges are checked at the call; the tuples are made as they are read."""
     ranges = config.get("ranges")
     if not isinstance(ranges, dict):
         raise ValueError("enumerate requires a 'ranges' object in the config")
@@ -171,15 +176,17 @@ def _grid(config: dict) -> list:
         raise ValueError("empty enumeration ranges")
     if rows > MAX_GRID_ROWS:
         raise ValueError(f"ranges give {rows} rows; a grid may have at most {MAX_GRID_ROWS}")
-    return list(itertools.product(n_list, m_list, ActionKind, p_vals, q_vals,
-                                  [r for r in r_vals if r]))
+    return itertools.product(n_list, m_list, ActionKind, p_vals, q_vals,
+                             [r for r in r_vals if r])
 
 
-def _enumerate_rows(config: dict) -> list:
-    """One (key, witness) row per grid tuple; the witness is None when the
-    action is effective."""
-    return [((n, m, kind, p, q, r), find_witness(kind, n, m, p, q, r))
-            for n, m, kind, p, q, r in _grid(config)]
+def _enumerate_rows(config: dict) -> Iterator:
+    """One (key, witness) row per grid tuple, made as it is read; the
+    witness is None when the action is effective.  The grid is checked at
+    the call."""
+    grid = _grid(config)
+    return (((n, m, kind, p, q, r), find_witness(kind, n, m, p, q, r))
+            for n, m, kind, p, q, r in grid)
 
 
 def cmd_enumerate(args) -> int:
@@ -187,13 +194,11 @@ def cmd_enumerate(args) -> int:
     fmt = _format(config, "enumerate", ENUMERATE_FORMATS)
     rows = _enumerate_rows(config)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(FIELDS)
-        writer.writerows((n, m, kind.value, p, q, r, "true", "", "") if w is None else
-                         (n, m, kind.value, p, q, r, "false", w.ell, w.K)
-                         for (n, m, kind, p, q, r), w in rows)
-        text = buf.getvalue()
+        # no field is ever quoted: each is an int or a fixed word
+        text = ",".join(FIELDS) + "\r\n" + "".join(
+            f"{n},{m},{kind.value},{p},{q},{r},"
+            + ("true,,\r\n" if w is None else f"false,{w.ell},{w.K}\r\n")
+            for (n, m, kind, p, q, r), w in rows)
     elif fmt == "json":
         text = json.dumps([dict(zip(FIELDS, (n, m, kind.value, p, q, r, w is None,
                                              None if w is None else w.ell,
@@ -207,10 +212,19 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _numeric_spec(config: dict, command: str):
+    """The config's spec, with m no more than ``MAX_NUMERIC_M``."""
+    spec = serialize.spec_from_config(config)
+    if spec.params.m > MAX_NUMERIC_M:
+        raise ValueError(f"{command} needs m <= MAX_NUMERIC_M = 2**53, beyond which the "
+                         f"m-th roots of unity are not distinct floats; got m = {spec.params.m}")
+    return spec
+
+
 def cmd_act(args) -> int:
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "act")
-    spec = serialize.spec_from_config(config)
+    spec = _numeric_spec(config, "act")
     matrix = serialize.matrix_from_json(_load_json_or_path(args.matrix), "--matrix")
     point = serialize.point_from_json(spec.params, _load_json_or_path(args.point))
     if matrix.shape[0] != spec.params.n:
@@ -250,10 +264,10 @@ def cmd_verify(args) -> int:
     _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
-        specs = [serialize.spec_from_config({**config, **dict(zip(FIELDS, key))})
+        specs = [_numeric_spec({**config, **dict(zip(FIELDS, key))}, "verify")
                  for key in _grid(config)]
     else:
-        specs = [serialize.spec_from_config(config)]
+        specs = [_numeric_spec(config, "verify")]
     reports = run_verifications(specs, trials=trials, seed=seed, tol=tol)
     payload = [r.to_dict() for r in reports]
     _emit(json.dumps(payload if "ranges" in config else payload[0], indent=2) + "\n",

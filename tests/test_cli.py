@@ -1,9 +1,13 @@
 import contextlib
+import csv
+import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _witness_reference as reference
 import hopfact.action
 import hopfact.oracle
 from hopfact import cli, serialize
 from hopfact.cli import ENUMERATE_FORMATS
-from hopfact.action import d_pow
+from hopfact.action import ActionKind, d_pow
 from hopfact.cmatrix import random_unitary
 
 HERE = os.path.dirname(__file__)
@@ -110,6 +115,12 @@ class TestCheck:
         assert second["kernel_element"]["t"] == pytest.approx(2 * np.pi / 10)
         assert elapsed < 1.0
 
+    def test_huge_m_answers(self, tmp_path, capsys):
+        # exact arithmetic takes any m: g = gcd(2, 10^400) = 2 gives the
+        # witness (0, m/2)
+        assert run(["check", "--spec", write_config(tmp_path, dict(DEMO, m=10**400))]) == 1
+        assert json.loads(capsys.readouterr().out)["witness"] == {"ell": 0, "K": 10**400 // 2}
+
 
 class TestEnumerate:
     CONFIG = {"ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 1,
@@ -161,6 +172,89 @@ class TestEnumerate:
             "2 2 type2 p=0 q=0 r=1 effective=False witness=(0,1)\n"
             "3 2 type1 p=0 q=0 r=1 effective=True witness=(,)\n"
             "3 2 type2 p=0 q=0 r=1 effective=True witness=(,)\n")
+
+    # negative p, q and r, and pairs (n, m) with g = gcd(n, m) > 1, whose
+    # witness is (0, m/g)
+    MIXED = {"ranges": {"n_list": [4, 2, 3], "m_list": [6, 1, 2], "p_min": -2, "p_max": 1,
+                        "q_min": -1, "q_max": 1, "r_min": -3, "r_max": 3}}
+
+    def test_csv_equals_csv_writer(self, tmp_path):
+        # the CLI builds its CSV by hand; csv.writer over the search
+        # reference's witnesses must write the same bytes
+        out = tmp_path / "table.csv"
+        assert run(["enumerate", "--spec", write_config(tmp_path, self.MIXED),
+                    "--out", str(out)]) == 0
+        ranges = self.MIXED["ranges"]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(cli.FIELDS)
+        for n, m, kind, p, q, r in itertools.product(
+                sorted(ranges["n_list"]), sorted(ranges["m_list"]), ActionKind,
+                range(ranges["p_min"], ranges["p_max"] + 1),
+                range(ranges["q_min"], ranges["q_max"] + 1),
+                [r for r in range(ranges["r_min"], ranges["r_max"] + 1) if r]):
+            w = reference.find_witness(kind, n, m, p, q, r)
+            writer.writerow((n, m, kind.value, p, q, r, "true", "", "") if w is None else
+                            (n, m, kind.value, p, q, r, "false", w.ell, w.K))
+        text = buf.getvalue()
+        assert text.count("\r\n") == 1 + 3 * 3 * 2 * 4 * 3 * 6
+        assert ",false,0,3\r\n" in text and ",-2,-1,-3,true,," in text
+        assert out.read_bytes() == text.encode("ascii")
+
+    # the enumerate_wide benchmark grid, 80,000 rows, with shuffled lists
+    WIDE = {"ranges": {"n_list": [4, 2, 6, 3, 5], "m_list": [3, 8, 1, 5, 2, 7, 4, 6],
+                       "p_min": -2, "p_max": 2, "q_min": -2, "q_max": 2,
+                       "r_min": -20, "r_max": 20}}
+    # 10,800 rows: json takes about 4x as long a row as csv
+    NARROW = {"ranges": {"n_list": [4, 2, 3], "m_list": [6, 1, 4, 2, 5, 3],
+                         "p_min": -2, "p_max": 2, "q_min": -2, "q_max": 2,
+                         "r_min": -6, "r_max": 6}}
+
+    @pytest.mark.parametrize("grid,fmt,size,digest", [
+        ("WIDE", "csv", 2199712,
+         "96d91d473b36c7d54c94d080275189bf4cf27bc7c24310d7d59a6f48ad3eb0bc"),
+        ("WIDE", "text", 4199664,
+         "a0c816402d0f348478a38091d9afa23990b2f3606bc65851d004256c2bfd5389"),
+        ("NARROW", "json", 1712123,
+         "75fb0a87bf884ea7cb5880334be679bff885ca475d20eb3811f0e88a3534973f"),
+    ])
+    def test_whole_table_pinned(self, tmp_path, grid, fmt, size, digest):
+        # digests of the output when the rows were held in a list and the
+        # CSV went through csv.writer; streaming must not change a byte
+        out = tmp_path / "table"
+        assert run(["enumerate", "--spec", write_config(tmp_path, getattr(self, grid)),
+                    "--format", fmt, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+    # 7,200 rows
+    TRACED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
+                         "q_min": -2, "q_max": 2, "r_min": -6, "r_max": 6}}
+
+    @pytest.mark.parametrize("fmt,most", [("csv", 5.0), ("text", 3.4)])
+    def test_rows_are_not_held(self, tmp_path, fmt, most):
+        # traced peak bytes per output character (Python 3.11): 4.3 (csv)
+        # and 3.2 (text) when each row is dropped once formatted; 6.0 and
+        # 3.6 when the grid tuples are held in a list, 12.7 and 7.2 when the
+        # rows and their witnesses are held too
+        out = tmp_path / "table"
+        argv = ["enumerate", "--spec", write_config(tmp_path, self.TRACED),
+                "--format", fmt, "--out", str(out)]
+        assert run(argv) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / out.stat().st_size < most
+
+    def test_huge_m_answers(self, tmp_path, capsys):
+        # exact arithmetic takes any m; g = gcd(2, 10^400) = 2
+        cfg = {"ranges": dict(self.CONFIG["ranges"], m_list=[10**400], p_max=0, r_max=1)}
+        assert run(["enumerate", "--spec", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"2,{10**400},{kind},0,0,1,false,0,{10**400 // 2}" for kind in ("type1", "type2")]
 
     def test_sorted_and_deterministic(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)
@@ -282,6 +376,19 @@ class TestAct:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert json.loads(capsys.readouterr().out)["raw"] == [[0.0, 2.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**400])
+    def test_m_beyond_the_floats_exit_two(self, tmp_path, monkeypatch, capsys, m):
+        # rejected before the action runs: act would exit 4 if it were called
+        monkeypatch.setattr(cli, "act", None)
+        code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, m=m)),
+                    "--matrix", json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]),
+                    "--point", json.dumps([[1, 0], [0, 0]])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "act needs m <= MAX_NUMERIC_M = 2**53" in captured.err
+        assert f"got m = {m}" in captured.err
 
     def test_non_unitary_exit_two(self, tmp_path):
         code = run(["act", "--spec", write_config(tmp_path, DEMO),
@@ -508,6 +615,20 @@ class TestVerify:
     GRID = {"d": [4, 0],
             "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
                        "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 2}}
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**400])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_m_beyond_the_floats_exit_two(self, tmp_path, monkeypatch, capsys, m, grid):
+        # every spec is checked before any is verified: the verification
+        # would exit 4 if it were called
+        monkeypatch.setattr(cli, "run_verifications", None)
+        cfg = ({"d": [4, 0], "ranges": dict(self.GRID["ranges"], m_list=[1, m])} if grid
+               else dict(DEMO, m=m))
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify needs m <= MAX_NUMERIC_M = 2**53" in captured.err
+        assert f"got m = {m}" in captured.err
 
     @pytest.mark.parametrize("field,value", [
         ("n", 7), ("m", 1), ("kind", "bogus"), ("p", 0), ("q", 0), ("r", 1),
