@@ -16,6 +16,9 @@ assumption.
 leading axes (arrays of t, stacks of B and of vectors), so the oracle
 evaluates many trials in one numpy pass; the single-point entry points
 ``act`` and ``solve_transport`` run the same code without those axes.
+They also take a :class:`SpecStack` in place of one spec: the fields of
+many specs on one manifold, stacked on a spec axis that is the first of
+the leading axes, so that one pass evaluates many specs as well.
 """
 
 import cmath
@@ -24,6 +27,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
@@ -87,6 +91,57 @@ class ActionSpec:
         return float(self.sigma)
 
 
+@dataclass(frozen=True)
+class SpecStack:
+    """The fields the action formula reads of many specs on one manifold,
+    stacked on a leading spec axis.  Passed where one spec goes, the spec
+    axis is the first leading axis of the broadcast inputs: an input that
+    every spec shares has size 1 there, or fewer leading axes."""
+
+    params: HopfParams
+    specs: tuple
+    sigma: np.ndarray       # (S,) each spec's sigma_float
+    nr: np.ndarray          # (S,) n*r as floats
+    conj: np.ndarray        # (S,) True where B enters as its conjugate
+    C: np.ndarray           # (S, n, n)
+    C_inv: np.ndarray       # (S, n, n)
+
+    @classmethod
+    def of(cls, specs) -> "SpecStack":
+        specs = tuple(specs)
+        params = specs[0].params
+        if any(s.params != params for s in specs):
+            raise ValueError("stacked specs must live on one quotient manifold")
+        return cls(params, specs, np.array([s.sigma_float for s in specs]),
+                   np.array([float(params.n * s.r) for s in specs]),
+                   np.array([s.kind is ActionKind.TYPE2 for s in specs]),
+                   np.stack([s.C for s in specs]), np.stack([s.C_inv for s in specs]))
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, index) -> "SpecStack":
+        """The stack of the specs at ``index``, a slice or an array of positions."""
+        specs = self.specs[index] if isinstance(index, slice) else \
+            tuple(self.specs[i] for i in index)
+        return SpecStack(self.params, specs, self.sigma[index], self.nr[index],
+                         self.conj[index], self.C[index], self.C_inv[index])
+
+
+Specs = Union[ActionSpec, SpecStack]
+
+
+def _fields(spec: Specs, ndim: int) -> tuple:
+    """sigma, n*r, conj, C and C^{-1} of ``spec``, shaped to broadcast against
+    ``ndim`` leading axes; a stack's spec axis is the first of them."""
+    if isinstance(spec, ActionSpec):
+        return (spec.sigma_float, spec.params.n * spec.r,
+                np.asarray(spec.kind is ActionKind.TYPE2), spec.C, spec.C_inv)
+    lead = (len(spec),) + (1,) * (ndim - 1)
+    return (spec.sigma.reshape(lead), spec.nr.reshape(lead), spec.conj.reshape(lead),
+            spec.C.reshape(lead + spec.C.shape[1:]), spec.C_inv.reshape(lead + spec.C.shape[1:]))
+
+
 def _replace(spec: ActionSpec, **changes) -> ActionSpec:
     """A copy of ``spec`` with some fields changed and the rest, C and C_inv
     included, carried over.  Nothing is validated again, so a change must
@@ -119,27 +174,32 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _scalar_factor(spec: ActionSpec, t, branch: int = 0):
-    """The scalar e^{i*sigma*t} * d^{n*r*t/(2*pi)}; d_pow is looked up at call
-    time, so a substituted power function reaches every use of the action."""
-    p = spec.params
-    return np.exp(1j * spec.sigma_float * t) * d_pow(p.d, p.n * spec.r * t / TWO_PI, branch)
+def _scalar_factor(spec: Specs, t: np.ndarray, branch: int = 0, ndim: int = None):
+    """The scalar e^{i*sigma*t} * d^{n*r*t/(2*pi)}, t broadcast against
+    ``ndim`` (default t's) leading axes; d_pow is looked up at call time, so
+    a substituted power function reaches every use of the action."""
+    sigma, nr = _fields(spec, t.ndim if ndim is None else ndim)[:2]
+    return np.exp(1j * sigma * t) * d_pow(spec.params.d, nr * t / TWO_PI, branch)
 
 
-def evaluate_formula(spec: ActionSpec, t, B: np.ndarray, vec: np.ndarray,
+def evaluate_formula(spec: Specs, t, B: np.ndarray, vec: np.ndarray,
                      branch: int = 0) -> np.ndarray:
     """Raw action formula for one explicit (t, B) representation of A.
 
     Exposed separately from :func:`act` so that well-definedness and
     power-branch identities can be probed with non-canonical splittings.
-    t (...), B (..., n, n) and vec (..., n) broadcast over leading axes.
+    t (...), B (..., n, n) and vec (..., n) broadcast over leading axes;
+    for a SpecStack the first of those is the spec axis.
     """
-    Bp = B if spec.kind is ActionKind.TYPE1 else np.conj(B)
-    scalar = _scalar_factor(spec, np.asarray(t, dtype=np.float64), branch)
-    return scalar[..., None] * _matvec(spec.C, _matvec(Bp, _matvec(spec.C_inv, vec)))
+    t = np.asarray(t, dtype=np.float64)
+    ndim = max(t.ndim, np.ndim(B) - 2, np.ndim(vec) - 1)
+    _, _, conj, C, C_inv = _fields(spec, ndim)
+    Bp = np.where(conj[..., None, None], np.conj(B), B)
+    scalar = _scalar_factor(spec, t, branch, ndim)
+    return scalar[..., None] * _matvec(C, _matvec(Bp, _matvec(C_inv, vec)))
 
 
-def _apply(spec: ActionSpec, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _apply(spec: Specs, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """The action of the unitaries A (..., n, n) on the vectors vec (..., n)."""
     ue = su_decompose(A)
     return evaluate_formula(spec, ue.t, ue.su_part, vec)
@@ -240,24 +300,21 @@ def _fix_determinant(u: np.ndarray, fixed: np.ndarray) -> np.ndarray:
             + (1.0 / delta - 1.0)[..., None, None] * _outer(q, q)) @ u
 
 
-def _transport(spec: ActionSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _transport(spec: Specs, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unitaries (..., n, n) carrying the vectors z to w (..., n); see
     :func:`solve_transport`."""
-    p = spec.params
-    u = _matvec(spec.C_inv, z)
-    v = _matvec(spec.C_inv, w)
+    ndim = max(z.ndim, w.ndim) - 1
+    _, nr, conj, _, C_inv = _fields(spec, ndim)
+    u = _matvec(C_inv, z)
+    v = _matvec(C_inv, w)
     t = TWO_PI * np.log(np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)) / (
-        p.n * spec.r * math.log(abs(p.d))
+        nr * math.log(abs(spec.params.d))
     )
     target = v / _scalar_factor(spec, t)[..., None]
-    if spec.kind is ActionKind.TYPE1:
-        b0 = _unitary_mapping(u, target)
-        b = _fix_determinant(b0, target)
-    else:
-        # need conj(B) u = target, i.e. B conj(u) = conj(target)
-        b0 = _unitary_mapping(np.conj(u), np.conj(target))
-        b = _fix_determinant(b0, np.conj(target))
-    return np.exp(1j * t)[..., None, None] * b
+    # a conjugated kind needs conj(B) u = target, i.e. B conj(u) = conj(target)
+    x = np.where(conj[..., None], np.conj(u), u)
+    y = np.where(conj[..., None], np.conj(target), target)
+    return np.exp(1j * t)[..., None, None] * _fix_determinant(_unitary_mapping(x, y), y)
 
 
 def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarray:

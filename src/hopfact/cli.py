@@ -49,9 +49,9 @@ COMMAND_FIELDS = {
     "verify": SPEC_FIELDS + ("ranges", "trials", "seed", "tol", "format"),
 }
 CONFIG_FIELDS = COMMAND_FIELDS["verify"]
-# The most rows of a ranges grid.  enumerate makes its rows one at a time, but
-# holds its output text before writing it: a traced peak of about 115 B a row
-# for csv, 165 B for text and 1.8 kB for json.
+# The most rows of a ranges grid.  enumerate makes and formats its rows one at
+# a time, but holds its output text before writing it: a traced peak of about
+# 115 B a row for csv, 165 B for text and 375 B for json.
 MAX_GRID_ROWS = 1_000_000
 # The largest m of act and verify: beyond 2**53 the m-th roots of unity cannot
 # be told apart in floats.  check and enumerate are exact and take any m.
@@ -200,10 +200,14 @@ def cmd_enumerate(args) -> int:
             + ("true,,\r\n" if w is None else f"false,{w.ell},{w.K}\r\n")
             for (n, m, kind, p, q, r), w in rows)
     elif fmt == "json":
-        text = json.dumps([dict(zip(FIELDS, (n, m, kind.value, p, q, r, w is None,
-                                             None if w is None else w.ell,
-                                             None if w is None else w.K)))
-                           for (n, m, kind, p, q, r), w in rows], indent=2) + "\n"
+        # json.dumps(rows, indent=2) of the FIELDS of each row, one row at a time
+        text = "[\n" + ",\n".join(
+            f'  {{\n    "n": {n},\n    "m": {m},\n    "kind": "{kind.value}",\n'
+            f'    "p": {p},\n    "q": {q},\n    "r": {r},\n'
+            + ('    "effective": true,\n    "witness_ell": null,\n    "witness_K": null\n  }'
+               if w is None else
+               f'    "effective": false,\n    "witness_ell": {w.ell},\n    "witness_K": {w.K}\n  }}')
+            for (n, m, kind, p, q, r), w in rows) + "\n]\n"
     else:
         text = "".join(f"{n} {m} {kind.value} p={p} q={q} r={r} effective={w is None} "
                        + ("witness=(,)\n" if w is None else f"witness=({w.ell},{w.K})\n")

@@ -44,6 +44,23 @@ For m = 1 the fraction q/m merges into p, K = 0 and g = 1, so the action
 is effective iff gcd(r, eps + p*n) = 1 (``is_effective_corollary``).  The
 tests compare both functions with the period searches they replace and
 the verdicts with the floating-point kernel scan.
+
+The kernel order.  The trivially acting scalars e^{2*pi*i*j/N} * id,
+N = n*|r|, are the multiples of N/h for h = gcd(A, N), the
+``kernel_order`` of the verdict:
+
+1. Write j = a + |r|*b with 0 <= a < |r| and 0 <= b < n.  The scalar
+   splits as t = 2*pi*a/N and B = e^{2*pi*i*b/n} * id.
+2. Its factor d^(n*r*t/(2*pi)) = d^(sign(r)*a) is a deck element, so the
+   scalar acts trivially iff e^{i*sigma*t} * e^{2*pi*i*eps*b/n} lies in
+   mu_m, where B enters as itself (eps = 1) or conjugated (eps = -1).
+3. m times that phase over 2*pi is (A*a + eps*m*|r|*b)/N, as sigma*m = A,
+   so the condition is A*a + eps*m*|r|*b == 0 (mod N).  As
+   A - eps*m = n*(p*m + q) and n*|r| = N, A*|r|*b == eps*m*|r|*b, so the
+   left side is A*j (mod N): the condition is A*j == 0 (mod N), whose
+   solutions are the multiples of N/h.
+4. h = 1 iff the action is effective: gcd(A, n) = gcd(m, n) because
+   A == eps*m (mod n), so h = 1 iff g = 1 and gcd(A, r) = 1.
 """
 
 import cmath
@@ -75,9 +92,13 @@ class KernelElement:
 
 @dataclass(frozen=True)
 class EffectivenessVerdict:
+    """The verdict, a witness when there is one, and the order h of the
+    group of scalar unitaries that act trivially (h = 1 iff effective)."""
+
     effective: bool
     witness: Optional[KernelWitness] = None
     kernel_element: Optional[KernelElement] = None
+    kernel_order: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -132,14 +153,16 @@ def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:
 
 
 def is_effective(spec: ActionSpec) -> EffectivenessVerdict:
-    """Decide effectiveness exactly; attach a witness when not effective."""
-    witness = find_witness(spec.kind, spec.params.n, spec.params.m,
-                           spec.p, spec.q, spec.r)
+    """Decide effectiveness exactly; attach a witness and the kernel order
+    when not effective."""
+    n, m = spec.params.n, spec.params.m
+    witness = find_witness(spec.kind, n, m, spec.p, spec.q, spec.r)
     if witness is None:
         return EffectivenessVerdict(effective=True)
     element = kernel_witness_element(spec, witness.ell, witness.K)
-    return EffectivenessVerdict(effective=False, witness=witness,
-                                kernel_element=element)
+    h = math.gcd(_congruence_coefficient(spec.kind, n, m, spec.p, spec.q), n * spec.r)
+    return EffectivenessVerdict(effective=False, witness=witness, kernel_element=element,
+                                kernel_order=h)
 
 
 def is_effective_corollary(n: int, p: int, r: int, kind: ActionKind) -> bool:

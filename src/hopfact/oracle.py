@@ -8,27 +8,28 @@ under re-splitting, transitivity, and the two remark identities are checked
 on seeded random samples.  Residuals are orbit distances, i.e. scale-free
 distances in the quotient.
 
-Each check runs its trials as numpy batches, a chunk of trials at a time,
-with the trial index on the leading axis of every array; trial i keeps the
-sample points and the Philox-seeded unitaries it would have alone.
-
 The random inputs depend on n, the trial counts and the seeds, never on the
-rest of the spec.  ``run_verifications`` runs the suite over many specs and
-draws each chunk of trials once for each run of specs of one n: the sample
-points and the e^{it} B splittings of the seeded unitaries and of the group
-law's products are kept, as read-only arrays, in small caches that hold the
-draws of one n and are emptied when the call returns.  Outside such a run
-every call draws afresh.
+rest of the spec.  So every check, and the kernel probe, takes a
+:class:`~hopfact.action.SpecStack` of specs on one manifold as well as a
+single spec: it draws a chunk of trials, splits its unitaries as e^{it} B,
+and then evaluates all the specs of the stack on them in numpy passes, with
+the specs on a leading axis before the trial axes.  Trial i keeps the
+sample points and the Philox-seeded unitaries it would have alone, in any
+chunk and beside any other specs.  ``run_verifications`` runs the suite on
+one stack for each run of consecutive specs on one manifold, so each draw
+is made once for the run by construction; nothing is kept from one call to
+the next.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import wraps
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
-from .action import (ActionKind, ActionSpec, _apply, _replace, _transport, evaluate_formula,
+from .action import (ActionKind, ActionSpec, SpecStack, _apply, _transport, evaluate_formula,
                      type2_as_type1)
 from .cmatrix import TWO_PI, UnitaryElement, _rng, random_unitary, su_decompose
 from .effectiveness import is_effective
@@ -67,12 +68,14 @@ class VerificationReport:
                 "all_passed": self.all_passed}
 
 
-# Check trials are processed in chunks so that the largest complex
-# temporary of one chunk stays near this many bytes; 256 KB runs faster
-# than 1 MB and adds almost nothing to peak memory.  Per trial that
-# temporary is an orbit distance's 3 shells x m rotations x n coordinates
-# (for each of the 5n re-splittings of a well-definedness trial), or an
-# n x n matrix.
+# Checks run in chunks of (spec, trial) pairs so that the largest complex
+# temporary of one chunk stays near this many bytes; 256 KB runs faster than
+# 1 MB and adds almost nothing to peak memory.  Per pair that temporary is an
+# orbit distance's 3 shells x m rotations x n coordinates (for each of the 5n
+# re-splittings of a well-definedness trial, or of the kernel probe's 10
+# samples), or an n x n matrix.  A chunk takes as many trials as fit, and then
+# as many specs as fit beside them; each chunk of trials is drawn once and
+# serves every spec of the stack.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -82,76 +85,46 @@ def _chunk(values_per_item: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * values_per_item))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-# Each cache below keeps at most this many entries.  A point array is cached
-# only up to _CHUNK_BYTES, and every check sizes its chunks by at least n*n
-# complex values per trial, so one split of a chunk (its B stack and its t)
-# takes at most 9/8 * _CHUNK_BYTES (for n <= 128, where one n x n matrix
-# fits in _CHUNK_BYTES).  A group-law entry holds three splits.  The caches
-# together thus hold at most 8 * (1 + 9/8 + 27/8) = 44 times _CHUNK_BYTES
-# (11 MB); the bound is reached only by checks of hundreds of trials or
-# more, whose chunks are full.  Eight entries hold the draws of one spec of
-# the benchmark workloads: seven point arrays and up to five chunks of
-# splits.  A check with more chunks than that simply redraws.
-_SHARED_ENTRIES = 8
-
-
-@functools.lru_cache(maxsize=_SHARED_ENTRIES)
-def _points(n: int, count: int, seed: int, log10_scale: float) -> np.ndarray:
-    """The draw behind :func:`sample_points`."""
-    rng = _rng(seed)
-    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    if log10_scale:
-        v = v * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=(count, 1))
-    return _read_only(v)
-
-
-def _frozen_split(a: np.ndarray) -> UnitaryElement:
-    ue = su_decompose(a)
-    return UnitaryElement(_read_only(ue.t), _read_only(ue.su_part))
-
-
-@functools.lru_cache(maxsize=_SHARED_ENTRIES)
-def _split(n: int, seeds: range) -> UnitaryElement:
-    """The e^{it} B splitting of the unitaries of ``seeds``."""
-    return _frozen_split(random_unitary(n, seeds))
-
-
-@functools.lru_cache(maxsize=_SHARED_ENTRIES)
-def _group_law_splits(n: int, seeds1: range, seeds2: range) -> tuple:
-    """The e^{it} B splittings of the unitaries A1 of ``seeds1``, A2 of
-    ``seeds2`` and their products A1 A2, taken pairwise."""
-    a1, a2 = random_unitary(n, seeds1), random_unitary(n, seeds2)
-    return _frozen_split(a1), _frozen_split(a2), _frozen_split(a1 @ a2)
-
-
-_CACHES = (_points, _split, _group_law_splits)
-# True while run_verifications runs: only then do the caches serve draws, so
-# that a check called on its own keeps no state from one call to the next.
-_in_run = False
-
-
-def _draw(cache, *key):
-    """``cache(*key)`` during a run, a fresh draw outside one."""
-    return cache(*key) if _in_run else cache.__wrapped__(*key)
-
-
 def sample_points(params: HopfParams, count: int, seed: int,
                   log10_scale: float = 0.0) -> np.ndarray:
     """Deterministic nonzero sample vectors, optionally spread in norm, as a
-    read-only (count, n) array."""
-    if 16 * count * params.n > _CHUNK_BYTES:
-        return _points.__wrapped__(params.n, count, seed, log10_scale)
-    return _draw(_points, params.n, count, seed, log10_scale)
+    (count, n) array."""
+    rng = _rng(seed)
+    v = rng.standard_normal((count, params.n)) + 1j * rng.standard_normal((count, params.n))
+    if log10_scale:
+        v = v * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=(count, 1))
+    return v
+
+
+def _shared_split(a: np.ndarray) -> UnitaryElement:
+    """The e^{it} B splitting of unitaries (T, n, n) that every spec of a
+    stack shares: t (1, T) and B (1, T, n, n), with a spec axis of size 1."""
+    ue = su_decompose(a)
+    return UnitaryElement(ue.t[None], ue.su_part[None])
+
+
+def _one_or_many(check):
+    """Let ``check``, which gives one result for each spec of a SpecStack,
+    take a single ActionSpec too and give that spec's result."""
+    @wraps(check)
+    def run(spec, *args, **kwargs):
+        if isinstance(spec, SpecStack):
+            return check(spec, *args, **kwargs)
+        return check(SpecStack.of([spec]), *args, **kwargs)[0]
+    return run
 
 
 # The largest n*|r| the kernel scan factors, by at most 10^6 trial divisions
 # (0.05 s); the sample checks stop passing long before, as phases lose bits.
 MAX_SCAN_ORDER = 10**12
+
+
+def _scan_order(spec: ActionSpec) -> int:
+    """N = n*|r|, the order of the scalars the kernel scan probes."""
+    N = spec.params.n * abs(spec.r)
+    if N > MAX_SCAN_ORDER:
+        raise ValueError(f"n*|r| = {N} exceeds {MAX_SCAN_ORDER}, the most the kernel scan factors")
+    return N
 
 
 def _prime_powers(N: int) -> list:
@@ -169,6 +142,34 @@ def _prime_powers(N: int) -> list:
     return powers
 
 
+def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
+    """The hits of :func:`numeric_kernel_scan` for each spec of the stack.
+    The (spec, probe) rows go through the action in chunks."""
+    if z_samples < 1:
+        raise ValueError("z_samples must be >= 1")
+    p = specs.params
+    orders = [_scan_order(spec) for spec in specs.specs]
+    probes = [[0] + [N // q for q in _prime_powers(N)] for N in orders]
+    counts = [len(js) for js in probes]
+    spec_of, N = np.repeat(np.arange(len(specs)), counts), np.repeat(orders, counts)
+    j = np.concatenate(probes)
+    z = sample_points(p, z_samples, seed)
+    hit = np.empty(len(j), dtype=bool)
+    step = _chunk(z_samples * p.n * max(3 * p.m, p.n))
+    # a power of d beyond the float range gives an inf or NaN distance,
+    # which is never below tol, so numpy's warnings about it are noise
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(j), step):
+            rows = slice(lo, lo + step)
+            scalars = np.exp(2j * math.pi * j[rows] / N[rows])[:, None, None, None] * np.eye(p.n)
+            images = _apply(specs[spec_of[rows]], scalars, z)
+            hit[rows] = (orbit_distance(images, z, p) < tol).all(axis=1)
+    hits = [[] for _ in probes]
+    for i, found in zip(spec_of[hit].tolist(), j[hit].tolist()):
+        hits[i].append(found)
+    return [sorted(h) for h in hits]
+
+
 def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
                         seed: int = 0) -> list:
     """The j, among 0 and N/q for each prime power q | N (N = n*|r|), whose
@@ -176,190 +177,221 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
     within ``tol`` orbit distance of it.  Those scalars form a subgroup mu_h
     (Cauchy: it is nontrivial iff it has an element of prime order), and
     N/q is a hit iff q | h, so these O(log N) probes, acted through the
-    action in one pass, find h.  Returns the hits in sorted order."""
-    if z_samples < 1:
-        raise ValueError("z_samples must be >= 1")
-    p = spec.params
-    N = p.n * abs(spec.r)
-    if N > MAX_SCAN_ORDER:
-        raise ValueError(f"n*|r| = {N} exceeds {MAX_SCAN_ORDER}, the most the kernel scan factors")
-    z = sample_points(p, z_samples, seed)
-    j = np.array([0] + [N // q for q in _prime_powers(N)])
-    scalars = np.exp(2j * math.pi * j / N)[:, None, None, None] * np.eye(p.n)
-    # a power of d beyond the float range gives an inf or NaN distance,
-    # which is never below tol, so numpy's warnings about it are noise
-    with np.errstate(all="ignore"):
-        hit = (orbit_distance(_apply(spec, scalars, z), z, p) < tol).all(axis=1)
-    return sorted(j[hit].tolist())
+    action, find h.  Returns the hits in sorted order."""
+    _scan_order(spec)      # before the stack takes n*r, which may be past the floats
+    return _probe(SpecStack.of([spec]), z_samples, tol, seed)[0]
 
 
-def kernel_scan_agrees(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
-                       seed: int = 0) -> bool:
-    """Exact verdict vs numeric scan: the identity acts trivially, and the
-    trivially acting scalars, the j divisible by s = gcd(N, hits), are the
-    identity alone if the action is effective and else hold the witness."""
+def _agrees(spec: ActionSpec, hits: list) -> bool:
+    """:func:`kernel_scan_agrees` for one spec, given its probe hits."""
     verdict = is_effective(spec)
-    hits = numeric_kernel_scan(spec, z_samples=z_samples, tol=tol, seed=seed)
     if 0 not in hits:
         return False
     r = spec.r
     N = spec.params.n * abs(r)
     s = math.gcd(N, *hits)
+    if N // s != verdict.kernel_order:
+        return False
     if verdict.effective:
-        return s == N
+        return True
     j_w = ((1 if r > 0 else -1) * verdict.witness.ell + verdict.kernel_element.k * abs(r)) % N
     return j_w != 0 and j_w % s == 0
 
 
-def _run_check(name: str, trials: int, chunk: int, tol: float, residuals) -> CheckResult:
-    """Evaluate ``residuals(lo, hi)``, the residuals of trials lo..hi-1, over
-    chunks of ``chunk`` trials.  Overflow and invalid arithmetic are let
-    through as inf and NaN, and any non-finite residual fails the check."""
+@_one_or_many
+def kernel_scan_agrees(specs: SpecStack, z_samples: int = 10, tol: float = 1e-9,
+                       seed: int = 0) -> list:
+    """Exact verdict vs numeric scan: the identity acts trivially, and the
+    trivially acting scalars, the j divisible by s = gcd(N, hits), are
+    N/s = h of them, h the exact kernel order, and hold the exact witness
+    unless the action is effective."""
+    return [_agrees(spec, hits)
+            for spec, hits in zip(specs.specs, _probe(specs, z_samples, tol, seed))]
+
+
+def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int,
+               draw, residuals) -> list:
+    """The check ``name`` on each spec of the stack.  ``draw(lo, hi)`` makes
+    the random inputs of trials lo..hi-1, with a spec axis of size 1, and
+    ``residuals(part, *inputs)`` gives their (specs, trials) residuals for
+    the specs at the slice ``part``.  Each chunk of trials is drawn once and
+    run through chunks of specs; a chunk's largest temporary holds
+    ``values`` complex numbers a (spec, trial) pair.  Overflow and invalid
+    arithmetic are let through as inf and NaN, and any non-finite residual
+    fails its spec's check."""
+    pairs = _chunk(values)
+    trial_step = min(trials, pairs)
+    spec_step = max(1, pairs // trial_step)
+    worst = np.full(len(specs), -np.inf)
+    finite = np.ones(len(specs), dtype=bool)
     with np.errstate(all="ignore"):
-        res = np.concatenate([residuals(lo, min(lo + chunk, trials))
-                              for lo in range(0, trials, chunk)])
-    if not np.isfinite(res).all():
-        return CheckResult(name, trials, None, False)
-    worst = float(res.max())
-    return CheckResult(name, trials, worst, worst < tol)
+        for lo in range(0, trials, trial_step):
+            inputs = draw(lo, min(lo + trial_step, trials))
+            for first in range(0, len(specs), spec_step):
+                part = slice(first, first + spec_step)
+                res = residuals(part, *inputs)
+                finite[part] &= np.isfinite(res).all(axis=1)
+                worst[part] = np.maximum(worst[part], res.max(axis=1))
+    return [CheckResult(name, trials, float(w), float(w) < tol) if ok
+            else CheckResult(name, trials, None, False) for w, ok in zip(worst, finite)]
 
 
-def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
-                     tol: float = 1e-8) -> CheckResult:
+@_one_or_many
+def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
+                     tol: float = 1e-8) -> list:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
-    p = spec.params
+    p = specs.params
     z = sample_points(p, trials, seed)
     first = seed * 1_000_003
 
-    def residuals(lo, hi):
-        a1, a2, a12 = _draw(_group_law_splits, p.n, range(first + 2 * lo, first + 2 * hi, 2),
-                            range(first + 2 * lo + 1, first + 2 * hi, 2))
-        lhs = evaluate_formula(spec, a12.t, a12.su_part, z[lo:hi])
-        rhs = evaluate_formula(spec, a1.t, a1.su_part,
-                               evaluate_formula(spec, a2.t, a2.su_part, z[lo:hi]))
+    def draw(lo, hi):
+        a1 = random_unitary(p.n, range(first + 2 * lo, first + 2 * hi, 2))
+        a2 = random_unitary(p.n, range(first + 2 * lo + 1, first + 2 * hi, 2))
+        return _shared_split(a1), _shared_split(a2), _shared_split(a1 @ a2), z[None, lo:hi]
+
+    def residuals(part, a1, a2, a12, zc):
+        stack = specs[part]
+        lhs = evaluate_formula(stack, a12.t, a12.su_part, zc)
+        rhs = evaluate_formula(stack, a1.t, a1.su_part,
+                               evaluate_formula(stack, a2.t, a2.su_part, zc))
         return orbit_distance(lhs, rhs, p)
 
-    return _run_check("group_law", trials, _chunk(p.n * max(3 * p.m, p.n)), tol, residuals)
+    return _run_check("group_law", specs, trials, tol, p.n * max(3 * p.m, p.n),
+                      draw, residuals)
 
 
-def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
-                            tol: float = 1e-8) -> CheckResult:
+@_one_or_many
+def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
+                            tol: float = 1e-8) -> list:
     """Re-split A = e^{i(t + 2*pi*k/n + 2*pi*ell)} (e^{-2*pi*i*k/n} B) for
     all k and ell in {-2, ..., 2} and compare the raw formula outputs in
     the quotient."""
-    p = spec.params
+    p = specs.params
     n = p.n
     z = sample_points(p, trials, seed)
     k = np.arange(n)
     ell = np.arange(-2, 3)
 
-    def residuals(lo, hi):
-        ue = _draw(_split, n, range(seed * 999_983 + lo, seed * 999_983 + hi))
-        base = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])           # (T, n)
+    def draw(lo, hi):
+        ue = su_decompose(random_unitary(n, range(seed * 999_983 + lo, seed * 999_983 + hi)))
         t2 = ue.t[:, None, None] + TWO_PI * k[:, None] / n + TWO_PI * ell   # (T, n, 5)
         b2 = (np.exp(-2j * math.pi * k / n)[:, None, None, None]
               * ue.su_part[:, None, None])                                  # (T, n, 1, n, n)
-        shifted = evaluate_formula(spec, t2, b2, z[lo:hi, None, None])      # (T, n, 5, n)
-        return orbit_distance(shifted, base[:, None, None], p).max(axis=(1, 2))
+        return ue.t[None], ue.su_part[None], t2[None], b2[None], z[None, lo:hi]
 
-    return _run_check("well_definedness", trials, _chunk(5 * n * n * max(3 * p.m, n)),
-                      tol, residuals)
+    def residuals(part, t, b, t2, b2, zc):
+        stack = specs[part]
+        base = evaluate_formula(stack, t, b, zc)                            # (S, T, n)
+        shifted = evaluate_formula(stack, t2, b2, zc[:, :, None, None])     # (S, T, n, 5, n)
+        return orbit_distance(shifted, base[:, :, None, None], p).max(axis=(2, 3))
+
+    return _run_check("well_definedness", specs, trials, tol, 5 * n * n * max(3 * p.m, n),
+                      draw, residuals)
 
 
-def verify_transitivity(spec: ActionSpec, trials: int = 200, seed: int = 3,
-                        tol: float = 1e-8, log10_scale: float = 0.0) -> CheckResult:
+@_one_or_many
+def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
+                        tol: float = 1e-8, log10_scale: float = 0.0) -> list:
     """solve_transport round trip: act(A, z) must land on w."""
-    p = spec.params
+    p = specs.params
     zs = sample_points(p, trials, seed)
     ws = sample_points(p, trials, seed + 1, log10_scale=log10_scale)
 
-    def residuals(lo, hi):
-        a = _transport(spec, zs[lo:hi], ws[lo:hi])
-        return orbit_distance(_apply(spec, a, zs[lo:hi]), ws[lo:hi], p)
+    def draw(lo, hi):
+        return zs[None, lo:hi], ws[None, lo:hi]
 
-    return _run_check("transitivity", trials, _chunk(p.n * max(3 * p.m, p.n)), tol, residuals)
+    def residuals(part, zc, wc):
+        stack = specs[part]
+        return orbit_distance(_apply(stack, _transport(stack, zc, wc), zc), wc, p)
+
+    return _run_check("transitivity", specs, trials, tol, p.n * max(3 * p.m, p.n),
+                      draw, residuals)
 
 
-def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
-                        tol: float = 1e-12) -> CheckResult:
+@_one_or_many
+def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
+                        tol: float = 1e-12) -> list:
     """Alternative d^mu branches: evaluating with an extra e^{2*pi*i*mu*L}
     factor and p shifted to p - L*r reproduces the standard evaluation
     exactly, as raw vectors."""
-    p = spec.params
+    p = specs.params
     z = sample_points(p, trials, seed)
-    shifted = {L: _replace(spec, p=spec.p - L * spec.r) for L in range(-2, 3)}
+    # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r off it
+    shifted = {L: replace(specs, sigma=np.array([float(s.sigma - L * p.n * s.r)
+                                                 for s in specs.specs]))
+               for L in range(-2, 3)}
 
-    def residuals(lo, hi):
-        ue = _draw(_split, p.n, range(seed * 7_919 + lo, seed * 7_919 + hi))
-        base = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])
-        alt = np.stack([evaluate_formula(s, ue.t, ue.su_part, z[lo:hi], branch=L)
+    def draw(lo, hi):
+        return _shared_split(random_unitary(p.n, range(seed * 7_919 + lo, seed * 7_919 + hi))), \
+            z[None, lo:hi]
+
+    def residuals(part, ue, zc):
+        base = evaluate_formula(specs[part], ue.t, ue.su_part, zc)
+        alt = np.stack([evaluate_formula(s[part], ue.t, ue.su_part, zc, branch=L)
                         for L, s in shifted.items()])
         return np.linalg.norm(alt - base, axis=-1).max(axis=0) / np.linalg.norm(base, axis=-1)
 
-    return _run_check("power_branch", trials, _chunk(5 * p.n * p.n), tol, residuals)
+    return _run_check("power_branch", specs, trials, tol, 5 * p.n * p.n, draw, residuals)
 
 
-def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
-                  tol: float = 1e-10) -> CheckResult:
+@_one_or_many
+def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
+                  tol: float = 1e-10) -> list:
     """n = 2 only: a Type2 action equals its inner-conjugation Type1 form
     as raw vectors."""
-    if spec.params.n != 2 or spec.kind is not ActionKind.TYPE2:
+    if specs.params.n != 2 or not specs.conj.all():
         raise ValueError("dimtwo identity applies to Type2 actions with n = 2")
-    twin = type2_as_type1(spec)
-    z = sample_points(spec.params, trials, seed)
+    twins = SpecStack.of(type2_as_type1(s) for s in specs.specs)
+    z = sample_points(specs.params, trials, seed)
 
-    def residuals(lo, hi):
-        ue = _draw(_split, 2, range(seed * 104_729 + lo, seed * 104_729 + hi))
-        lhs = evaluate_formula(spec, ue.t, ue.su_part, z[lo:hi])
-        rhs = evaluate_formula(twin, ue.t, ue.su_part, z[lo:hi])
+    def draw(lo, hi):
+        return _shared_split(random_unitary(2, range(seed * 104_729 + lo, seed * 104_729 + hi))), \
+            z[None, lo:hi]
+
+    def residuals(part, ue, zc):
+        lhs = evaluate_formula(specs[part], ue.t, ue.su_part, zc)
+        rhs = evaluate_formula(twins[part], ue.t, ue.su_part, zc)
         return np.linalg.norm(lhs - rhs, axis=-1) / np.linalg.norm(lhs, axis=-1)
 
-    return _run_check("dimtwo", trials, _chunk(4), tol, residuals)
+    return _run_check("dimtwo", specs, trials, tol, 4, draw, residuals)
+
+
+def run_verifications(specs, trials: int = 200, seed: int = 0,
+                      tol: float = 1e-8) -> list:
+    """The complete oracle suite for each spec, in order.  Every n*|r| is
+    checked against the kernel scan's bound before anything is drawn; then
+    each run of consecutive specs on one manifold goes through every check
+    as one stack."""
+    specs = list(specs)
+    for spec in specs:
+        _scan_order(spec)
+    reports = []
+    for p, run in groupby(specs, key=lambda spec: spec.params):
+        stack = SpecStack.of(run)
+        columns = zip(verify_group_law(stack, trials, seed + 1, tol),
+                      verify_well_definedness(stack, max(trials // 4, 1), seed + 2, tol),
+                      verify_transitivity(stack, trials, seed + 3, tol),
+                      verify_power_branch(stack, max(trials // 10, 1), seed + 4, 1e-12))
+        dimtwo = iter([])
+        if p.n == 2 and stack.conj.any():
+            dimtwo = iter(verify_dimtwo(stack[np.flatnonzero(stack.conj)], trials // 2 or 1,
+                                        seed + 5, 1e-10))
+        agrees = kernel_scan_agrees(stack, z_samples=10, tol=1e-9, seed=seed + 6)
+        for spec, checks, agree in zip(stack.specs, columns, agrees):
+            report = VerificationReport(
+                spec_summary={"kind": spec.kind.value, "p": spec.p, "q": spec.q,
+                              "r": spec.r, "n": p.n, "m": p.m,
+                              "d": [p.d.real, p.d.imag]},
+                seed=seed, tol=tol, checks=list(checks))
+            if p.n == 2 and spec.kind is ActionKind.TYPE2:
+                report.checks.append(next(dimtwo))
+            report.checks.append(CheckResult("kernel_scan_agreement", 10,
+                                             0.0 if agree else 1.0, agree))
+            reports.append(report)
+    return reports
 
 
 def run_full_verification(spec: ActionSpec, trials: int = 200, seed: int = 0,
                           tol: float = 1e-8) -> VerificationReport:
     """The complete oracle suite for one action spec."""
-    p = spec.params
-    report = VerificationReport(
-        spec_summary={"kind": spec.kind.value, "p": spec.p, "q": spec.q,
-                      "r": spec.r, "n": p.n, "m": p.m,
-                      "d": [p.d.real, p.d.imag]},
-        seed=seed, tol=tol)
-    # first, so that an n*|r| the scan rejects stops the suite at once
-    agrees = kernel_scan_agrees(spec, z_samples=10, tol=1e-9, seed=seed + 6)
-    report.checks.append(verify_group_law(spec, trials, seed + 1, tol))
-    report.checks.append(verify_well_definedness(spec, max(trials // 4, 1), seed + 2, tol))
-    report.checks.append(verify_transitivity(spec, trials, seed + 3, tol))
-    report.checks.append(verify_power_branch(spec, max(trials // 10, 1), seed + 4, 1e-12))
-    if p.n == 2 and spec.kind is ActionKind.TYPE2:
-        report.checks.append(verify_dimtwo(spec, trials // 2 or 1, seed + 5, 1e-10))
-    report.checks.append(CheckResult("kernel_scan_agreement", 10,
-                                     0.0 if agrees else 1.0, agrees))
-    return report
-
-
-def _empty_caches() -> None:
-    for cache in _CACHES:
-        cache.cache_clear()
-
-
-def run_verifications(specs, trials: int = 200, seed: int = 0,
-                      tol: float = 1e-8) -> list:
-    """``run_full_verification`` of each spec, in order, with the draws that
-    consecutive specs of one n have in common made once.  No draw is of use
-    to another n, so the caches are emptied whenever n changes, and on
-    exit: a run holds the draws of one n at a time, and none outlives it."""
-    global _in_run
-    reports, n = [], None
-    _in_run = True
-    try:
-        for spec in specs:
-            if spec.params.n != n:
-                _empty_caches()
-                n = spec.params.n
-            reports.append(run_full_verification(spec, trials, seed, tol))
-        return reports
-    finally:
-        _in_run = False
-        _empty_caches()
+    return run_verifications([spec], trials, seed, tol)[0]

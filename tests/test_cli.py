@@ -231,12 +231,13 @@ class TestEnumerate:
     TRACED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
                          "q_min": -2, "q_max": 2, "r_min": -6, "r_max": 6}}
 
-    @pytest.mark.parametrize("fmt,most", [("csv", 5.0), ("text", 3.4)])
+    @pytest.mark.parametrize("fmt,most", [("csv", 5.0), ("text", 3.4), ("json", 5.0)])
     def test_rows_are_not_held(self, tmp_path, fmt, most):
-        # traced peak bytes per output character (Python 3.11): 4.3 (csv)
-        # and 3.2 (text) when each row is dropped once formatted; 6.0 and
-        # 3.6 when the grid tuples are held in a list, 12.7 and 7.2 when the
-        # rows and their witnesses are held too
+        # traced peak bytes per output character (Python 3.11): 4.3 (csv),
+        # 3.2 (text) and 2.4 (json) when each row is dropped once formatted;
+        # 6.0 and 3.6 when the grid tuples are held in a list, 12.7 and 7.2
+        # when the rows and their witnesses are held too, and 11.2 for json
+        # when each row is held as a dict for json.dumps
         out = tmp_path / "table"
         argv = ["enumerate", "--spec", write_config(tmp_path, self.TRACED),
                 "--format", fmt, "--out", str(out)]
@@ -553,7 +554,7 @@ class TestVerify:
         def broken(*args, **kwargs):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(hopfact.oracle, "run_full_verification", broken)
+        monkeypatch.setattr(hopfact.oracle, "verify_transitivity", broken)
         assert run(["verify", "--spec", write_config(tmp_path, DEMO)]) == cli.EXIT_INTERNAL == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -563,22 +564,25 @@ class TestVerify:
 
     @pytest.mark.parametrize("fault", [False, True])
     def test_no_draw_outlives_the_command(self, tmp_path, monkeypatch, capsys, fault):
-        # the second spec's transitivity check raises when fault is set,
-        # after the first spec has filled the caches
-        held = []
+        # the oracle keeps no state: after a run of two manifolds, or a fault
+        # in the second one's transitivity check, its globals are as before
+        calls = []
         real = hopfact.oracle.verify_transitivity
 
         def transitivity(*args, **kwargs):
-            held.append(sum(c.cache_info().currsize for c in hopfact.oracle._CACHES))
-            if fault and len(held) == 2:
+            calls.append(len(args[0]))
+            if fault and len(calls) == 2:
                 raise RuntimeError("injected fault")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hopfact.oracle, "verify_transitivity", transitivity)
-        code = run(["verify", "--spec", write_config(tmp_path, self.GRID), "--trials", "5"])
+        before = dict(vars(hopfact.oracle))
+        cfg = {"d": [4, 0], "ranges": dict(self.GRID["ranges"], m_list=[1, 2])}
+        code = run(["verify", "--spec", write_config(tmp_path, cfg), "--trials", "5"])
         assert code == (4 if fault else 0)
-        assert held[1] > 0
-        assert [c.cache_info().currsize for c in hopfact.oracle._CACHES] == [0, 0, 0]
+        assert calls == [4, 4]              # one stack of four specs per manifold
+        assert vars(hopfact.oracle) == before
+        assert not [name for name, value in before.items() if hasattr(value, "cache_info")]
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
         # stdout of the CLI before specs shared their draws (numpy 2.4,

@@ -142,6 +142,25 @@ def test_closed_form_equals_reference_search_on_grid():
     assert checked == 10584 and 0 < witnesses < checked
 
 
+def test_kernel_order_is_one_exactly_when_effective():
+    # h = gcd(A, n*|r|) on grid G divides N = n*|r|, and the witness's scalar
+    # e^{2*pi*i*j_w/N} is among the multiples of N/h; test_oracle checks h
+    # against the loop scan of all N scalars
+    orders = set()
+    for n, m, kind, p, q, r in arithmetic_tuples():
+        verdict = is_effective(make_spec(kind, n, m, p, q, r))
+        h, N = verdict.kernel_order, n * abs(r)
+        assert (h == 1) == verdict.effective, (n, m, kind, p, q, r)
+        assert N % h == 0
+        if not verdict.effective:
+            sign = 1 if r > 0 else -1
+            j_w = (sign * verdict.witness.ell + verdict.kernel_element.k * abs(r)) % N
+            assert j_w % (N // h) == 0 and j_w != 0
+        orders.add(h)
+    # N = n*|r| is at most 12 on grid G; no kernel there has order 5, 7, 10 or 11
+    assert orders == {1, 2, 3, 4, 6, 8, 9, 12}
+
+
 def test_coprimality_necessary():
     for kind, n, m in itertools.product(ActionKind, [2, 3, 4], range(1, 7)):
         if math.gcd(n, m) <= 1:

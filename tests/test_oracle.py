@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +95,7 @@ def assert_probe_matches_reference(spec, seed):
     probed = {N // q % N for q in [1] + _prime_powers(N)}
     assert hits == [j for j in expected if j in probed]
     assert expected == list(range(0, N, math.gcd(N, *hits)))
+    assert len(expected) == is_effective(spec).kernel_order
     return expected
 
 
@@ -153,6 +156,18 @@ def test_scan_agreement_including_witness():
                  make_spec(ActionKind.TYPE2, 3, 4, 2, 1, -2, d=0.5),
                  make_spec(ActionKind.TYPE2, 2, 2, 0, 0, 2)]:
         assert kernel_scan_agrees(spec)
+
+
+def test_scan_agreement_needs_the_exact_kernel_order(monkeypatch):
+    # N = 6 and h = 3: a probe that also found j = 3 would make the whole of
+    # mu_6 act trivially, a kernel too large for the exact order, although
+    # it still holds the witness j_w = 4
+    spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
+    assert is_effective(spec).kernel_order == 3
+    monkeypatch.setattr(hopfact.oracle, "_probe", lambda *args: [[0, 2, 3]])
+    assert not kernel_scan_agrees(spec)
+    monkeypatch.setattr(hopfact.oracle, "_probe", lambda *args: [[0, 2]])
+    assert kernel_scan_agrees(spec)
 
 
 def test_verification_suite_passes_on_demo():
@@ -262,85 +277,99 @@ def test_non_finite_residual_fails_with_no_value():
     assert check.to_dict()["max_residual"] is None
 
 
-def cached_entries():
-    return sum(cache.cache_info().currsize for cache in hopfact.oracle._CACHES)
-
-
-# n 2..4, both kinds, non-identity C, m up to 6 and complex d; runs of one n,
-# and an n that comes back after others
+# n 2..4, both kinds, non-identity C, m up to 6 and complex d, in runs of
+# specs on one manifold: one of them comes back after others, and the runs
+# mix the kinds
 SHARED_SPECS = [
     (ActionKind.TYPE2, 2, 3, 1, 0, 2, 1 + 2j, fixed_C(2)),
-    (ActionKind.TYPE1, 2, 5, -1, 2, 3, 4, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 3, -1, 2, 3, 1 + 2j, None),
+    (ActionKind.TYPE2, 2, 3, 0, 1, -1, 1 + 2j, None),
     (ActionKind.TYPE1, 3, 6, 0, 1, -2, 0.5 + 0.3j, fixed_C(3)),
+    (ActionKind.TYPE2, 3, 6, 1, -1, 1, 0.5 + 0.3j, None),
     (ActionKind.TYPE2, 4, 2, 2, -1, 1, -2, None),
-    (ActionKind.TYPE1, 4, 6, 1, -1, -3, 1 + 2j, fixed_C(4)),
+    (ActionKind.TYPE1, 4, 2, 1, -1, -3, -2, fixed_C(4)),
+    (ActionKind.TYPE1, 2, 3, 2, -2, 1, 1 + 2j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 5, -1, 2, 3, 4, fixed_C(2)),
     (ActionKind.TYPE2, 3, 1, 0, 0, 1, 0.5, None),
-    (ActionKind.TYPE2, 2, 6, 0, 1, -1, 0.5 + 0.3j, None),
 ]
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+def shared_specs():
+    return [ActionSpec(kind, p, q, r, np.eye(n) if C is None else C, HopfParams(d=d, n=n, m=m))
+            for kind, n, m, p, q, r, d, C in SHARED_SPECS]
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096, 1 << 15])
 def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
-    # at 4096 bytes a check spans up to 10 chunks of trials, more than a
-    # cache keeps, so entries are evicted and redrawn mid-run
+    # the specs of a run go through each check as one stack; at the default
+    # chunk size a chunk holds every spec of a run, at 2^15 bytes two specs
+    # of 40 trials or one spec of part of them, and at 4096 bytes one spec
+    # of a few trials
     if chunk_bytes is not None:
         monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
-    draws = []
+    specs = shared_specs()
+    alone = [run_full_verification(spec, trials=40, seed=17) for spec in specs]
+    stacked = run_verifications(specs, trials=40, seed=17)
+    assert [report.to_dict() for report in stacked] == [report.to_dict() for report in alone]
+    assert all(report.all_passed for report in alone)
+    # and the loop reference, up to summation order
+    for spec, report in zip(specs, stacked):
+        want = [_oracle_reference.verify_group_law(spec, 40, 18),
+                _oracle_reference.verify_well_definedness(spec, 10, 19),
+                _oracle_reference.verify_transitivity(spec, 40, 20),
+                _oracle_reference.verify_power_branch(spec, 4, 21, 1e-12)]
+        if spec.params.n == 2 and spec.kind is ActionKind.TYPE2:
+            want.append(_oracle_reference.verify_dimtwo(spec, 20, 22, 1e-10))
+        assert len(report.checks) == len(want) + 1
+        for got, ref in zip(report.checks, want):
+            assert (got.name, got.trials, got.passed) == (ref.name, ref.trials, ref.passed)
+            assert abs(got.max_residual - ref.max_residual) <= 1e-13, got.name
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+def test_each_run_draws_once(monkeypatch, chunk_bytes):
+    # every run of specs on one manifold draws each trial's unitaries and
+    # each point array once, whatever the chunking and however many specs
+    unitaries, points = [], []
 
     def counted(n, seeds):
-        draws.append(len(seeds))
+        unitaries.append(len(seeds))
         return random_unitary(n, seeds)
 
-    monkeypatch.setattr(hopfact.oracle, "random_unitary", counted)
-    specs = [ActionSpec(kind, p, q, r, np.eye(n) if C is None else C, HopfParams(d=d, n=n, m=m))
-             for kind, n, m, p, q, r, d, C in SHARED_SPECS]
-    alone = []
-    for spec in specs:
-        hopfact.oracle._empty_caches()
-        alone.append(run_full_verification(spec, trials=40, seed=17).to_dict())
-    drawn_alone, draws[:] = sum(draws), []
-    shared = run_verifications(specs, trials=40, seed=17)
-    assert [report.to_dict() for report in shared] == alone
-    assert all(report["all_passed"] for report in alone)
-    if chunk_bytes is None:
-        # 40 trials are one chunk of every check, so the second spec of each
-        # run of one n (n = 2, n = 4) draws none of the group law's 2 * 40,
-        # well-definedness's 40 // 4 or power-branch's 40 // 10 unitaries
-        assert sum(draws) == drawn_alone - 2 * (2 * 40 + 40 // 4 + 40 // 10)
-    assert cached_entries() == 0
-
-
-def test_draws_are_cached_only_during_a_run(monkeypatch):
-    # a check called on its own draws its points afresh each time and leaves
-    # the caches empty; in a run the second spec of one n draws none
-    seeds = []
-
     def recorded(seed):
-        seeds.append(seed)
+        points.append(seed)
         return _rng(seed)
 
+    monkeypatch.setattr(hopfact.oracle, "random_unitary", counted)
     monkeypatch.setattr(hopfact.oracle, "_rng", recorded)
-    spec = demo_spec()
-    twin = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
-    expected = [run_full_verification(s, trials=50, seed=3).to_dict() for s in (spec, twin)]
-    assert len(seeds) == 2 * 6 and cached_entries() == 0    # 6 point arrays per spec
-    seeds.clear()
-    assert [r.to_dict() for r in run_verifications([spec, twin], trials=50, seed=3)] == expected
-    assert len(seeds) == 6 and cached_entries() == 0
+    if chunk_bytes is not None:
+        monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
+    specs = shared_specs()
+    run_verifications(specs, trials=40, seed=17)
+    runs = [list(run) for _, run in itertools.groupby(specs, key=lambda spec: spec.params)]
+    assert len(runs) == 6
+    # group law 2 * 40, well-definedness 40 // 4, power branch 40 // 10 and
+    # dimtwo 40 // 2 unitaries; six point arrays, and one more for dimtwo
+    dimtwo = [any(s.params.n == 2 and s.kind is ActionKind.TYPE2 for s in run) for run in runs]
+    assert sum(unitaries) == sum(2 * 40 + 40 // 4 + 40 // 10 + 40 // 2 * d for d in dimtwo)
+    assert len(points) == sum(6 + d for d in dimtwo)
 
 
-def test_cached_draws_are_read_only(monkeypatch):
-    monkeypatch.setattr(hopfact.oracle, "_in_run", True)
-    params = HopfParams(d=4, n=3, m=2)
-    big = hopfact.oracle._CHUNK_BYTES // 16      # too large for the cache
-    split = hopfact.oracle._split(3, range(10, 14))
-    group_law = hopfact.oracle._group_law_splits(3, range(10, 14), range(20, 24))
-    arrays = [sample_points(params, 8, 1), sample_points(params, big, 1, log10_scale=2),
-              split.t, split.su_part] + [a for ue in group_law for a in (ue.t, ue.su_part)]
+def test_memory_of_a_large_run_is_bounded():
+    # 360 specs on one manifold at 40 trials: unchunked, the group law's
+    # orbit distances alone would take 360 * 40 * 3 * 6 * 4 complex values
+    # (16.6 MB); chunked, the traced peak stays near a few chunks and the
+    # stack of C and C^{-1} (184 KB)
+    params = HopfParams(d=0.5 + 0.3j, n=4, m=6)
+    specs = [ActionSpec(kind, p, q, r, fixed_C(4) if p % 2 else np.eye(4), params)
+             for kind in ActionKind for p in range(-2, 3) for q in range(6)
+             for r in (-3, -2, -1, 1, 2, 3)]
+    assert len(specs) == 360
+    tracemalloc.start()
     try:
-        for a in arrays:
-            with pytest.raises(ValueError):
-                a[0] = 0
-        assert hopfact.oracle._points.cache_info().currsize == 1
+        reports = run_verifications(specs, trials=40, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        hopfact.oracle._empty_caches()
+        tracemalloc.stop()
+    assert all(report.all_passed for report in reports)
+    assert peak < 8 * hopfact.oracle._CHUNK_BYTES
