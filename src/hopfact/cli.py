@@ -19,12 +19,12 @@ import math
 import os
 import sys
 import traceback
-from typing import Iterator
+from typing import Iterator, Tuple
 
 from . import serialize
-from .action import ActionKind, act
+from .action import ActionKind, _replace, act
 from .cmatrix import unitarity_residual
-from .effectiveness import find_witness, is_effective
+from .effectiveness import find_witnesses, is_effective
 from .hopf import canonicalize
 from .oracle import run_verifications
 
@@ -49,9 +49,10 @@ COMMAND_FIELDS = {
     "verify": SPEC_FIELDS + ("ranges", "trials", "seed", "tol", "format"),
 }
 CONFIG_FIELDS = COMMAND_FIELDS["verify"]
-# The most rows of a ranges grid.  enumerate makes and formats its rows one at
-# a time, but holds its output text before writing it: a traced peak of about
-# 115 B a row for csv, 165 B for text and 375 B for json.
+# The most rows of a ranges grid.  enumerate makes and formats its rows one
+# grid line at a time, but holds the text of every line and then its output
+# before writing it: a traced peak of about 57 B a row for csv, 107 B for text
+# and 320 B for json, twice the output.
 MAX_GRID_ROWS = 1_000_000
 # The largest m of act and verify: beyond 2**53 the m-th roots of unity cannot
 # be told apart in floats.  check and enumerate are exact and take any m.
@@ -139,10 +140,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.effective else EXIT_NOT_EFFECTIVE
 
 
-def _grid(config: dict) -> Iterator:
-    """The (n, m, kind, p, q, r) tuples of the config's ``ranges``: each
-    once, r = 0 left out, sorted by n, m, kind ("type1" < "type2"), p, q, r.
-    The ranges are checked at the call; the tuples are made as they are read."""
+def _grid(config: dict) -> Tuple[Iterator, list]:
+    """The grid of the config's ``ranges`` as its lines (n, m, kind, p, q),
+    each once and sorted by n, m, kind ("type1" < "type2"), p, q, and the
+    sorted list of its r, r = 0 left out: the grid is every line with every
+    r.  The ranges are checked at the call; the lines are made as they are
+    read."""
     ranges = config.get("ranges")
     if not isinstance(ranges, dict):
         raise ValueError("enumerate requires a 'ranges' object in the config")
@@ -176,43 +179,66 @@ def _grid(config: dict) -> Iterator:
         raise ValueError("empty enumeration ranges")
     if rows > MAX_GRID_ROWS:
         raise ValueError(f"ranges give {rows} rows; a grid may have at most {MAX_GRID_ROWS}")
-    return itertools.product(n_list, m_list, ActionKind, p_vals, q_vals,
-                             [r for r in r_vals if r])
+    return (itertools.product(n_list, m_list, ActionKind, p_vals, q_vals),
+            [r for r in r_vals if r])
 
 
-def _enumerate_rows(config: dict) -> Iterator:
-    """One (key, witness) row per grid tuple, made as it is read; the
-    witness is None when the action is effective.  The grid is checked at
-    the call."""
-    grid = _grid(config)
-    return (((n, m, kind, p, q, r), find_witness(kind, n, m, p, q, r))
-            for n, m, kind, p, q, r in grid)
+def _enumerate_rows(config: dict) -> Tuple[list, Iterator]:
+    """The grid's r list, and one (line, witnesses) pair per grid line,
+    made as it is read: the witnesses of the line's actions for each r in
+    order, None where the action is effective.  The grid is checked at the
+    call."""
+    lines, rs = _grid(config)
+    return rs, (((n, m, kind, p, q), find_witnesses(kind, n, m, p, q, rs))
+                for n, m, kind, p, q in lines)
+
+
+def _table(fmt: str, rs: list, lines: Iterator) -> str:
+    """The enumerate output of the (line, witnesses) pairs.  A row is its
+    line's prefix (n, m, kind, p, q and the name of r), then a tail: r and
+    the verdict.  The tails of effective rows and the start of the others
+    are formatted once for the grid, the prefix once for its line, and a
+    line's rows are joined at once into one string, so no row outlives its
+    line."""
+    if fmt == "csv":
+        # no field is ever quoted: each is an int or a fixed word
+        head, sep, foot = ",".join(FIELDS) + "\r\n", "", ""
+        prefix = "{},{},{},{},{},".format
+        tails = [(f"{r},true,,\r\n", f"{r},false,") for r in rs]
+        wtail = "{},{}\r\n".format
+    elif fmt == "json":
+        # json.dumps(rows, indent=2) of the FIELDS of each row
+        head, sep, foot = "[\n", ",\n", "\n]\n"
+        prefix = ('  {{\n    "n": {},\n    "m": {},\n    "kind": "{}",\n'
+                  '    "p": {},\n    "q": {},\n    "r": ').format
+        tails = [(f'{r},\n    "effective": true,\n    "witness_ell": null,\n'
+                  f'    "witness_K": null\n  }}',
+                  f'{r},\n    "effective": false,\n    "witness_ell": ') for r in rs]
+        wtail = '{},\n    "witness_K": {}\n  }}'.format
+    else:
+        head, sep, foot = "", "", ""
+        prefix = "{} {} {} p={} q={} r=".format
+        tails = [(f"{r} effective=True witness=(,)\n", f"{r} effective=False witness=(")
+                 for r in rs]
+        wtail = "{},{})\n".format
+    # one join of every piece, whose list is freed before the text is
+    # written: joining the lines and then adding head and foot would hold
+    # the text three times over.  A grid has a line, so the last piece is
+    # a separator, which the foot replaces.
+    texts = [head]
+    for (n, m, kind, p, q), witnesses in lines:
+        pre = prefix(n, m, kind.value, p, q)
+        texts += (pre + (sep + pre).join([
+            effective if w is None else witness + wtail(w.ell, w.K)
+            for (effective, witness), w in zip(tails, witnesses)]), sep)
+    texts[-1] = foot
+    return "".join(texts)
 
 
 def cmd_enumerate(args) -> int:
     config = _apply_overrides(_load_config(args), args)
     fmt = _format(config, "enumerate", ENUMERATE_FORMATS)
-    rows = _enumerate_rows(config)
-    if fmt == "csv":
-        # no field is ever quoted: each is an int or a fixed word
-        text = ",".join(FIELDS) + "\r\n" + "".join(
-            f"{n},{m},{kind.value},{p},{q},{r},"
-            + ("true,,\r\n" if w is None else f"false,{w.ell},{w.K}\r\n")
-            for (n, m, kind, p, q, r), w in rows)
-    elif fmt == "json":
-        # json.dumps(rows, indent=2) of the FIELDS of each row, one row at a time
-        text = "[\n" + ",\n".join(
-            f'  {{\n    "n": {n},\n    "m": {m},\n    "kind": "{kind.value}",\n'
-            f'    "p": {p},\n    "q": {q},\n    "r": {r},\n'
-            + ('    "effective": true,\n    "witness_ell": null,\n    "witness_K": null\n  }'
-               if w is None else
-               f'    "effective": false,\n    "witness_ell": {w.ell},\n    "witness_K": {w.K}\n  }}')
-            for (n, m, kind, p, q, r), w in rows) + "\n]\n"
-    else:
-        text = "".join(f"{n} {m} {kind.value} p={p} q={q} r={r} effective={w is None} "
-                       + ("witness=(,)\n" if w is None else f"witness=({w.ell},{w.K})\n")
-                       for (n, m, kind, p, q, r), w in rows)
-    _emit(text, args)
+    _emit(_table(fmt, *_enumerate_rows(config)), args)
     return EXIT_OK
 
 
@@ -268,8 +294,15 @@ def cmd_verify(args) -> int:
     _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
-        specs = [_numeric_spec({**config, **dict(zip(FIELDS, key))}, "verify")
-                 for key in _grid(config)]
+        lines, rs = _grid(config)
+        specs = []
+        for (n, m), group in itertools.groupby(lines, key=lambda line: line[:2]):
+            # the grid has checked p, q and r and left out r = 0, so one spec
+            # checks d, C and m for the manifold and the others copy it
+            base = _numeric_spec({**config, "n": n, "m": m, "kind": "type1",
+                                  "p": 0, "q": 0, "r": rs[0]}, "verify")
+            specs += [_replace(base, kind=kind, p=p, q=q, r=r)
+                      for _, _, kind, p, q in group for r in rs]
     else:
         specs = [_numeric_spec(config, "verify")]
     reports = run_verifications(specs, trials=trials, seed=seed, tol=tol)

@@ -18,6 +18,11 @@ h = gcd(r, A) it is
     g = 1, h = 1:   none; the action is effective
     g = 1, h > 1:   (ell, K) = (|r|/h, (ell*A/r) * n^{-1} mod m)
 
+Of these, g, A and n^{-1} mod m depend only on the grid line
+(kind, n, m, p, q), and only h and ell on r: ``find_witnesses`` computes
+them once per line for a whole list of r, and ``find_witness`` is its
+one-r case.
+
 Proof.
 
 1. At ell = 0, (a) reads m | n*K, that is (m/g) | K, and (b) reads m ∤ K.
@@ -67,7 +72,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from .action import ActionKind, ActionSpec
 from .cmatrix import TWO_PI
@@ -114,22 +119,36 @@ def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) ->
     return n * (p * m + q) + kind.eps * m
 
 
+def find_witnesses(kind: ActionKind, n: int, m: int, p: int, q: int,
+                   rs: Sequence[int]) -> List[Optional[KernelWitness]]:
+    """``find_witness`` for each r of ``rs`` on the line (kind, n, m, p, q),
+    in order.  g, A and n^{-1} mod m are computed once for the line; each r
+    then costs one gcd, and ell and K when h > 1.  The lines with g > 1 share
+    one witness object.  Raises ValueError if ``rs`` holds 0."""
+    if 0 in rs:
+        raise ValueError("r must be nonzero")
+    g = math.gcd(n, m)
+    if g > 1:
+        return [KernelWitness(0, m // g)] * len(rs)
+    acoef = _congruence_coefficient(kind, n, m, p, q)
+    n_inv = pow(n, -1, m)
+    witnesses = []
+    for r in rs:
+        h = math.gcd(r, acoef)
+        if h == 1:
+            witnesses.append(None)
+        else:
+            ell = abs(r) // h
+            witnesses.append(KernelWitness(ell, ell * acoef // r * n_inv % m))
+    return witnesses
+
+
 def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,
                  r: int) -> Optional[KernelWitness]:
     """Smallest (ell, K) in lexicographic order satisfying the kernel
     congruences, or None if the action is effective; the closed form and
     its proof are in the module docstring."""
-    if r == 0:
-        raise ValueError("r must be nonzero")
-    g = math.gcd(n, m)
-    if g > 1:
-        return KernelWitness(0, m // g)
-    acoef = _congruence_coefficient(kind, n, m, p, q)
-    h = math.gcd(r, acoef)
-    if h == 1:
-        return None
-    ell = abs(r) // h
-    return KernelWitness(ell, ell * acoef // r * pow(n, -1, m) % m)
+    return find_witnesses(kind, n, m, p, q, (r,))[0]
 
 
 def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:

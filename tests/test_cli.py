@@ -21,6 +21,7 @@ import hopfact.oracle
 from hopfact import cli, serialize
 from hopfact.cli import ENUMERATE_FORMATS
 from hopfact.action import ActionKind, d_pow
+from hopfact.effectiveness import find_witness
 from hopfact.cmatrix import random_unitary
 
 HERE = os.path.dirname(__file__)
@@ -231,13 +232,15 @@ class TestEnumerate:
     TRACED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
                          "q_min": -2, "q_max": 2, "r_min": -6, "r_max": 6}}
 
-    @pytest.mark.parametrize("fmt,most", [("csv", 5.0), ("text", 3.4), ("json", 5.0)])
+    @pytest.mark.parametrize("fmt,most", [("csv", 3.0), ("text", 2.8), ("json", 3.0)])
     def test_rows_are_not_held(self, tmp_path, fmt, most):
-        # traced peak bytes per output character (Python 3.11): 4.3 (csv),
-        # 3.2 (text) and 2.4 (json) when each row is dropped once formatted;
-        # 6.0 and 3.6 when the grid tuples are held in a list, 12.7 and 7.2
-        # when the rows and their witnesses are held too, and 11.2 for json
-        # when each row is held as a dict for json.dumps
+        # traced peak bytes per output character (Python 3.11): 2.4 (csv),
+        # 2.2 (text) and 2.1 (json) when each grid line's rows are joined
+        # into one string and the lines then into the output; 4.3, 3.2 and
+        # 2.4 when each row was formatted and joined on its own; 6.0 and 3.6
+        # when the grid tuples are held in a list, 12.7 and 7.2 when the rows
+        # and their witnesses are held too, and 11.2 for json when each row
+        # is held as a dict for json.dumps
         out = tmp_path / "table"
         argv = ["enumerate", "--spec", write_config(tmp_path, self.TRACED),
                 "--format", fmt, "--out", str(out)]
@@ -863,6 +866,21 @@ def enumerate_configs(draw):
 
 
 @st.composite
+def wide_enumerate_configs(draw):
+    """A well-formed `enumerate` config whose p, q and r windows start
+    anywhere in -10^30..10^30 and hold at most 4 values each."""
+    ranges = {"n_list": draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)),
+              "m_list": draw(st.lists(st.integers(1, 12) | st.integers(1, 10**30),
+                                      min_size=1, max_size=3))}
+    for name in "pqr":
+        # the scale first, evenly: a plain draw from -10^30..10^30 is mostly small
+        scale = 10 ** draw(st.sampled_from(range(31)))
+        low = draw(st.sampled_from([-1, 1])) * draw(st.integers(scale // 10, scale))
+        ranges[f"{name}_min"], ranges[f"{name}_max"] = low, low + draw(st.integers(0, 3))
+    return {"ranges": ranges, "format": "csv"}
+
+
+@st.composite
 def verify_configs(draw):
     """A well-formed `verify` config of one to three trials, then up to three
     of its fields, the settings included, mutated."""
@@ -919,6 +937,34 @@ def test_enumerate_never_fails_internally(config):
     assert code in (0, 2), err
     if code == 0:
         assert (err, caught) == ("", [])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_enumerate_configs())
+def test_enumerate_rows_equal_find_witness_on_wide_integers(config):
+    # every row is its tuple and that tuple's find_witness, in grid order;
+    # a window holding only r = 0 leaves no row and exits 2
+    ranges = config["ranges"]
+    keys = list(itertools.product(
+        sorted(set(ranges["n_list"])), sorted(set(ranges["m_list"])), ActionKind,
+        *(range(ranges[f"{x}_min"], ranges[f"{x}_max"] + 1) for x in "pq"),
+        [r for r in range(ranges["r_min"], ranges["r_max"] + 1) if r]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["enumerate", "--spec", path])
+    assert code == (0 if keys else 2)
+    rows = out.getvalue().split("\r\n")
+    assert rows[0] == ",".join(cli.FIELDS) if keys else rows == [""]
+    want = []
+    for n, m, kind, p, q, r in keys:
+        w = find_witness(kind, n, m, p, q, r)
+        want.append(f"{n},{m},{kind.value},{p},{q},{r},"
+                    + ("true,," if w is None else f"false,{w.ell},{w.K}"))
+    assert rows[1:-1] == want and rows[-1] == ""
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

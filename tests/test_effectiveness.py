@@ -7,6 +7,7 @@ import pytest
 from hopfact.action import ActionKind, ActionSpec, act
 from hopfact.effectiveness import (
     find_witness,
+    find_witnesses,
     is_effective,
     is_effective_corollary,
     kernel_witness_element,
@@ -14,7 +15,7 @@ from hopfact.effectiveness import (
 from hopfact.hopf import HopfParams, OrbitPoint, orbit_distance
 
 import _witness_reference as reference
-from _grid import arithmetic_tuples
+from _grid import KINDS, M_LIST, N_LIST, P_RANGE, Q_RANGE, R_RANGE, arithmetic_tuples
 
 
 def make_spec(kind, n, m, p, q, r, d=4):
@@ -140,6 +141,64 @@ def test_closed_form_equals_reference_search_on_grid():
         witnesses += closed is not None
     # grid G holds both verdicts in quantity, so equality is not vacuous
     assert checked == 10584 and 0 < witnesses < checked
+
+
+@pytest.mark.parametrize("rs", [R_RANGE, (-3, -2, -1), (2,)], ids=["G", "negative", "one"])
+def test_find_witnesses_equals_find_witness_on_grid_lines(rs):
+    # whole lines (kind, n, m, p, q) of grid G, with g = gcd(n, m) > 1 and = 1
+    shared = coprime = 0
+    for n, m, kind, p, q in itertools.product(N_LIST, M_LIST, KINDS, P_RANGE, Q_RANGE):
+        line = find_witnesses(kind, n, m, p, q, rs)
+        assert line == [find_witness(kind, n, m, p, q, r) for r in rs], (kind, n, m, p, q)
+        assert line == [reference.find_witness(kind, n, m, p, q, r) for r in rs], \
+            (kind, n, m, p, q)
+        if math.gcd(n, m) > 1:
+            shared += 1
+            assert all(w is line[0] for w in line)
+        else:
+            coprime += 1
+    assert shared and coprime
+
+
+def satisfies_congruences(kind, n, m, p, q, r, w):
+    """(a) and (b) of the module docstring for the pair (ell, K) = w."""
+    modulus = abs(r) * m
+    return ((w.ell * (n * (p * m + q) + kind.eps * m) - n * w.K * r) % modulus == 0
+            and (w.ell * (p * m + q) - w.K * r) % modulus != 0)
+
+
+@pytest.mark.parametrize("kind", list(ActionKind))
+@pytest.mark.parametrize("n,m", [(3, 10**400), (2, 10**400), (7, 1), (5, 2**61 - 1)],
+                         ids=["3-1e400", "2-1e400", "7-1", "5-M61"])
+def test_find_witnesses_with_wide_integers(kind, n, m):
+    # |r| near 10^40 and m = 10^400, beyond any search: each witness is
+    # the one find_witness gives alone and satisfies the congruences, and
+    # each effective r has gcd(r, A) = 1 on a line with gcd(n, m) = 1
+    big = 10**40
+    rs = [big, -big, big + 1, -(big + 3), 3 * big // 2, 2**133, -(2**133 - 1)]
+    verdicts = set()
+    for p, q in [(1, 0), (-(10**39), 7), (0, -(10**41)), (2, 1)]:
+        line = find_witnesses(kind, n, m, p, q, rs)
+        assert line == [find_witness(kind, n, m, p, q, r) for r in rs]
+        acoef = n * (p * m + q) + kind.eps * m
+        for r, w in zip(rs, line):
+            if w is None:
+                assert math.gcd(n, m) == math.gcd(r, acoef) == 1, (p, q, r)
+            else:
+                assert satisfies_congruences(kind, n, m, p, q, r, w), (p, q, r, w)
+            verdicts.add("effective" if w is None else "ell > 0" if w.ell else "ell = 0")
+    # the lines with g = 1 hold both verdicts, so the checks are not vacuous
+    assert verdicts == ({"ell = 0"} if math.gcd(n, m) > 1 else {"effective", "ell > 0"})
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+def test_find_witnesses_rejects_zero_r(n, m):
+    for rs in ([0], [1, 0, 2], (-1, 0)):
+        with pytest.raises(ValueError, match="r must be nonzero"):
+            find_witnesses(ActionKind.TYPE1, n, m, 0, 0, rs)
+    with pytest.raises(ValueError, match="r must be nonzero"):
+        find_witness(ActionKind.TYPE1, n, m, 0, 0, 0)
+    assert find_witnesses(ActionKind.TYPE1, n, m, 0, 0, []) == []
 
 
 def test_kernel_order_is_one_exactly_when_effective():
