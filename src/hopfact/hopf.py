@@ -1,10 +1,10 @@
 """The quotient manifold M_d^n/Z_m as a decidable quotient set.
 
 Points are nonzero n-vectors taken modulo the deck group generated by
-z -> d*z and z -> e^{2*pi*i/m} * z.  Equality is decided by a bounded
-search over deck candidates; canonical representatives live in the
-annulus ln||z|| / ln|d| in [0, 1) with a phase normalization for the
-Z_m factor.
+z -> d*z and z -> e^{2*pi*i/m} * z.  Equality is decided on three deck
+candidates, each rotation found in closed form; canonical representatives
+live in the annulus ln||z|| / ln|d| in [0, 1) with a phase normalization
+for the Z_m factor.
 """
 
 import cmath
@@ -62,21 +62,27 @@ class OrbitPoint:
 def orbit_distance(x, y, params: HopfParams):
     """min over deck candidates g of ||x - g*y|| / ||x||.
 
-    Only the modulus-compatible candidate ell* = round(ln(||x||/||y||)/ln|d|)
-    and its two neighbours are searched, each times all m rotations;
-    |d|^ell spacing is exponential, so these cover any small ball.  x and y
-    broadcast over leading axes, one distance per vector pair.  A zero or
-    non-finite norm makes ell* infinite or NaN, and d to that power is NaN,
-    so the distance is NaN, never a number that could pass a tolerance.
+    Only the shell ell* = round(ln(||x||/||y||)/ln|d|) and its two
+    neighbours can be nearest, as |d|^ell spacing is exponential.  On the
+    shell c = d^ell, ||x - zeta*c*y||^2 = ||x||^2 + ||c*y||^2 -
+    2 Re(zeta*c*<x, y>), so the best zeta in mu_m is the m-th root of unity
+    nearest to the phase of conj(c*<x, y>); the distance is then taken
+    directly, as that expansion cancels.  x and y broadcast over leading
+    axes, one distance per vector pair.  A zero or non-finite norm makes
+    ell* infinite or NaN, and d to that power is NaN, so the distance is
+    NaN, never a number that could pass a tolerance.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
     nx = np.linalg.norm(x, axis=-1)
     ell_center = np.rint(np.log(nx / np.linalg.norm(y, axis=-1)) / math.log(abs(params.d)))
-    rots = np.exp(2j * math.pi * np.arange(params.m) / params.m)
-    g = params.d ** (ell_center[..., None] + np.arange(-1.0, 2.0))[..., None] * rots
-    diffs = x[..., None, None, :] - g[..., None] * y[..., None, None, :]
-    return (np.linalg.norm(diffs, axis=-1).min(axis=(-2, -1)) / nx)[()]
+    c = params.d ** (ell_center[..., None] + np.arange(-1.0, 2.0))
+    inner = np.einsum("...i,...i->...", x.conj(), y)[..., None]
+    K = np.rint(-np.angle(c * inner) * (params.m / TWO_PI))     # in [-m/2, m/2]
+    # K mod m, so that zeta is the same float as e^{2*pi*i*K/m}, K = 0..m-1
+    g = c * np.exp(2j * math.pi * np.where(K < 0, K + params.m, K) / params.m)
+    diffs = x[..., None, :] - g[..., None] * y[..., None, :]
+    return (np.linalg.norm(diffs, axis=-1).min(axis=-1) / nx)[()]
 
 
 def deck_equal(z: OrbitPoint, w: OrbitPoint, tol: float = 1e-9) -> bool:

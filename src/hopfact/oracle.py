@@ -71,9 +71,9 @@ class VerificationReport:
 # Checks run in chunks of (spec, trial) pairs so that the largest complex
 # temporary of one chunk stays near this many bytes; 256 KB runs faster than
 # 1 MB and adds almost nothing to peak memory.  Per pair that temporary is an
-# orbit distance's 3 shells x m rotations x n coordinates (for each of the 5n
-# re-splittings of a well-definedness trial, or of the kernel probe's 10
-# samples), or an n x n matrix.  A chunk takes as many trials as fit, and then
+# orbit distance's 3 shells x n coordinates (for each of the 5n re-splittings
+# of a well-definedness trial, or of the kernel probe's 10 samples), or an
+# n x n matrix.  A chunk takes as many trials as fit, and then
 # as many specs as fit beside them; each chunk of trials is drawn once and
 # serves every spec of the stack.
 _CHUNK_BYTES = 1 << 18
@@ -114,16 +114,21 @@ def _one_or_many(check):
     return run
 
 
-# The largest n*|r| the kernel scan factors, by at most 10^6 trial divisions
-# (0.05 s); the sample checks stop passing long before, as phases lose bits.
-MAX_SCAN_ORDER = 10**12
+# The largest n*|r|*m the kernel probe tells apart.  A probe scalar outside
+# the kernel turns the samples by an angle at least 2*pi/(n*|r|*m) away from
+# mu_m, and the probe counts it as trivial below its tol of 1e-9; the bound
+# keeps that angle 10 times the tol.  It also caps the trial divisions that
+# factor n*|r| at about 25,000.
+MAX_PROBE_ORDER = int(TWO_PI / (10 * 1e-9))
 
 
 def _scan_order(spec: ActionSpec) -> int:
     """N = n*|r|, the order of the scalars the kernel scan probes."""
     N = spec.params.n * abs(spec.r)
-    if N > MAX_SCAN_ORDER:
-        raise ValueError(f"n*|r| = {N} exceeds {MAX_SCAN_ORDER}, the most the kernel scan factors")
+    if N * spec.params.m > MAX_PROBE_ORDER:
+        raise ValueError(f"n*|r|*m = {N * spec.params.m} exceeds MAX_PROBE_ORDER = "
+                         f"{MAX_PROBE_ORDER}, beyond which the kernel probe cannot tell a "
+                         f"scalar outside the kernel from one in it")
     return N
 
 
@@ -155,7 +160,7 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
     j = np.concatenate(probes)
     z = sample_points(p, z_samples, seed)
     hit = np.empty(len(j), dtype=bool)
-    step = _chunk(z_samples * p.n * max(3 * p.m, p.n))
+    step = _chunk(z_samples * p.n * max(3, p.n))
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
@@ -256,7 +261,7 @@ def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
                                evaluate_formula(stack, a2.t, a2.su_part, zc))
         return orbit_distance(lhs, rhs, p)
 
-    return _run_check("group_law", specs, trials, tol, p.n * max(3 * p.m, p.n),
+    return _run_check("group_law", specs, trials, tol, p.n * max(3, p.n),
                       draw, residuals)
 
 
@@ -285,7 +290,7 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
         shifted = evaluate_formula(stack, t2, b2, zc[:, :, None, None])     # (S, T, n, 5, n)
         return orbit_distance(shifted, base[:, :, None, None], p).max(axis=(2, 3))
 
-    return _run_check("well_definedness", specs, trials, tol, 5 * n * n * max(3 * p.m, n),
+    return _run_check("well_definedness", specs, trials, tol, 5 * n * n * max(3, n),
                       draw, residuals)
 
 
@@ -304,7 +309,7 @@ def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
         stack = specs[part]
         return orbit_distance(_apply(stack, _transport(stack, zc, wc), zc), wc, p)
 
-    return _run_check("transitivity", specs, trials, tol, p.n * max(3 * p.m, p.n),
+    return _run_check("transitivity", specs, trials, tol, p.n * max(3, p.n),
                       draw, residuals)
 
 
@@ -358,8 +363,8 @@ def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
 
 def run_verifications(specs, trials: int = 200, seed: int = 0,
                       tol: float = 1e-8) -> list:
-    """The complete oracle suite for each spec, in order.  Every n*|r| is
-    checked against the kernel scan's bound before anything is drawn; then
+    """The complete oracle suite for each spec, in order.  Every n*|r|*m is
+    checked against the kernel probe's bound before anything is drawn; then
     each run of consecutive specs on one manifold goes through every check
     as one stack."""
     specs = list(specs)

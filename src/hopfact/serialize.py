@@ -17,10 +17,12 @@ def complex_to_pair(z: complex) -> list:
 
 
 def pair_to_complex(pair) -> complex:
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+    """An [re, im] pair of JSON numbers; bools and strings are rejected."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 \
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
         try:
             return complex(float(pair[0]), float(pair[1]))
-        except (TypeError, OverflowError):
+        except OverflowError:
             pass
     raise ValueError(f"expected an [re, im] pair of numbers, got {pair!r}")
 

@@ -1,7 +1,7 @@
 """Loop reference for the rotation that ``hopf.canonicalize`` applies.
 
-Every K in {0, ..., m - 1} is tried; ``hopf._rotation_index`` must return
-exactly what this does.
+Every K in {0, ..., m - 1} is tried; ``hopf.canonicalize`` must rotate by
+exactly the K that this returns.
 """
 
 import math

@@ -90,6 +90,19 @@ class TestCheck:
         assert captured.out == ""
         assert "C must be a list of rows of [re, im] pairs, got 5" in captured.err
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", ["4", "0"]),
+        ("d", [True, True]),
+        ("C", [[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]),
+        ("C", [[[1, False], [0, 0]], [[0, 0], [1, 0]]]),
+    ])
+    def test_non_number_pair_part_exit_two(self, tmp_path, capsys, field, value):
+        # a pair part must be a JSON number, as an integer field must be an integer
+        assert run(["check", "--spec", write_config(tmp_path, dict(DEMO, **{field: value}))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected an [re, im] pair of numbers" in captured.err
+
     def test_text_format(self, tmp_path, capsys):
         code = run(["check", "--spec", write_config(tmp_path, NOT_EFFECTIVE),
                     "--format", "text"])
@@ -445,6 +458,18 @@ class TestAct:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("matrix,point", [
+        ('[[[1, 0], [0, 0]], [[0, 0], ["1", 0]]]', "[[1, 0], [0, 0]]"),
+        ("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", '[["1", "0"], [true, 0]]'),
+    ])
+    def test_non_number_pair_part_exit_two(self, tmp_path, capsys, matrix, point):
+        code = run(["act", "--spec", write_config(tmp_path, DEMO),
+                    "--matrix", matrix, "--point", point])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected an [re, im] pair of numbers" in captured.err
+
     def test_matrix_from_file(self, tmp_path, capsys):
         mpath = tmp_path / "matrix.json"
         mpath.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
@@ -607,17 +632,54 @@ class TestVerify:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("r", [10**12, 10**400])
-    def test_order_beyond_the_scan_exit_two_at_once(self, tmp_path, capsys, r):
-        # n*|r| = 2r is more than the kernel scan factors; the scan runs
-        # first, so r = 10^400 is rejected before a check can overflow on it
+    def _no_check_runs(self, monkeypatch):
+        # a check or the probe that ran would exit 4
+        for name in ("verify_group_law", "verify_well_definedness", "verify_transitivity",
+                     "verify_power_branch", "verify_dimtwo", "kernel_scan_agrees"):
+            monkeypatch.setattr(hopfact.oracle, name, None)
+
+    @pytest.mark.parametrize("r", [hopfact.oracle.MAX_PROBE_ORDER // 2 + 1, 10**12, 10**400])
+    def test_order_beyond_the_scan_exit_two_at_once(self, tmp_path, monkeypatch, capsys, r):
+        # n*|r|*m = 2r is more than the kernel probe tells apart; the bound
+        # is checked first, so r = 10^400 is rejected before a check can
+        # overflow on it
+        self._no_check_runs(monkeypatch)
         start = time.perf_counter()
         code = run(["verify", "--spec", write_config(tmp_path, dict(DEMO, r=r))])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"n*|r| = {2 * r} exceeds 1000000000000" in captured.err
+        assert f"n*|r|*m = {2 * r} exceeds MAX_PROBE_ORDER = 628318530" in captured.err
+
+    LARGE_M = {"n": 3, "d": [4, 0], "kind": "type1", "p": 0, "q": 0, "r": 3, "trials": 20}
+
+    def test_large_m_costs_no_more(self, tmp_path, capsys):
+        # each orbit distance compares 3 deck candidates whatever m is, so
+        # m = 10^6 takes the time and memory of a small m: a few chunks
+        path = write_config(tmp_path, dict(self.LARGE_M, m=10**6))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run(["verify", "--spec", path])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert elapsed < 2.0
+        assert peak < 4 * hopfact.oracle._CHUNK_BYTES
+
+    def test_m_beyond_the_probe_exit_two_at_once(self, tmp_path, monkeypatch, capsys):
+        # m = 2^53 is a float-exact m, but n*|r|*m is past the probe's bound
+        self._no_check_runs(monkeypatch)
+        start = time.perf_counter()
+        code = run(["verify", "--spec", write_config(tmp_path, dict(self.LARGE_M, m=2**53))])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n*|r|*m = {9 * 2**53} exceeds MAX_PROBE_ORDER = 628318530" in captured.err
 
     GRID = {"d": [4, 0],
             "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,

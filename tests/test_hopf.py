@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _canonical_reference import rotation_index
+from _orbit_reference import orbit_distance as search_distance
 from hopfact.cmatrix import TWO_PI, principal_arg
 from hopfact.hopf import HopfParams, OrbitPoint, canonicalize, deck_equal, orbit_distance
 
@@ -182,3 +183,79 @@ def test_orbit_distance_degenerate_norm_is_nan(d, scale_x, scale_y):
     v = np.array([1.0, 2.0 - 1j])
     with np.errstate(all="ignore"):
         assert math.isnan(orbit_distance(scale_x * v, scale_y * v, p))
+
+
+def assert_equals_search(got, want):
+    """Bit for bit, or NaN where the search is NaN.  The one exception is a
+    near tie of rotations: where the nearest shell scales y by about
+    |d|^-1 = 1e-12, every rotation gives a distance within 1e-11 of 1, the
+    rotations differ there by less than the rounding, and the search keeps
+    the least rounding, so the two may differ by a few ulps."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    tie = np.abs(want - 1.0) < 1e-11
+    assert (same | tie).all(), (got[~(same | tie)], want[~(same | tie)])
+    np.testing.assert_array_max_ulp(got[tie], want[tie], maxulp=4)
+
+
+def orbit_pairs(rng, params, count):
+    """``count`` pairs (x, y) on one orbit up to a relative noise of 0, 1e-12
+    or 1e-6, and ``count`` unrelated pairs."""
+    n, m = params.n, params.m
+    y = rng.standard_normal((2, count, n)) + 1j * rng.standard_normal((2, count, n))
+    ell = rng.integers(-3, 4, (count, 1))
+    K = rng.integers(0, m, (count, 1))
+    noise = rng.choice([0.0, 1e-12, 1e-6], (count, 1)) * rng.standard_normal((count, n))
+    near = params.d ** ell * np.exp(2j * math.pi * K / m) * y[0] * (1 + noise)
+    return np.concatenate([near, rng.standard_normal((count, n))
+                           + 1j * rng.standard_normal((count, n))]), np.concatenate(y)
+
+
+@pytest.mark.parametrize("d", [0.5, 2, 1.1, 1 + 2j, 0.3 + 0.8j, 1e12])
+def test_orbit_distance_equals_the_search(d):
+    # the closed-form rotation of each shell against all m rotations
+    rng = np.random.Generator(np.random.Philox(17))
+    for m in range(1, 61):
+        p = HopfParams(d=d, n=2 + m % 3, m=m)
+        x, y = orbit_pairs(rng, p, 50)
+        assert_equals_search(orbit_distance(x, y, p), search_distance(x, y, p))
+
+
+def test_orbit_distance_equals_the_search_on_stacks():
+    rng = np.random.Generator(np.random.Philox(18))
+    p = HopfParams(d=0.3 + 0.8j, n=3, m=7)
+    x, y = orbit_pairs(rng, p, 60)
+    x, y = x.reshape(4, 3, 10, 3), y[:10]
+    got = orbit_distance(x, y, p)
+    assert got.shape == (4, 3, 10)
+    assert_equals_search(got, search_distance(x, y, p))
+    assert_equals_search(orbit_distance(x[0, 0, 0], y[0], p), search_distance(x[0, 0, 0], y[0], p))
+
+
+@pytest.mark.parametrize("d", [2, 0.5, 1 + 2j, 1e12])
+@pytest.mark.parametrize("scale_x,scale_y", [(1e150, 1e150), (1e-150, 1e-150),
+                                             (1e150, 1e-150), (1e-150, 1e150)])
+def test_orbit_distance_equals_the_search_at_extreme_norms(d, scale_x, scale_y):
+    # d = 1e12 takes some pairs past the float range, where both are NaN
+    rng = np.random.Generator(np.random.Philox(19))
+    for m in (1, 3, 8):
+        p = HopfParams(d=d, n=3, m=m)
+        x, y = orbit_pairs(rng, p, 20)
+        x, y = scale_x * x, scale_y * y
+        with np.errstate(all="ignore"):
+            got, want = orbit_distance(x, y, p), search_distance(x, y, p)
+        assert_equals_search(got, want)
+        assert np.isfinite(want).any()
+
+
+@pytest.mark.parametrize("m", [1, 3, 60])
+def test_orbit_distance_degenerate_norm_stays_nan(m):
+    p = HopfParams(d=0.3 + 0.1j, n=2, m=m)
+    v = np.array([1.0, 2.0 - 1j])
+    with np.errstate(all="ignore"):
+        x = np.array([v, 0 * v, math.inf * v, v, v])
+        y = np.array([0 * v, v, v, math.nan * v, math.inf * v])
+        got, want = orbit_distance(x, y, p), search_distance(x, y, p)
+    assert np.isnan(want).all()
+    assert_equals_search(got, want)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -16,7 +17,7 @@ from hopfact.cmatrix import _rng, random_unitary
 from hopfact.effectiveness import is_effective
 from hopfact.hopf import HopfParams
 from hopfact.oracle import (
-    MAX_SCAN_ORDER,
+    MAX_PROBE_ORDER,
     _prime_powers,
     kernel_scan_agrees,
     numeric_kernel_scan,
@@ -134,10 +135,15 @@ def test_scan_of_large_r_at_once():
     assert 0 in hits
 
 
-def test_scan_rejects_an_order_it_cannot_factor():
-    numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, MAX_SCAN_ORDER // 2))
-    with pytest.raises(ValueError, match="exceeds"):
-        numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, MAX_SCAN_ORDER // 2 + 1))
+def test_scan_rejects_an_order_beyond_the_probe_bound():
+    # the bound is on n*|r|*m: a scalar outside the kernel is at least
+    # 2*pi/(n*|r|*m) from mu_m, and that must stay well above the tol 1e-9
+    assert 10 * 1e-9 * MAX_PROBE_ORDER <= 2 * math.pi
+    r = MAX_PROBE_ORDER // 14
+    numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r))
+    with pytest.raises(ValueError, match=re.escape(f"n*|r|*m = {14 * (r + 1)} exceeds "
+                                                   f"MAX_PROBE_ORDER = {MAX_PROBE_ORDER}")):
+        numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r + 1))
 
 
 def test_scan_runs_through_the_action(monkeypatch):
@@ -357,8 +363,8 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
 
 def test_memory_of_a_large_run_is_bounded():
     # 360 specs on one manifold at 40 trials: unchunked, the group law's
-    # orbit distances alone would take 360 * 40 * 3 * 6 * 4 complex values
-    # (16.6 MB); chunked, the traced peak stays near a few chunks and the
+    # orbit distances alone would take 360 * 40 * 3 * 4 complex values
+    # (2.8 MB); chunked, the traced peak stays near a few chunks and the
     # stack of C and C^{-1} (184 KB)
     params = HopfParams(d=0.5 + 0.3j, n=4, m=6)
     specs = [ActionSpec(kind, p, q, r, fixed_C(4) if p % 2 else np.eye(4), params)
