@@ -23,7 +23,6 @@ the leading axes, so that one pass evaluates many specs as well.
 
 import cmath
 import copy
-import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,16 +37,8 @@ from .cmatrix import (
     random_unitary,
     su_decompose,
 )
+from .effectiveness import ActionKind
 from .hopf import HopfParams, OrbitPoint, deck_equal, orbit_distance
-
-
-class ActionKind(enum.Enum):
-    TYPE1 = "type1"
-    TYPE2 = "type2"
-
-    @property
-    def eps(self) -> int:
-        return 1 if self is ActionKind.TYPE1 else -1
 
 
 # For n = 2 conjugation B -> conj(B) is inner: conj(B) = J B J^{-1} with

@@ -21,12 +21,9 @@ import sys
 import traceback
 from typing import Iterator, Tuple
 
-from . import serialize
-from .action import ActionKind, _replace, act
-from .cmatrix import unitarity_residual
-from .effectiveness import find_witnesses, is_effective
-from .hopf import canonicalize
-from .oracle import run_verifications
+# The exact layer only: check, act and verify import the float layer when
+# they run, so that enumerate never loads numpy.
+from .effectiveness import ActionKind, find_witnesses, is_effective, require_int
 
 EXIT_OK = 0
 EXIT_NOT_EFFECTIVE = 1
@@ -124,6 +121,7 @@ def _no_format(config: dict, command: str) -> None:
 
 
 def cmd_check(args) -> int:
+    from . import serialize
     config = _apply_overrides(_load_config(args), args)
     fmt = _format(config, "check", CHECK_FORMATS)
     spec = serialize.spec_from_config(config)
@@ -155,12 +153,12 @@ def _grid(config: dict) -> Tuple[Iterator, list]:
                              f"remove the config field {name!r}")
 
     def integer(key):
-        return serialize.require_int(ranges[key], key)
+        return require_int(ranges[key], key)
 
     def integer_list(key):
         if not isinstance(ranges[key], list):
             raise ValueError(f"{key} must be a list of integers")
-        return [serialize.require_int(x, f"{key} entry") for x in ranges[key]]
+        return [require_int(x, f"{key} entry") for x in ranges[key]]
 
     try:
         n_list = sorted(set(integer_list("n_list")))
@@ -244,6 +242,7 @@ def cmd_enumerate(args) -> int:
 
 def _numeric_spec(config: dict, command: str):
     """The config's spec, with m no more than ``MAX_NUMERIC_M``."""
+    from . import serialize
     spec = serialize.spec_from_config(config)
     if spec.params.m > MAX_NUMERIC_M:
         raise ValueError(f"{command} needs m <= MAX_NUMERIC_M = 2**53, beyond which the "
@@ -252,6 +251,10 @@ def _numeric_spec(config: dict, command: str):
 
 
 def cmd_act(args) -> int:
+    from . import serialize
+    from .action import act
+    from .cmatrix import unitarity_residual
+    from .hopf import canonicalize
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "act")
     spec = _numeric_spec(config, "act")
@@ -275,8 +278,8 @@ def cmd_act(args) -> int:
 def _verify_settings(config: dict):
     """``trials`` >= 1 and ``seed`` >= 0 as JSON integers, ``tol`` a finite
     positive number; nothing is rounded or converted."""
-    trials = serialize.require_int(config.get("trials", 200), "trials")
-    seed = serialize.require_int(config.get("seed", 0), "seed")
+    trials = require_int(config.get("trials", 200), "trials")
+    seed = require_int(config.get("seed", 0), "seed")
     tol = config.get("tol", 1e-8)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -290,6 +293,8 @@ def _verify_settings(config: dict):
 
 
 def cmd_verify(args) -> int:
+    from .action import _replace
+    from .oracle import run_verifications
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)

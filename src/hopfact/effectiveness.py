@@ -1,5 +1,9 @@
 """Exact effectiveness decision and kernel witnesses.
 
+This is the exact layer, pure integer arithmetic.  ``ActionKind`` is defined
+here (``action`` re-exports it) and so is ``require_int``; the module imports
+nothing of the float layer, so ``enumerate`` runs without numpy.
+
 The existence of a nontrivial kernel element reduces to integer
 congruences: clearing denominators by r*m turns the classification's
 rational-membership conditions into
@@ -69,13 +73,30 @@ N = n*|r|, are the multiples of N/h for h = gcd(A, N), the
 """
 
 import cmath
+import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .action import ActionKind, ActionSpec
-from .cmatrix import TWO_PI
+if TYPE_CHECKING:
+    from .action import ActionSpec
+
+
+class ActionKind(enum.Enum):
+    TYPE1 = "type1"
+    TYPE2 = "type2"
+
+    @property
+    def eps(self) -> int:
+        return 1 if self is ActionKind.TYPE1 else -1
+
+
+def require_int(value, name: str) -> int:
+    """A JSON integer; bools and floats, integral or not, are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -151,7 +172,7 @@ def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,
     return find_witnesses(kind, n, m, p, q, (r,))[0]
 
 
-def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:
+def kernel_witness_element(spec: "ActionSpec", ell: int, K: int) -> KernelElement:
     """The concrete scalar unitary determined by a witness (ell, K).
 
     t = 2*pi*ell/(n*r) and k = -eps*((ell/r)*sigma - n*K/m) reduced mod n;
@@ -166,12 +187,12 @@ def kernel_witness_element(spec: ActionSpec, ell: int, K: int) -> KernelElement:
     if kf.denominator != 1:
         raise ValueError(f"(ell, K) = ({ell}, {K}) violates the kernel congruence")
     k = int(kf) % n
-    # divide the integers first: TWO_PI * ell overflows for |r| beyond 1e308
-    t = TWO_PI * (ell / (n * spec.r))
-    return KernelElement(t=t, k=k, scalar=cmath.exp(1j * (t + TWO_PI * k / n)))
+    # divide the integers first: tau * ell overflows for |r| beyond 1e308
+    t = math.tau * (ell / (n * spec.r))
+    return KernelElement(t=t, k=k, scalar=cmath.exp(1j * (t + math.tau * k / n)))
 
 
-def is_effective(spec: ActionSpec) -> EffectivenessVerdict:
+def is_effective(spec: "ActionSpec") -> EffectivenessVerdict:
     """Decide effectiveness exactly; attach a witness and the kernel order
     when not effective."""
     n, m = spec.params.n, spec.params.m

@@ -114,21 +114,26 @@ def _one_or_many(check):
     return run
 
 
-# The largest n*|r|*m the kernel probe tells apart.  A probe scalar outside
-# the kernel turns the samples by an angle at least 2*pi/(n*|r|*m) away from
-# mu_m, and the probe counts it as trivial below its tol of 1e-9; the bound
-# keeps that angle 10 times the tol.  It also caps the trial divisions that
-# factor n*|r| at about 25,000.
+# The largest n*|r|*m the kernel probe tells apart at the tol of 1e-9 that
+# verify uses.  A probe scalar outside the kernel turns the samples by an
+# angle at least 2*pi/(n*|r|*m) away from mu_m, and the probe counts it as
+# trivial below its tol; the bound 2*pi/(10*tol) keeps that angle 10 times
+# the tol.  At 1e-9 it also caps the trial divisions that factor n*|r| at
+# about 25,000.
 MAX_PROBE_ORDER = int(TWO_PI / (10 * 1e-9))
 
 
-def _scan_order(spec: ActionSpec) -> int:
-    """N = n*|r|, the order of the scalars the kernel scan probes."""
-    N = spec.params.n * abs(spec.r)
-    if N * spec.params.m > MAX_PROBE_ORDER:
-        raise ValueError(f"n*|r|*m = {N * spec.params.m} exceeds MAX_PROBE_ORDER = "
-                         f"{MAX_PROBE_ORDER}, beyond which the kernel probe cannot tell a "
-                         f"scalar outside the kernel from one in it")
+def _scan_order(spec: ActionSpec, tol: float = 1e-9) -> int:
+    """N = n*|r|, the order of the scalars the kernel scan probes at ``tol``."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    N, bound = spec.params.n * abs(spec.r), TWO_PI / (10 * tol)
+    # an int against a float compares exactly, and against inf for a tiny tol
+    if N * spec.params.m > bound:
+        name = "MAX_PROBE_ORDER" if tol == 1e-9 else f"2*pi/(10*tol) at tol = {tol!r}"
+        raise ValueError(f"n*|r|*m = {N * spec.params.m} exceeds {name} = {int(bound)}, "
+                         f"beyond which the kernel probe cannot tell a scalar outside the "
+                         f"kernel from one in it")
     return N
 
 
@@ -153,7 +158,7 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
     if z_samples < 1:
         raise ValueError("z_samples must be >= 1")
     p = specs.params
-    orders = [_scan_order(spec) for spec in specs.specs]
+    orders = [_scan_order(spec, tol) for spec in specs.specs]
     probes = [[0] + [N // q for q in _prime_powers(N)] for N in orders]
     counts = [len(js) for js in probes]
     spec_of, N = np.repeat(np.arange(len(specs)), counts), np.repeat(orders, counts)
@@ -183,7 +188,7 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
     (Cauchy: it is nontrivial iff it has an element of prime order), and
     N/q is a hit iff q | h, so these O(log N) probes, acted through the
     action, find h.  Returns the hits in sorted order."""
-    _scan_order(spec)      # before the stack takes n*r, which may be past the floats
+    _scan_order(spec, tol)     # before the stack takes n*r, which may be past the floats
     return _probe(SpecStack.of([spec]), z_samples, tol, seed)[0]
 
 

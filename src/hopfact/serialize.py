@@ -7,7 +7,8 @@ fields n, m, d, kind, p, q, r and an optional C (default identity).
 
 import numpy as np
 
-from .action import ActionKind, ActionSpec
+from .action import ActionSpec
+from .effectiveness import ActionKind, require_int
 from .hopf import HopfParams, OrbitPoint
 
 
@@ -50,13 +51,6 @@ def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
                          f"{', '.join(map(str, lengths))} entries")
     return np.array([[pair_to_complex(p) for p in row] for row in data],
                     dtype=np.complex128)
-
-
-def require_int(value, name: str) -> int:
-    """A JSON integer; bools and floats, integral or not, are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def params_from_config(config: dict) -> HopfParams:

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -397,7 +399,7 @@ class TestAct:
     @pytest.mark.parametrize("m", [2**53 + 1, 10**400])
     def test_m_beyond_the_floats_exit_two(self, tmp_path, monkeypatch, capsys, m):
         # rejected before the action runs: act would exit 4 if it were called
-        monkeypatch.setattr(cli, "act", None)
+        monkeypatch.setattr(hopfact.action, "act", None)
         code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, m=m)),
                     "--matrix", json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]),
                     "--point", json.dumps([[1, 0], [0, 0]])])
@@ -690,7 +692,7 @@ class TestVerify:
     def test_m_beyond_the_floats_exit_two(self, tmp_path, monkeypatch, capsys, m, grid):
         # every spec is checked before any is verified: the verification
         # would exit 4 if it were called
-        monkeypatch.setattr(cli, "run_verifications", None)
+        monkeypatch.setattr(hopfact.oracle, "run_verifications", None)
         cfg = ({"d": [4, 0], "ranges": dict(self.GRID["ranges"], m_list=[1, m])} if grid
                else dict(DEMO, m=m))
         assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
@@ -1060,3 +1062,58 @@ class TestSchemas:
     def test_bad_pair_rejected(self):
         with pytest.raises(ValueError):
             serialize.pair_to_complex([1, 2, 3])
+
+
+# The float layer: numpy and every hopfact module that imports it.
+FLOAT_MODULES = ("numpy", "hopfact.oracle", "hopfact.action", "hopfact.hopf",
+                 "hopfact.cmatrix", "hopfact.serialize")
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this hopfact; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLayering:
+    """The exact layer and the CLI's start load no numpy; the float
+    subcommands import it when they run."""
+
+    def test_import_loads_no_float_module(self):
+        out = run_fresh("import sys\nimport hopfact.cli\n"
+                        f"print([m for m in {FLOAT_MODULES!r} if m in sys.modules])")
+        assert out == "[]\n"
+
+    def test_package_resolves_its_modules_on_use(self):
+        out = run_fresh("import sys\nimport hopfact\nprint('numpy' in sys.modules)\n"
+                        "print(hopfact.oracle.__name__, 'numpy' in sys.modules)")
+        assert out == "False\nhopfact.oracle True\n"
+
+    @pytest.mark.parametrize("fmt", ENUMERATE_FORMATS)
+    def test_enumerate_loads_no_numpy(self, tmp_path, fmt):
+        spec = write_config(tmp_path, TestEnumerate.PINNED)
+        fresh, here = tmp_path / "fresh.out", tmp_path / "here.out"
+        argv = ["enumerate", "--spec", spec, "--format", fmt, "--out"]
+        out = run_fresh("import sys\nfrom hopfact import cli\n"
+                        f"code = cli.main({argv + [str(fresh)]!r})\n"
+                        "print(code, 'numpy' in sys.modules)")
+        assert out == "0 False\n"
+        assert run(argv + [str(here)]) == 0
+        assert fresh.read_bytes() == here.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["check", "--format", "text"],
+        ["act", "--matrix", json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]),
+         "--point", json.dumps([[1, 0], [0, 0]])],
+        ["verify", "--trials", "2"],
+    ])
+    def test_float_commands_answer_fresh(self, tmp_path, capsys, argv):
+        argv = [argv[0], "--spec", write_config(tmp_path, DEMO)] + argv[1:]
+        out = run_fresh(f"from hopfact import cli\nprint(cli.main({argv!r}))")
+        assert run(argv) == 0
+        assert out == capsys.readouterr().out + "0\n"

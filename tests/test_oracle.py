@@ -146,6 +146,25 @@ def test_scan_rejects_an_order_beyond_the_probe_bound():
         numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r + 1))
 
 
+def test_probe_bound_follows_the_tol():
+    # n*|r|*m = 540,000,009 is inside MAX_PROBE_ORDER, but at tol 1e-6 a
+    # scalar 2*pi/540,000,009 from mu_m passes for trivial (the probe would
+    # report [0, 1, 3]); the bound at a tol is 2*pi/(10*tol)
+    spec = make_spec(ActionKind.TYPE1, 3, 60_000_001, 0, 0, 3)
+    assert numeric_kernel_scan(spec) == [0]
+    message = "n*|r|*m = 540000009 exceeds 2*pi/(10*tol) at tol = 1e-06 = 628318"
+    for check in (numeric_kernel_scan, kernel_scan_agrees):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(spec, tol=1e-6)
+    # 628,318 <= 2*pi/1e-5 < 628,320
+    assert 0 in numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 314_159), tol=1e-6)
+    with pytest.raises(ValueError, match=re.escape("n*|r|*m = 628320 exceeds")):
+        numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 314_160), tol=1e-6)
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            numeric_kernel_scan(demo_spec(), tol=tol)
+
+
 def test_scan_runs_through_the_action(monkeypatch):
     # the scan forms no power of d itself: a d_pow gone bad reaches it, and
     # the exact verdict no longer agrees with it
