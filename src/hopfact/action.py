@@ -17,15 +17,15 @@ leading axes (arrays of t, stacks of B and of vectors), so the oracle
 evaluates many trials in one numpy pass; the single-point entry points
 ``act`` and ``solve_transport`` run the same code without those axes.
 They also take a :class:`SpecStack` in place of one spec: the fields of
-many specs on one manifold, stacked on a spec axis that is the first of
-the leading axes, so that one pass evaluates many specs as well.
+many specs that share d and n (the formula never reads m), stacked on a
+spec axis that is the first of the leading axes, so that one pass
+evaluates many specs as well.
 """
 
 import cmath
 import copy
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -37,7 +37,7 @@ from .cmatrix import (
     random_unitary,
     su_decompose,
 )
-from .effectiveness import ActionKind
+from .effectiveness import ActionKind, _congruence_coefficient
 from .hopf import HopfParams, OrbitPoint, deck_equal, orbit_distance
 
 
@@ -72,22 +72,29 @@ class ActionSpec:
         self.C_inv = np.linalg.inv(self.C)
 
     @property
-    def sigma(self) -> Fraction:
+    def sigma_m(self) -> int:
+        """sigma*m = eps*m + n*(p*m + q), the integer A of the kernel congruences."""
+        return _congruence_coefficient(self.kind, self.params.n, self.params.m, self.p, self.q)
+
+    @property
+    def sigma(self):
         """Exact phase exponent eps + (p + q/m)*n; denominator divides m."""
-        m = self.params.m
-        return Fraction(self.kind.eps * m + self.params.n * (self.p * m + self.q), m)
+        from fractions import Fraction
+        return Fraction(self.sigma_m, self.params.m)
 
     @property
     def sigma_float(self) -> float:
-        return float(self.sigma)
+        # int / int is correctly rounded, so this is float(self.sigma)
+        return self.sigma_m / self.params.m
 
 
 @dataclass(frozen=True)
 class SpecStack:
-    """The fields the action formula reads of many specs on one manifold,
-    stacked on a leading spec axis.  Passed where one spec goes, the spec
-    axis is the first leading axis of the broadcast inputs: an input that
-    every spec shares has size 1 there, or fewer leading axes."""
+    """The fields the action formula reads of many specs that share d and
+    n, stacked on a leading spec axis, and each spec's m for the orbit
+    distance.  Passed where one spec goes, the spec axis is the first
+    leading axis of the broadcast inputs: an input that every spec shares
+    has size 1 there, or fewer leading axes.  ``params`` is the first spec's."""
 
     params: HopfParams
     specs: tuple
@@ -96,17 +103,19 @@ class SpecStack:
     conj: np.ndarray        # (S,) True where B enters as its conjugate
     C: np.ndarray           # (S, n, n)
     C_inv: np.ndarray       # (S, n, n)
+    m: np.ndarray           # (S,) each spec's m as a float
 
     @classmethod
     def of(cls, specs) -> "SpecStack":
         specs = tuple(specs)
         params = specs[0].params
-        if any(s.params != params for s in specs):
-            raise ValueError("stacked specs must live on one quotient manifold")
+        if any(s.params.d != params.d or s.params.n != params.n for s in specs):
+            raise ValueError("stacked specs must share d and n")
         return cls(params, specs, np.array([s.sigma_float for s in specs]),
                    np.array([float(params.n * s.r) for s in specs]),
                    np.array([s.kind is ActionKind.TYPE2 for s in specs]),
-                   np.stack([s.C for s in specs]), np.stack([s.C_inv for s in specs]))
+                   np.stack([s.C for s in specs]), np.stack([s.C_inv for s in specs]),
+                   np.array([float(s.params.m) for s in specs]))
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -116,7 +125,7 @@ class SpecStack:
         specs = self.specs[index] if isinstance(index, slice) else \
             tuple(self.specs[i] for i in index)
         return SpecStack(self.params, specs, self.sigma[index], self.nr[index],
-                         self.conj[index], self.C[index], self.C_inv[index])
+                         self.conj[index], self.C[index], self.C_inv[index], self.m[index])
 
 
 Specs = Union[ActionSpec, SpecStack]

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from typing import Iterator, Tuple
 
 # The exact layer only: check, act and verify import the float layer when
@@ -292,6 +291,27 @@ def _verify_settings(config: dict):
     return trials, seed, tol
 
 
+# json.dumps(report.to_dict(), indent=2) of a VerificationReport: json writes
+# an int with int.__repr__ and a finite float with float.__repr__ (d, tol and
+# a residual are finite), and every string here is a fixed word
+_REPORT = ('{{\n  "spec": {{\n    "kind": "{}",\n    "p": {!r},\n    "q": {!r},\n'
+           '    "r": {!r},\n    "n": {!r},\n    "m": {!r},\n    "d": [\n      {!r},\n'
+           '      {!r}\n    ]\n  }},\n  "seed": {!r},\n  "tol": {!r},\n  "checks": [\n{}\n'
+           '  ],\n  "all_passed": {}\n}}').format
+_CHECK = ('    {{\n      "name": "{}",\n      "trials": {!r},\n      "max_residual": {},\n'
+          '      "pass": {}\n    }}').format
+
+
+def _report_json(report) -> str:
+    """The report as json.dumps(report.to_dict(), indent=2) writes it."""
+    s = report.spec_summary
+    checks = ",\n".join([
+        _CHECK(c.name, c.trials, "null" if c.max_residual is None else repr(c.max_residual),
+               "true" if c.passed else "false") for c in report.checks])
+    return _REPORT(s["kind"], s["p"], s["q"], s["r"], s["n"], s["m"], *s["d"], report.seed,
+                   report.tol, checks, "true" if report.all_passed else "false")
+
+
 def cmd_verify(args) -> int:
     from .action import _replace
     from .oracle import run_verifications
@@ -311,9 +331,14 @@ def cmd_verify(args) -> int:
     else:
         specs = [_numeric_spec(config, "verify")]
     reports = run_verifications(specs, trials=trials, seed=seed, tol=tol)
-    payload = [r.to_dict() for r in reports]
-    _emit(json.dumps(payload if "ranges" in config else payload[0], indent=2) + "\n",
-          args)
+    texts = [_report_json(report) for report in reports]
+    # json.dumps(payload, indent=2): a grid's reports as a list, each nested
+    # two spaces deeper, and a single spec's report as the object itself
+    if "ranges" in config:
+        _emit("[\n  " + ",\n  ".join(text.replace("\n", "\n  ") for text in texts) + "\n]\n",
+              args)
+    else:
+        _emit(texts[0] + "\n", args)
     return EXIT_OK if all(r.all_passed for r in reports) else EXIT_VERIFY_FAILED
 
 
@@ -382,6 +407,7 @@ def main(argv=None) -> int:
         # a fault of the program, not of the input; never exit 1, which
         # means "not effective"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback            # only this path needs it
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -76,7 +76,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -175,18 +174,20 @@ def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,
 def kernel_witness_element(spec: "ActionSpec", ell: int, K: int) -> KernelElement:
     """The concrete scalar unitary determined by a witness (ell, K).
 
-    t = 2*pi*ell/(n*r) and k = -eps*((ell/r)*sigma - n*K/m) reduced mod n;
-    the sign flips between the kinds because the scalar special-unitary
-    part e^{2*pi*i*k/n} id enters the conjugated family through its
-    conjugate.  The k-formula is integral exactly when (ell, K) satisfies
-    the kind's membership congruence, otherwise this raises.
+    t = 2*pi*ell/(n*r) and k = -eps*((ell/r)*sigma - n*K/m) reduced mod n,
+    that is -eps*(ell*A - n*K*r)/(r*m) with A = sigma*m; the sign flips
+    between the kinds because the scalar special-unitary part
+    e^{2*pi*i*k/n} id enters the conjugated family through its conjugate.
+    The k-formula is integral exactly when (ell, K) satisfies the kind's
+    membership congruence, otherwise this raises.
     """
     n = spec.params.n
     m = spec.params.m
-    kf = -spec.kind.eps * (Fraction(ell, spec.r) * spec.sigma - Fraction(n * K, m))
-    if kf.denominator != 1:
+    acoef = _congruence_coefficient(spec.kind, n, m, spec.p, spec.q)
+    quotient, remainder = divmod(ell * acoef - n * K * spec.r, spec.r * m)
+    if remainder:
         raise ValueError(f"(ell, K) = ({ell}, {K}) violates the kernel congruence")
-    k = int(kf) % n
+    k = -spec.kind.eps * quotient % n
     # divide the integers first: tau * ell overflows for |r| beyond 1e308
     t = math.tau * (ell / (n * spec.r))
     return KernelElement(t=t, k=k, scalar=cmath.exp(1j * (t + math.tau * k / n)))

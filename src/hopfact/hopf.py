@@ -59,7 +59,7 @@ class OrbitPoint:
         object.__setattr__(self, "rep", v)
 
 
-def orbit_distance(x, y, params: HopfParams):
+def orbit_distance(x, y, params: HopfParams, m=None):
     """min over deck candidates g of ||x - g*y|| / ||x||.
 
     Only the shell ell* = round(ln(||x||/||y||)/ln|d|) and its two
@@ -67,10 +67,11 @@ def orbit_distance(x, y, params: HopfParams):
     shell c = d^ell, ||x - zeta*c*y||^2 = ||x||^2 + ||c*y||^2 -
     2 Re(zeta*c*<x, y>), so the best zeta in mu_m is the m-th root of unity
     nearest to the phase of conj(c*<x, y>); the distance is then taken
-    directly, as that expansion cancels.  x and y broadcast over leading
-    axes, one distance per vector pair.  A zero or non-finite norm makes
-    ell* infinite or NaN, and d to that power is NaN, so the distance is
-    NaN, never a number that could pass a tolerance.
+    directly, as that expansion cancels.  x, y and ``m`` (default
+    ``params.m``, the m of each pair) broadcast over leading axes, one
+    distance per vector pair.  A zero or non-finite norm makes ell*
+    infinite or NaN, and d to that power is NaN, so the distance is NaN,
+    never a number that could pass a tolerance.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
@@ -78,9 +79,10 @@ def orbit_distance(x, y, params: HopfParams):
     ell_center = np.rint(np.log(nx / np.linalg.norm(y, axis=-1)) / math.log(abs(params.d)))
     c = params.d ** (ell_center[..., None] + np.arange(-1.0, 2.0))
     inner = np.einsum("...i,...i->...", x.conj(), y)[..., None]
-    K = np.rint(-np.angle(c * inner) * (params.m / TWO_PI))     # in [-m/2, m/2]
+    m = np.asarray(params.m if m is None else m, dtype=np.float64)[..., None]
+    K = np.rint(-np.angle(c * inner) * (m / TWO_PI))            # in [-m/2, m/2]
     # K mod m, so that zeta is the same float as e^{2*pi*i*K/m}, K = 0..m-1
-    g = c * np.exp(2j * math.pi * np.where(K < 0, K + params.m, K) / params.m)
+    g = c * np.exp(2j * math.pi * np.where(K < 0, K + m, K) / m)
     diffs = x[..., None, :] - g[..., None] * y[..., None, :]
     return (np.linalg.norm(diffs, axis=-1).min(axis=-1) / nx)[()]
 

@@ -10,15 +10,16 @@ distances in the quotient.
 
 The random inputs depend on n, the trial counts and the seeds, never on the
 rest of the spec.  So every check, and the kernel probe, takes a
-:class:`~hopfact.action.SpecStack` of specs on one manifold as well as a
-single spec: it draws a chunk of trials, splits its unitaries as e^{it} B,
-and then evaluates all the specs of the stack on them in numpy passes, with
-the specs on a leading axis before the trial axes.  Trial i keeps the
-sample points and the Philox-seeded unitaries it would have alone, in any
-chunk and beside any other specs.  ``run_verifications`` runs the suite on
-one stack for each run of consecutive specs on one manifold, so each draw
-is made once for the run by construction; nothing is kept from one call to
-the next.
+:class:`~hopfact.action.SpecStack` of specs that share d and n, whatever
+their m, as well as a single spec: it draws a chunk of trials, splits its
+unitaries as e^{it} B, and then evaluates all the specs of the stack on
+them in numpy passes, with the specs on a leading axis before the trial
+axes; each spec's m reaches the orbit distances on that axis.  Trial i
+keeps the sample points and the Philox-seeded unitaries it would have
+alone, in any chunk and beside any other specs.  ``run_verifications``
+runs the suite on one stack for each run of consecutive specs with equal
+(d, n), so each draw is made once for the run by construction; nothing is
+kept from one call to the next.
 """
 
 import math
@@ -172,8 +173,9 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
         for lo in range(0, len(j), step):
             rows = slice(lo, lo + step)
             scalars = np.exp(2j * math.pi * j[rows] / N[rows])[:, None, None, None] * np.eye(p.n)
-            images = _apply(specs[spec_of[rows]], scalars, z)
-            hit[rows] = (orbit_distance(images, z, p) < tol).all(axis=1)
+            stack = specs[spec_of[rows]]
+            images = _apply(stack, scalars, z)
+            hit[rows] = (orbit_distance(images, z, p, stack.m[:, None]) < tol).all(axis=1)
     hits = [[] for _ in probes]
     for i, found in zip(spec_of[hit].tolist(), j[hit].tolist()):
         hits[i].append(found)
@@ -264,7 +266,7 @@ def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
         lhs = evaluate_formula(stack, a12.t, a12.su_part, zc)
         rhs = evaluate_formula(stack, a1.t, a1.su_part,
                                evaluate_formula(stack, a2.t, a2.su_part, zc))
-        return orbit_distance(lhs, rhs, p)
+        return orbit_distance(lhs, rhs, p, stack.m[:, None])
 
     return _run_check("group_law", specs, trials, tol, p.n * max(3, p.n),
                       draw, residuals)
@@ -293,7 +295,8 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
         stack = specs[part]
         base = evaluate_formula(stack, t, b, zc)                            # (S, T, n)
         shifted = evaluate_formula(stack, t2, b2, zc[:, :, None, None])     # (S, T, n, 5, n)
-        return orbit_distance(shifted, base[:, :, None, None], p).max(axis=(2, 3))
+        return orbit_distance(shifted, base[:, :, None, None], p,
+                              stack.m[:, None, None, None]).max(axis=(2, 3))
 
     return _run_check("well_definedness", specs, trials, tol, 5 * n * n * max(3, n),
                       draw, residuals)
@@ -312,7 +315,8 @@ def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
 
     def residuals(part, zc, wc):
         stack = specs[part]
-        return orbit_distance(_apply(stack, _transport(stack, zc, wc), zc), wc, p)
+        return orbit_distance(_apply(stack, _transport(stack, zc, wc), zc), wc, p,
+                              stack.m[:, None])
 
     return _run_check("transitivity", specs, trials, tol, p.n * max(3, p.n),
                       draw, residuals)
@@ -326,9 +330,11 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
     exactly, as raw vectors."""
     p = specs.params
     z = sample_points(p, trials, seed)
-    # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r off it
-    shifted = {L: replace(specs, sigma=np.array([float(s.sigma - L * p.n * s.r)
-                                                 for s in specs.specs]))
+    # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r
+    # off it, that is (A - L*n*r*m)/m with A = sigma*m, and int / int rounds
+    # that rational correctly, as float() of it would
+    exact = [(s.sigma_m, p.n * s.r * s.params.m, s.params.m) for s in specs.specs]
+    shifted = {L: replace(specs, sigma=np.array([(a - L * nrm) / m for a, nrm, m in exact]))
                for L in range(-2, 3)}
 
     def draw(lo, hi):
@@ -370,24 +376,25 @@ def run_verifications(specs, trials: int = 200, seed: int = 0,
                       tol: float = 1e-8) -> list:
     """The complete oracle suite for each spec, in order.  Every n*|r|*m is
     checked against the kernel probe's bound before anything is drawn; then
-    each run of consecutive specs on one manifold goes through every check
-    as one stack."""
+    each run of consecutive specs with equal d and n, whatever their m,
+    goes through every check as one stack."""
     specs = list(specs)
     for spec in specs:
         _scan_order(spec)
     reports = []
-    for p, run in groupby(specs, key=lambda spec: spec.params):
+    for _, run in groupby(specs, key=lambda spec: (spec.params.d, spec.params.n)):
         stack = SpecStack.of(run)
         columns = zip(verify_group_law(stack, trials, seed + 1, tol),
                       verify_well_definedness(stack, max(trials // 4, 1), seed + 2, tol),
                       verify_transitivity(stack, trials, seed + 3, tol),
                       verify_power_branch(stack, max(trials // 10, 1), seed + 4, 1e-12))
         dimtwo = iter([])
-        if p.n == 2 and stack.conj.any():
+        if stack.params.n == 2 and stack.conj.any():
             dimtwo = iter(verify_dimtwo(stack[np.flatnonzero(stack.conj)], trials // 2 or 1,
                                         seed + 5, 1e-10))
         agrees = kernel_scan_agrees(stack, z_samples=10, tol=1e-9, seed=seed + 6)
         for spec, checks, agree in zip(stack.specs, columns, agrees):
+            p = spec.params
             report = VerificationReport(
                 spec_summary={"kind": spec.kind.value, "p": spec.p, "q": spec.q,
                               "r": spec.r, "n": p.n, "m": p.m,

@@ -25,6 +25,7 @@ from hopfact.cli import ENUMERATE_FORMATS
 from hopfact.action import ActionKind, d_pow
 from hopfact.effectiveness import find_witness
 from hopfact.cmatrix import random_unitary
+from hopfact.oracle import CheckResult, VerificationReport
 
 HERE = os.path.dirname(__file__)
 
@@ -594,8 +595,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("fault", [False, True])
     def test_no_draw_outlives_the_command(self, tmp_path, monkeypatch, capsys, fault):
-        # the oracle keeps no state: after a run of two manifolds, or a fault
-        # in the second one's transitivity check, its globals are as before
+        # the oracle keeps no state: after a run of two n with two m each, or
+        # a fault in the second stack's transitivity check, its globals are
+        # as before
         calls = []
         real = hopfact.oracle.verify_transitivity
 
@@ -607,12 +609,61 @@ class TestVerify:
 
         monkeypatch.setattr(hopfact.oracle, "verify_transitivity", transitivity)
         before = dict(vars(hopfact.oracle))
-        cfg = {"d": [4, 0], "ranges": dict(self.GRID["ranges"], m_list=[1, 2])}
+        cfg = {"d": [4, 0], "ranges": dict(self.GRID["ranges"], n_list=[2, 3], m_list=[1, 2])}
         code = run(["verify", "--spec", write_config(tmp_path, cfg), "--trials", "5"])
         assert code == (4 if fault else 0)
-        assert calls == [4, 4]              # one stack of four specs per manifold
+        assert calls == [8, 8]              # one stack of eight specs per (d, n)
         assert vars(hopfact.oracle) == before
         assert not [name for name, value in before.items() if hasattr(value, "cache_info")]
+
+    # verify configs, each with a piece of text its output must hold
+    WRITTEN = {
+        "null residual": (dict(DEMO, n=3, m=2, p=1, r=5, d=[1e12, 0], trials=4),
+                          '"max_residual": null'),
+        "integer tol": (dict(DEMO, tol=1, trials=3), '\n  "tol": 1,\n'),
+        "negative zero in d": (dict(DEMO, d=[-0.0, -3.0], trials=3), "      -0.0,\n"),
+        "seed near 2**63": (dict(DEMO, seed=2**63 - 1, trials=3), f'"seed": {2**63 - 1},'),
+        "dimtwo": (dict(DEMO, kind="type2", m=3, p=1, d=[1, 2], trials=5),
+                   '"name": "dimtwo"'),
+        "grid": ({"d": [0.5, -0.0], "trials": 3, "seed": 2**63 + 3, "tol": 2,
+                  "ranges": {"n_list": [3, 2], "m_list": [1, 2, 3], "p_min": 0, "p_max": 1,
+                             "q_min": 0, "q_max": 0, "r_min": -1, "r_max": 1}},
+                 '[\n  {\n    "spec": {\n      "kind": "type1",'),
+    }
+
+    @pytest.mark.parametrize("case", WRITTEN)
+    def test_reports_written_as_json_dumps(self, tmp_path, monkeypatch, capsys, case):
+        # the reports' templates give the bytes of json.dumps(payload, indent=2):
+        # one spec as an object, a grid as a list
+        cfg, piece = self.WRITTEN[case]
+        reports = []
+        verify = hopfact.oracle.run_verifications
+
+        def recorded(*args, **kwargs):
+            reports.extend(verify(*args, **kwargs))
+            return reports
+
+        monkeypatch.setattr(hopfact.oracle, "run_verifications", recorded)
+        code = run(["verify", "--spec", write_config(tmp_path, cfg)])
+        assert code == (3 if case == "null residual" else 0)
+        payload = [report.to_dict() for report in reports]
+        out = capsys.readouterr().out
+        assert out == json.dumps(payload if "ranges" in cfg else payload[0], indent=2) + "\n"
+        assert piece in out
+        assert out.startswith("[" if "ranges" in cfg else '{\n  "spec"')
+
+    def test_report_template_takes_any_float(self):
+        # float.__repr__ is json's float text: subnormal, huge and signed values
+        checks = [CheckResult("group_law", 2**70, 5e-324, True),
+                  CheckResult("transitivity", 1, 1.7976931348623157e308, False),
+                  CheckResult("power_branch", 7, -0.0, True),
+                  CheckResult("dimtwo", 3, None, False),
+                  CheckResult("kernel_scan_agreement", 10, 1e16, False)]
+        for tol in (1e-8, 3, 0.1 + 0.2):
+            report = VerificationReport({"kind": "type2", "p": -10**30, "q": 0, "r": -7,
+                                         "n": 2, "m": 2**53, "d": [1e-300, -2.5e300]},
+                                        seed=0, tol=tol, checks=checks)
+            assert cli._report_json(report) == json.dumps(report.to_dict(), indent=2)
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
         # stdout of the CLI before specs shared their draws (numpy 2.4,
@@ -1087,6 +1138,12 @@ class TestLayering:
     def test_import_loads_no_float_module(self):
         out = run_fresh("import sys\nimport hopfact.cli\n"
                         f"print([m for m in {FLOAT_MODULES!r} if m in sys.modules])")
+        assert out == "[]\n"
+
+    def test_import_loads_neither_fractions_nor_traceback(self):
+        # the witness's k is integer arithmetic, and only exit 4 prints a traceback
+        out = run_fresh("import sys\nimport hopfact.cli\n"
+                        "print([m for m in ('fractions', 'traceback') if m in sys.modules])")
         assert out == "[]\n"
 
     def test_package_resolves_its_modules_on_use(self):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +103,58 @@ class TestKernelWitnessElement:
         spec = make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 3)
         with pytest.raises(ValueError):
             kernel_witness_element(spec, 1, 0)
+
+    @staticmethod
+    def assert_k_matches_fractions(spec, ell, K):
+        """k of the pair (ell, K) against -eps*((ell/r)*sigma - n*K/m) mod n
+        in exact rationals; where that is not an integer, the pair must be
+        rejected.  Returns whether it is one."""
+        n, m, eps = spec.params.n, spec.params.m, spec.kind.eps
+        sigma = eps + (spec.p + Fraction(spec.q, m)) * n
+        kf = -eps * (Fraction(ell, spec.r) * sigma - Fraction(n * K, m))
+        if kf.denominator != 1:
+            with pytest.raises(ValueError, match="violates the kernel congruence"):
+                kernel_witness_element(spec, ell, K)
+            return False
+        assert kernel_witness_element(spec, ell, K).k == int(kf) % n, (spec, ell, K)
+        return True
+
+    def test_k_from_integers_equals_fractions_on_grid(self):
+        # the witness of every spec of grid G that has one, and the pairs
+        # (1, 0) and (1, 1), which often violate the congruence
+        integral = violating = 0
+        for n, m, kind, p, q, r in arithmetic_tuples():
+            spec = make_spec(kind, n, m, p, q, r)
+            witness = find_witness(kind, n, m, p, q, r)
+            if witness is not None:
+                assert self.assert_k_matches_fractions(spec, witness.ell, witness.K)
+            for K in (0, 1):
+                if self.assert_k_matches_fractions(spec, 1, K):
+                    integral += 1
+                else:
+                    violating += 1
+        assert integral > 1000 and violating > 1000
+
+    def test_k_from_integers_equals_fractions_at_large_r(self):
+        # |r| up to 10^30, and r a multiple of A = sigma*m half the time, so
+        # that h = gcd(r, A) > 1 and the witness has ell > 0
+        rng = random.Random(2024)
+        found = 0
+        for _ in range(400):
+            kind = rng.choice(list(ActionKind))
+            n, m = rng.randint(2, 9), rng.randint(1, 12)
+            p, q = rng.randint(-50, 50), rng.randint(-50, 50)
+            r = rng.choice([-1, 1]) * rng.randint(1, 10**30)
+            if rng.random() < 0.5:
+                r *= n * (p * m + q) + kind.eps * m or 1
+            witness = find_witness(kind, n, m, p, q, r)
+            if witness is not None:
+                found += 1
+                spec = make_spec(kind, n, m, p, q, r)
+                assert self.assert_k_matches_fractions(spec, witness.ell, witness.K)
+                # ell + 1 satisfies (a) only if |r|*m divides A; it must raise otherwise
+                self.assert_k_matches_fractions(spec, witness.ell + 1, witness.K)
+        assert found > 150
 
     @pytest.mark.parametrize("kind", list(ActionKind))
     def test_witness_elements_act_trivially(self, kind):

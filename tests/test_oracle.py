@@ -302,9 +302,9 @@ def test_non_finite_residual_fails_with_no_value():
     assert check.to_dict()["max_residual"] is None
 
 
-# n 2..4, both kinds, non-identity C, m up to 6 and complex d, in runs of
-# specs on one manifold: one of them comes back after others, and the runs
-# mix the kinds
+# n 2..4, both kinds, non-identity C, m up to 7 and complex d, in runs of
+# specs with equal (d, n): one of them comes back after others, the runs mix
+# the kinds, and the last two each span m = 1, 2, 3 and 7 on one stack
 SHARED_SPECS = [
     (ActionKind.TYPE2, 2, 3, 1, 0, 2, 1 + 2j, fixed_C(2)),
     (ActionKind.TYPE1, 2, 3, -1, 2, 3, 1 + 2j, None),
@@ -316,6 +316,15 @@ SHARED_SPECS = [
     (ActionKind.TYPE1, 2, 3, 2, -2, 1, 1 + 2j, fixed_C(2)),
     (ActionKind.TYPE1, 2, 5, -1, 2, 3, 4, fixed_C(2)),
     (ActionKind.TYPE2, 3, 1, 0, 0, 1, 0.5, None),
+    (ActionKind.TYPE2, 2, 1, 1, 0, 2, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 2, 0, 1, -3, -0.7 + 0.4j, None),
+    (ActionKind.TYPE2, 2, 3, -1, 2, 1, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE2, 2, 7, 2, -3, -2, -0.7 + 0.4j, None),
+    (ActionKind.TYPE1, 2, 7, 1, 5, 3, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE1, 3, 7, 0, 3, 2, 2 - 1j, fixed_C(3)),
+    (ActionKind.TYPE2, 3, 1, 1, 0, -1, 2 - 1j, fixed_C(3)),
+    (ActionKind.TYPE1, 3, 3, -1, 1, 3, 2 - 1j, None),
+    (ActionKind.TYPE2, 3, 2, 0, -1, 2, 2 - 1j, fixed_C(3)),
 ]
 
 
@@ -326,10 +335,10 @@ def shared_specs():
 
 @pytest.mark.parametrize("chunk_bytes", [None, 4096, 1 << 15])
 def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
-    # the specs of a run go through each check as one stack; at the default
-    # chunk size a chunk holds every spec of a run, at 2^15 bytes two specs
-    # of 40 trials or one spec of part of them, and at 4096 bytes one spec
-    # of a few trials
+    # the specs of a run go through each check as one stack, whatever their
+    # m; at the default chunk size a chunk holds every spec of a run, at
+    # 2^15 bytes two specs of 40 trials or one spec of part of them, and at
+    # 4096 bytes one spec of a few trials
     if chunk_bytes is not None:
         monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
     specs = shared_specs()
@@ -353,8 +362,9 @@ def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
 
 @pytest.mark.parametrize("chunk_bytes", [None, 4096])
 def test_each_run_draws_once(monkeypatch, chunk_bytes):
-    # every run of specs on one manifold draws each trial's unitaries and
-    # each point array once, whatever the chunking and however many specs
+    # every run of specs with equal (d, n) draws each trial's unitaries and
+    # each point array once, whatever the chunking, however many specs and
+    # however many m among them
     unitaries, points = [], []
 
     def counted(n, seeds):
@@ -371,8 +381,10 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
         monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
     specs = shared_specs()
     run_verifications(specs, trials=40, seed=17)
-    runs = [list(run) for _, run in itertools.groupby(specs, key=lambda spec: spec.params)]
-    assert len(runs) == 6
+    runs = [list(run) for _, run in itertools.groupby(
+        specs, key=lambda spec: (spec.params.d, spec.params.n))]
+    assert len(runs) == 8
+    assert [sorted({s.params.m for s in run}) for run in runs[-2:]] == [[1, 2, 3, 7]] * 2
     # group law 2 * 40, well-definedness 40 // 4, power branch 40 // 10 and
     # dimtwo 40 // 2 unitaries; six point arrays, and one more for dimtwo
     dimtwo = [any(s.params.n == 2 and s.kind is ActionKind.TYPE2 for s in run) for run in runs]
