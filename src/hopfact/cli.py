@@ -22,7 +22,8 @@ from typing import Iterator, Tuple
 
 # The exact layer only: check, act and verify import the float layer when
 # they run, so that enumerate never loads numpy.
-from .effectiveness import ActionKind, find_witnesses, is_effective, require_int
+from .effectiveness import (ActionKind, find_witnesses, is_effective, line_class,
+                            require_int)
 
 EXIT_OK = 0
 EXIT_NOT_EFFECTIVE = 1
@@ -180,23 +181,15 @@ def _grid(config: dict) -> Tuple[Iterator, list]:
             [r for r in r_vals if r])
 
 
-def _enumerate_rows(config: dict) -> Tuple[list, Iterator]:
-    """The grid's r list, and one (line, witnesses) pair per grid line,
-    made as it is read: the witnesses of the line's actions for each r in
-    order, None where the action is effective.  The grid is checked at the
-    call."""
-    lines, rs = _grid(config)
-    return rs, (((n, m, kind, p, q), find_witnesses(kind, n, m, p, q, rs))
-                for n, m, kind, p, q in lines)
-
-
-def _table(fmt: str, rs: list, lines: Iterator) -> str:
-    """The enumerate output of the (line, witnesses) pairs.  A row is its
-    line's prefix (n, m, kind, p, q and the name of r), then a tail: r and
-    the verdict.  The tails of effective rows and the start of the others
-    are formatted once for the grid, the prefix once for its line, and a
-    line's rows are joined at once into one string, so no row outlives its
-    line."""
+def _table(fmt: str, lines: Iterator, rs: list) -> str:
+    """The enumerate output of the grid lines (n, m, kind, p, q) with every
+    r of ``rs``.  A row is its line's prefix (n, m, kind, p, q and the name
+    of r), then a tail: r and the verdict.  The tails of effective rows and
+    the start of the others are formatted once for the grid.  The lines come
+    in (n, m) blocks; in each block the witnesses and tails are made once
+    per line class (``effectiveness.line_class``) and dropped with the
+    block.  A line's prefix is formatted once and its rows are joined at
+    once into one string, so no row outlives its line."""
     if fmt == "csv":
         # no field is ever quoted: each is an int or a fixed word
         head, sep, foot = ",".join(FIELDS) + "\r\n", "", ""
@@ -223,11 +216,17 @@ def _table(fmt: str, rs: list, lines: Iterator) -> str:
     # the text three times over.  A grid has a line, so the last piece is
     # a separator, which the foot replaces.
     texts = [head]
-    for (n, m, kind, p, q), witnesses in lines:
-        pre = prefix(n, m, kind.value, p, q)
-        texts += (pre + (sep + pre).join([
-            effective if w is None else witness + wtail(w.ell, w.K)
-            for (effective, witness), w in zip(tails, witnesses)]), sep)
+    for (n, m), block in itertools.groupby(lines, key=lambda line: line[:2]):
+        bodies = {}
+        for _, _, kind, p, q in block:
+            key = line_class(kind, n, m, p, q)
+            body = bodies.get(key)
+            if body is None:
+                witnesses = find_witnesses(kind, n, m, p, q, rs)
+                body = bodies[key] = [effective if w is None else witness + wtail(w.ell, w.K)
+                                      for (effective, witness), w in zip(tails, witnesses)]
+            pre = prefix(n, m, kind.value, p, q)
+            texts += (pre + (sep + pre).join(body), sep)
     texts[-1] = foot
     return "".join(texts)
 
@@ -235,7 +234,7 @@ def _table(fmt: str, rs: list, lines: Iterator) -> str:
 def cmd_enumerate(args) -> int:
     config = _apply_overrides(_load_config(args), args)
     fmt = _format(config, "enumerate", ENUMERATE_FORMATS)
-    _emit(_table(fmt, *_enumerate_rows(config)), args)
+    _emit(_table(fmt, *_grid(config)), args)
     return EXIT_OK
 
 

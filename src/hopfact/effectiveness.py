@@ -25,7 +25,10 @@ h = gcd(r, A) it is
 Of these, g, A and n^{-1} mod m depend only on the grid line
 (kind, n, m, p, q), and only h and ell on r: ``find_witnesses`` computes
 them once per line for a whole list of r, and ``find_witness`` is its
-one-r case.
+one-r case.  Beside n and m, a line's witnesses depend on A alone when
+g = 1 and on nothing else when g > 1, so the lines of one (n, m) fall into
+classes (``line_class``) that share every witness: ``enumerate`` decides
+and formats each class once.
 
 Proof.
 
@@ -75,7 +78,6 @@ N = n*|r|, are the multiples of N/h for h = gcd(A, N), the
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -98,32 +100,78 @@ def require_int(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class KernelWitness:
+class _Record:
+    """An immutable record of the fields named in ``__slots__``: equal to a
+    record of its own class with equal fields, hashed and shown as a frozen
+    dataclass would be.  A subclass's ``__init__`` sets each slot once,
+    through the slot's own setter or ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}"
+                            for name, value in zip(self.__slots__, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class KernelWitness(_Record):
     """Lattice coordinates (ell, K) of a nontrivial kernel element."""
 
-    ell: int
-    K: int
+    __slots__ = ("ell", "K")
+
+    def __init__(self, ell: int, K: int):
+        _set_ell(self, ell)
+        _set_K(self, K)
 
 
-@dataclass(frozen=True)
-class KernelElement:
+# find_witnesses makes one witness a row: the slots' setters skip the
+# attribute lookup of object.__setattr__
+_set_ell, _set_K = KernelWitness.ell.__set__, KernelWitness.K.__set__
+
+
+class KernelElement(_Record):
     """A scalar unitary e^{i(t + 2*pi*k/n)} * id acting trivially."""
 
-    t: float
-    k: int
-    scalar: complex
+    __slots__ = ("t", "k", "scalar")
+
+    def __init__(self, t: float, k: int, scalar: complex):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "scalar", scalar)
 
 
-@dataclass(frozen=True)
-class EffectivenessVerdict:
+class EffectivenessVerdict(_Record):
     """The verdict, a witness when there is one, and the order h of the
     group of scalar unitaries that act trivially (h = 1 iff effective)."""
 
-    effective: bool
-    witness: Optional[KernelWitness] = None
-    kernel_element: Optional[KernelElement] = None
-    kernel_order: int = 1
+    __slots__ = ("effective", "witness", "kernel_element", "kernel_order")
+
+    def __init__(self, effective: bool, witness: Optional[KernelWitness] = None,
+                 kernel_element: Optional[KernelElement] = None, kernel_order: int = 1):
+        object.__setattr__(self, "effective", effective)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "kernel_element", kernel_element)
+        object.__setattr__(self, "kernel_order", kernel_order)
 
     def to_dict(self) -> dict:
         return {
@@ -161,6 +209,15 @@ def find_witnesses(kind: ActionKind, n: int, m: int, p: int, q: int,
             ell = abs(r) // h
             witnesses.append(KernelWitness(ell, ell * acoef // r * n_inv % m))
     return witnesses
+
+
+def line_class(kind: ActionKind, n: int, m: int, p: int, q: int) -> Optional[int]:
+    """The class of the grid line (kind, n, m, p, q): two lines of equal n,
+    m and class have equal ``find_witnesses`` for every list of r.  It is
+    None when gcd(n, m) > 1, where every r has the witness (0, m/g), and A
+    otherwise, the only part of the line beside n and m that the witnesses
+    read."""
+    return None if math.gcd(n, m) > 1 else _congruence_coefficient(kind, n, m, p, q)
 
 
 def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,

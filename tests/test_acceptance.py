@@ -4,7 +4,8 @@ Each test prints one PASS line with the measured evidence; criteria with a
 stated runtime budget assert the elapsed time as well.  The kernel-scan
 criterion runs on the documented reduced grid (|p|, |q|, |r| <= 2, single
 d = 4) by default; set HOPFACT_FULL_GRID=1 to run it on all 84,672 specs
-of the full grid as well, which takes about 10 s (budget: 600 s).
+of the full grid as well, which takes about 55 s on a 2-vCPU VM (budget:
+600 s).
 """
 
 import itertools
@@ -108,7 +109,7 @@ def test_criterion_3_kernel_agreement_reduced_grid():
 
 
 @pytest.mark.skipif(not os.environ.get("HOPFACT_FULL_GRID"),
-                    reason="the full grid takes about 10 s; set HOPFACT_FULL_GRID=1")
+                    reason="the full grid takes about 55 s; set HOPFACT_FULL_GRID=1")
 def test_criterion_3_kernel_agreement_full_grid():
     _run_kernel_agreement(grid_specs(), 600.0, "full grid")
 

@@ -23,7 +23,7 @@ import hopfact.oracle
 from hopfact import cli, serialize
 from hopfact.cli import ENUMERATE_FORMATS
 from hopfact.action import ActionKind, d_pow
-from hopfact.effectiveness import find_witness
+from hopfact.effectiveness import find_witness, line_class
 from hopfact.cmatrix import random_unitary
 from hopfact.oracle import CheckResult, VerificationReport
 
@@ -243,6 +243,52 @@ class TestEnumerate:
                     "--format", fmt, "--out", str(out)]) == 0
         data = out.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+    # 14,400 rows.  Lines of one (n, m) with equal A share their witnesses
+    # (n = 2, m = 1: type1 with s = p*m + q and type2 with s + 1), and so do
+    # all lines of the five (n, m) with gcd(n, m) > 1
+    SHARED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
+                         "q_min": -2, "q_max": 2, "r_min": -12, "r_max": 12}}
+
+    @pytest.mark.parametrize("fmt", ENUMERATE_FORMATS)
+    def test_lines_of_one_class_keep_their_own_rows(self, tmp_path, fmt):
+        # enumerate formats each line class once per (n, m); every row must
+        # still be its own tuple and that tuple's find_witness
+        ranges = self.SHARED["ranges"]
+        lines = list(itertools.product(
+            ranges["n_list"], ranges["m_list"], ActionKind,
+            range(ranges["p_min"], ranges["p_max"] + 1),
+            range(ranges["q_min"], ranges["q_max"] + 1)))
+        rs = [r for r in range(ranges["r_min"], ranges["r_max"] + 1) if r]
+        kinds = {}
+        for n, m, kind, p, q in lines:
+            kinds.setdefault((n, m, line_class(kind, n, m, p, q)), set()).add(kind)
+        # fewer classes than lines, some holding both kinds, and g > 1 blocks
+        assert len(kinds) < len(lines) // 2
+        assert any(len(v) == 2 for (n, m, key), v in kinds.items() if key is not None)
+        assert sum(key is None for _, _, key in kinds) == 5
+        out = tmp_path / "table"
+        assert run(["enumerate", "--spec", write_config(tmp_path, self.SHARED),
+                    "--format", fmt, "--out", str(out)]) == 0
+        rows = []
+        for n, m, kind, p, q in lines:
+            for r in rs:
+                w = find_witness(kind, n, m, p, q, r)
+                rows.append((n, m, kind.value, p, q, r, w is None,
+                             None if w is None else w.ell, None if w is None else w.K))
+        data = out.read_bytes().decode("ascii")
+        if fmt == "csv":
+            assert data.split("\r\n") == [",".join(cli.FIELDS)] + [
+                f"{n},{m},{kind},{p},{q},{r},"
+                + ("true,," if effective else f"false,{ell},{K}")
+                for n, m, kind, p, q, r, effective, ell, K in rows] + [""]
+        elif fmt == "json":
+            assert json.loads(data) == [dict(zip(cli.FIELDS, row)) for row in rows]
+        else:
+            assert data.split("\n") == [
+                f"{n} {m} {kind} p={p} q={q} r={r} effective={effective} witness=("
+                + ("," if effective else f"{ell},{K}") + ")"
+                for n, m, kind, p, q, r, effective, ell, K in rows] + [""]
 
     # 7,200 rows
     TRACED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
@@ -1141,9 +1187,12 @@ class TestLayering:
         assert out == "[]\n"
 
     def test_import_loads_neither_fractions_nor_traceback(self):
-        # the witness's k is integer arithmetic, and only exit 4 prints a traceback
+        # the witness's k is integer arithmetic, only exit 4 prints a
+        # traceback, and the witness records are __slots__ classes, not
+        # dataclasses (which import inspect)
+        modules = ("fractions", "traceback", "dataclasses", "inspect")
         out = run_fresh("import sys\nimport hopfact.cli\n"
-                        "print([m for m in ('fractions', 'traceback') if m in sys.modules])")
+                        f"print([m for m in {modules!r} if m in sys.modules])")
         assert out == "[]\n"
 
     def test_package_resolves_its_modules_on_use(self):

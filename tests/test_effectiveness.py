@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,11 +10,15 @@ import pytest
 
 from hopfact.action import ActionKind, ActionSpec, act
 from hopfact.effectiveness import (
+    EffectivenessVerdict,
+    KernelElement,
+    KernelWitness,
     find_witness,
     find_witnesses,
     is_effective,
     is_effective_corollary,
     kernel_witness_element,
+    line_class,
 )
 from hopfact.hopf import HopfParams, OrbitPoint, orbit_distance
 
@@ -212,6 +218,67 @@ def test_find_witnesses_equals_find_witness_on_grid_lines(rs):
         else:
             coprime += 1
     assert shared and coprime
+
+
+def test_lines_of_one_class_share_their_witnesses():
+    # on grid G, two lines of one (n, m) with equal line_class have equal
+    # witnesses, the list of r being whole, negative or one r
+    classes = {}
+    for n, m, kind, p, q in itertools.product(N_LIST, M_LIST, KINDS, P_RANGE, Q_RANGE):
+        for rs in (R_RANGE, (-3, -2, -1), (2,)):
+            key = (n, m, line_class(kind, n, m, p, q), rs)
+            line = find_witnesses(kind, n, m, p, q, rs)
+            assert classes.setdefault(key, line) == line, (kind, n, m, p, q, rs)
+        assert (line_class(kind, n, m, p, q) is None) == (math.gcd(n, m) > 1)
+    # equal A across kinds: n = 2, m = 1, type1 with s = p*m + q and type2
+    # with s + 1; and one class for each (n, m) with gcd(n, m) > 1
+    assert line_class(ActionKind.TYPE1, 2, 1, 1, 0) == line_class(ActionKind.TYPE2, 2, 1, 2, 0)
+    lines = len(N_LIST) * len(M_LIST) * len(KINDS) * len(P_RANGE) * len(Q_RANGE)
+    assert len(classes) < 3 * lines
+
+
+class TestRecords:
+    """The witness records are immutable values, as frozen dataclasses were."""
+
+    RECORDS = [KernelWitness(1, 2), KernelElement(t=0.5, k=1, scalar=1j),
+               EffectivenessVerdict(effective=False, witness=KernelWitness(0, 1),
+                                    kernel_element=KernelElement(0.0, 1, -1 + 0j),
+                                    kernel_order=2)]
+
+    def test_equality_and_hash(self):
+        w = KernelWitness(1, 2)
+        assert w == KernelWitness(1, 2) and w != KernelWitness(2, 1)
+        assert hash(w) == hash(KernelWitness(1, 2))
+        assert len({w, KernelWitness(1, 2), KernelWitness(0, 2)}) == 2
+        # equal only to a record of its own class
+        assert w != (1, 2) and KernelElement(1, 2, 0j) != KernelWitness(1, 2)
+        assert EffectivenessVerdict(True) == EffectivenessVerdict(effective=True)
+        assert EffectivenessVerdict(True) != EffectivenessVerdict(True, kernel_order=2)
+
+    def test_repr_and_defaults(self):
+        assert repr(KernelWitness(1, 2)) == "KernelWitness(ell=1, K=2)"
+        assert repr(KernelElement(t=0.5, k=1, scalar=1j)) == \
+            "KernelElement(t=0.5, k=1, scalar=1j)"
+        verdict = EffectivenessVerdict(effective=True)
+        assert (verdict.witness, verdict.kernel_element, verdict.kernel_order) == \
+            (None, None, 1)
+        assert repr(verdict) == ("EffectivenessVerdict(effective=True, witness=None, "
+                                 "kernel_element=None, kernel_order=1)")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_immutable(self, record):
+        for name in type(record).__slots__ + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_copies_are_equal(self, record):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record
 
 
 def satisfies_congruences(kind, n, m, p, q, r, w):
