@@ -16,17 +16,19 @@ assumption.
 leading axes (arrays of t, stacks of B and of vectors), so the oracle
 evaluates many trials in one numpy pass; the single-point entry points
 ``act`` and ``solve_transport`` run the same code without those axes.
-They also take a :class:`SpecStack` in place of one spec: the fields of
-many specs that share d and n (the formula never reads m), stacked on a
-spec axis that is the first of the leading axes, so that one pass
-evaluates many specs as well.
+They also take :class:`Rows` in place of one spec: the formula fields of
+many specs that share d and n, stacked on a row axis that is the first of
+the leading axes, so that one pass evaluates many specs as well.  A
+:class:`SpecStack` holds such specs as integer columns and gives each
+distinct formula row once: specs that differ only in m, or in m, p and q
+with one sigma, share a row.
 """
 
 import cmath
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -89,21 +91,59 @@ class ActionSpec:
 
 
 @dataclass(frozen=True)
-class SpecStack:
-    """The fields the action formula reads of many specs that share d and
-    n, stacked on a leading spec axis, and each spec's m for the orbit
-    distance.  Passed where one spec goes, the spec axis is the first
-    leading axis of the broadcast inputs: an input that every spec shares
-    has size 1 there, or fewer leading axes.  ``params`` is the first spec's."""
+class Rows:
+    """The fields the action formula reads, stacked on a leading axis, one
+    entry a formula row.  Passed where one spec goes, that axis is the first
+    leading axis of the broadcast inputs: an input that every row shares has
+    size 1 there, or fewer leading axes."""
 
     params: HopfParams
-    specs: tuple
-    sigma: np.ndarray       # (S,) each spec's sigma_float
-    nr: np.ndarray          # (S,) n*r as floats
-    conj: np.ndarray        # (S,) True where B enters as its conjugate
-    C: np.ndarray           # (S, n, n)
-    C_inv: np.ndarray       # (S, n, n)
-    m: np.ndarray           # (S,) each spec's m as a float
+    sigma: np.ndarray       # (R,) sigma as a float
+    nr: np.ndarray          # (R,) n*r as floats
+    conj: np.ndarray        # (R,) True where B enters as its conjugate
+    C: np.ndarray           # (R, n, n)
+    C_inv: np.ndarray       # (R, n, n)
+
+    def __len__(self) -> int:
+        return len(self.sigma)
+
+    def __getitem__(self, index) -> "Rows":
+        """The rows at ``index``, a slice or an array of positions."""
+        return Rows(self.params, self.sigma[index], self.nr[index], self.conj[index],
+                    self.C[index], self.C_inv[index])
+
+
+class Part(NamedTuple):
+    """Some rows of a :class:`SpecStack` and the specs that use them."""
+
+    at: Union[slice, np.ndarray]    # the positions of the specs in the stack
+    rows_at: slice          # the positions of the rows in the stack
+    rows: Rows
+    row: Optional[np.ndarray]   # each spec's row in ``rows``; None when spec i uses row i
+    m: np.ndarray           # each spec's m, as a float
+
+
+@dataclass(frozen=True)
+class SpecStack:
+    """Specs that share d and n, as columns: each spec's kind, p, q, r and m,
+    integers all.  The formula reads the kind, sigma = A/m, r and C, and m
+    only through A/m; m itself enters only through the deck group, that is
+    the orbit distance.  So specs with equal kind, A/m as a reduced fraction,
+    r and C share a formula row, whose sigma floats and power-branch shifts
+    (A - L*n*r*m)/m are then bit-equal too.  ``rows`` holds each distinct
+    row once, in order of first use, ``first`` the first spec of each, and
+    ``row`` the row of each spec, None when every row is distinct (spec i
+    uses row i).  ``params`` is the first spec's."""
+
+    params: HopfParams
+    kind: tuple
+    p: tuple
+    q: tuple
+    r: tuple
+    m: tuple
+    rows: Rows
+    first: list
+    row: Optional[np.ndarray]
 
     @classmethod
     def of(cls, specs) -> "SpecStack":
@@ -111,29 +151,71 @@ class SpecStack:
         params = specs[0].params
         if any(s.params.d != params.d or s.params.n != params.n for s in specs):
             raise ValueError("stacked specs must share d and n")
-        return cls(params, specs, np.array([s.sigma_float for s in specs]),
-                   np.array([float(params.n * s.r) for s in specs]),
-                   np.array([s.kind is ActionKind.TYPE2 for s in specs]),
-                   np.stack([s.C for s in specs]), np.stack([s.C_inv for s in specs]),
-                   np.array([float(s.params.m) for s in specs]))
+        return cls.of_columns(params, [s.kind for s in specs], [s.p for s in specs],
+                              [s.q for s in specs], [s.r for s in specs],
+                              [s.params.m for s in specs], [s.C for s in specs],
+                              [s.C_inv for s in specs])
+
+    @classmethod
+    def of_columns(cls, params: HopfParams, kind, p, q, r, m, C, C_inv) -> "SpecStack":
+        """The specs on the d and n of ``params`` whose fields are the
+        columns kind, p, q, r and m, with the matrices of the sequences C and
+        C_inv, one entry a spec.  Nothing is validated again: r must be
+        nonzero, m positive, C well conditioned and C_inv its inverse."""
+        n = params.n
+        keys, row, first, sigma = {}, [], [], []
+        for i, (kind_i, p_i, q_i, r_i, m_i, c) in enumerate(zip(kind, p, q, r, m, C)):
+            a = _congruence_coefficient(kind_i, n, m_i, p_i, q_i)
+            g = math.gcd(a, m_i)
+            index = keys.setdefault((kind_i, a // g, m_i // g, r_i, c.tobytes()), len(first))
+            if index == len(first):
+                first.append(i)
+                sigma.append(a / m_i)       # int / int rounds correctly: sigma_float
+            row.append(index)
+        rows = Rows(params, np.array(sigma), np.array([float(n * r[i]) for i in first]),
+                    np.array([kind[i] is ActionKind.TYPE2 for i in first]),
+                    np.stack([C[i] for i in first]), np.stack([C_inv[i] for i in first]))
+        return cls(params, tuple(kind), tuple(p), tuple(q), tuple(r), tuple(m), rows, first,
+                   None if len(first) == len(row) else np.array(row))
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return len(self.m)
 
-    def __getitem__(self, index) -> "SpecStack":
-        """The stack of the specs at ``index``, a slice or an array of positions."""
-        specs = self.specs[index] if isinstance(index, slice) else \
-            tuple(self.specs[i] for i in index)
-        return SpecStack(self.params, specs, self.sigma[index], self.nr[index],
-                         self.conj[index], self.C[index], self.C_inv[index], self.m[index])
+    @property
+    def width(self) -> int:
+        """The most specs that share one row."""
+        return 1 if self.row is None else int(np.bincount(self.row).max())
+
+    def take(self, at) -> "SpecStack":
+        """The stack of the specs at the positions ``at``, in that order."""
+        at = list(at)
+        columns = [tuple(column[i] for i in at)
+                   for column in (self.kind, self.p, self.q, self.r, self.m)]
+        rows = np.array(at) if self.row is None else self.row[at]
+        used, first, row = np.unique(rows, return_index=True, return_inverse=True)
+        return SpecStack(self.params, *columns, self.rows[used], first.tolist(),
+                         None if np.array_equal(row, np.arange(len(at))) else row)
+
+    def parts(self, step: int) -> list:
+        """The stack as :class:`Part` s of ``step`` rows each."""
+        deck_m = np.array(self.m, dtype=np.float64)
+        count = len(self.rows)
+        if self.row is None:
+            return [Part(slice(lo, lo + step), slice(lo, lo + step), self.rows[lo:lo + step],
+                         None, deck_m[lo:lo + step]) for lo in range(0, count, step)]
+        order = np.argsort(self.row, kind="stable")
+        edges = np.searchsorted(self.row[order], [*range(0, count, step), count])
+        return [Part(at, slice(lo, lo + step), self.rows[lo:lo + step], self.row[at] - lo,
+                     deck_m[at])
+                for lo, at in zip(range(0, count, step), np.split(order, edges[1:-1]))]
 
 
-Specs = Union[ActionSpec, SpecStack]
+Specs = Union[ActionSpec, Rows]
 
 
 def _fields(spec: Specs, ndim: int) -> tuple:
     """sigma, n*r, conj, C and C^{-1} of ``spec``, shaped to broadcast against
-    ``ndim`` leading axes; a stack's spec axis is the first of them."""
+    ``ndim`` leading axes; a stack's row axis is the first of them."""
     if isinstance(spec, ActionSpec):
         return (spec.sigma_float, spec.params.n * spec.r,
                 np.asarray(spec.kind is ActionKind.TYPE2), spec.C, spec.C_inv)
@@ -189,7 +271,7 @@ def evaluate_formula(spec: Specs, t, B: np.ndarray, vec: np.ndarray,
     Exposed separately from :func:`act` so that well-definedness and
     power-branch identities can be probed with non-canonical splittings.
     t (...), B (..., n, n) and vec (..., n) broadcast over leading axes;
-    for a SpecStack the first of those is the spec axis.
+    for Rows the first of those is the row axis.
     """
     t = np.asarray(t, dtype=np.float64)
     ndim = max(t.ndim, np.ndim(B) - 2, np.ndim(vec) - 1)

@@ -290,55 +290,26 @@ def _verify_settings(config: dict):
     return trials, seed, tol
 
 
-# json.dumps(report.to_dict(), indent=2) of a VerificationReport: json writes
-# an int with int.__repr__ and a finite float with float.__repr__ (d, tol and
-# a residual are finite), and every string here is a fixed word
-_REPORT = ('{{\n  "spec": {{\n    "kind": "{}",\n    "p": {!r},\n    "q": {!r},\n'
-           '    "r": {!r},\n    "n": {!r},\n    "m": {!r},\n    "d": [\n      {!r},\n'
-           '      {!r}\n    ]\n  }},\n  "seed": {!r},\n  "tol": {!r},\n  "checks": [\n{}\n'
-           '  ],\n  "all_passed": {}\n}}').format
-_CHECK = ('    {{\n      "name": "{}",\n      "trials": {!r},\n      "max_residual": {},\n'
-          '      "pass": {}\n    }}').format
-
-
-def _report_json(report) -> str:
-    """The report as json.dumps(report.to_dict(), indent=2) writes it."""
-    s = report.spec_summary
-    checks = ",\n".join([
-        _CHECK(c.name, c.trials, "null" if c.max_residual is None else repr(c.max_residual),
-               "true" if c.passed else "false") for c in report.checks])
-    return _REPORT(s["kind"], s["p"], s["q"], s["r"], s["n"], s["m"], *s["d"], report.seed,
-                   report.tol, checks, "true" if report.all_passed else "false")
-
-
 def cmd_verify(args) -> int:
-    from .action import _replace
-    from .oracle import run_verifications
+    from .report import verify_text
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "verify")
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
         lines, rs = _grid(config)
-        specs = []
-        for (n, m), group in itertools.groupby(lines, key=lambda line: line[:2]):
-            # the grid has checked p, q and r and left out r = 0, so one spec
-            # checks d, C and m for the manifold and the others copy it
-            base = _numeric_spec({**config, "n": n, "m": m, "kind": "type1",
-                                  "p": 0, "q": 0, "r": rs[0]}, "verify")
-            specs += [_replace(base, kind=kind, p=p, q=q, r=r)
-                      for _, _, kind, p, q in group for r in rs]
+        # the grid has checked p, q and r and left out r = 0, so one spec
+        # checks d, C and m for each manifold; the stacks read the other
+        # fields from the grid
+        blocks = [(_numeric_spec({**config, "n": n, "m": m, "kind": "type1", "p": 0, "q": 0,
+                                  "r": rs[0]}, "verify"), list(block))
+                  for (n, m), block in itertools.groupby(lines, key=lambda line: line[:2])]
     else:
-        specs = [_numeric_spec(config, "verify")]
-    reports = run_verifications(specs, trials=trials, seed=seed, tol=tol)
-    texts = [_report_json(report) for report in reports]
-    # json.dumps(payload, indent=2): a grid's reports as a list, each nested
-    # two spaces deeper, and a single spec's report as the object itself
-    if "ranges" in config:
-        _emit("[\n  " + ",\n  ".join(text.replace("\n", "\n  ") for text in texts) + "\n]\n",
-              args)
-    else:
-        _emit(texts[0] + "\n", args)
-    return EXIT_OK if all(r.all_passed for r in reports) else EXIT_VERIFY_FAILED
+        spec = _numeric_spec(config, "verify")
+        p = spec.params
+        blocks, rs = [(spec, [(p.n, p.m, spec.kind, spec.p, spec.q)])], [spec.r]
+    text, passed = verify_text(blocks, rs, trials, seed, tol, "ranges" in config)
+    _emit(text, args)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

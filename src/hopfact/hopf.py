@@ -59,6 +59,40 @@ class OrbitPoint:
         object.__setattr__(self, "rep", v)
 
 
+def _sum_last(s, lo=0, hi=None):
+    """s summed over its last axis, lo..hi-1, in the order of numpy's own
+    add.reduce, so that the square root of a sum of squares is
+    ``np.linalg.norm`` bit for bit: in sequence below 8 terms, in 8
+    accumulators up to 128, and above that as the sum of two halves, the
+    first a multiple of 8 long.  Each term is a whole array, so no numpy
+    reduction runs over the short axis."""
+    hi = s.shape[-1] if hi is None else hi
+    if hi - lo < 8:
+        total = s[..., lo]
+        for i in range(lo + 1, hi):
+            total = total + s[..., i]
+        return total
+    if hi - lo > 128:
+        half = (hi - lo) // 2
+        half -= half % 8
+        return _sum_last(s, lo, lo + half) + _sum_last(s, lo + half, hi)
+    acc = [s[..., lo + j] for j in range(8)]
+    i = lo + 8
+    while i + 8 <= hi:
+        acc = [a + s[..., i + j] for j, a in enumerate(acc)]
+        i += 8
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for j in range(i, hi):
+        total = total + s[..., j]
+    return total
+
+
+def _norm2(v):
+    """The squared norm of each vector of v (..., n), ``np.linalg.norm``'s
+    sum of (conj(v)*v).real."""
+    return _sum_last((v.conj() * v).real)
+
+
 def orbit_distance(x, y, params: HopfParams, m=None):
     """min over deck candidates g of ||x - g*y|| / ||x||.
 
@@ -72,19 +106,29 @@ def orbit_distance(x, y, params: HopfParams, m=None):
     distance per vector pair.  A zero or non-finite norm makes ell*
     infinite or NaN, and d to that power is NaN, so the distance is NaN,
     never a number that could pass a tolerance.
+
+    Each candidate's squared distance is a sum over the coordinates
+    (``_norm2``), and the root is taken of the least of the three, which
+    equals the least root; every norm is ``np.linalg.norm``'s bit for bit.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    nx = np.linalg.norm(x, axis=-1)
-    ell_center = np.rint(np.log(nx / np.linalg.norm(y, axis=-1)) / math.log(abs(params.d)))
+    nx = np.sqrt(_norm2(x))
+    ell_center = np.rint(np.log(nx / np.sqrt(_norm2(y))) / math.log(abs(params.d)))
     c = params.d ** (ell_center[..., None] + np.arange(-1.0, 2.0))
     inner = np.einsum("...i,...i->...", x.conj(), y)[..., None]
     m = np.asarray(params.m if m is None else m, dtype=np.float64)[..., None]
     K = np.rint(-np.angle(c * inner) * (m / TWO_PI))            # in [-m/2, m/2]
     # K mod m, so that zeta is the same float as e^{2*pi*i*K/m}, K = 0..m-1
     g = c * np.exp(2j * math.pi * np.where(K < 0, K + m, K) / m)
-    diffs = x[..., None, :] - g[..., None] * y[..., None, :]
-    return (np.linalg.norm(diffs, axis=-1).min(axis=-1) / nx)[()]
+    # each candidate's g*y is one product over all n coordinates with g
+    # broadcast, as in a (..., 3, n) broadcast: numpy's SIMD loop rounds a
+    # complex product otherwise than its scalar loop, which a product of
+    # single elements may take
+    least = _norm2(x - g[..., 0, None] * y)
+    for k in (1, 2):
+        least = np.minimum(least, _norm2(x - g[..., k, None] * y))
+    return (np.sqrt(least) / nx)[()]
 
 
 def deck_equal(z: OrbitPoint, w: OrbitPoint, tol: float = 1e-9) -> bool:

@@ -11,14 +11,22 @@ distances in the quotient.
 The random inputs depend on n, the trial counts and the seeds, never on the
 rest of the spec.  So every check, and the kernel probe, takes a
 :class:`~hopfact.action.SpecStack` of specs that share d and n, whatever
-their m, as well as a single spec: it draws a chunk of trials, splits its
-unitaries as e^{it} B, and then evaluates all the specs of the stack on
-them in numpy passes, with the specs on a leading axis before the trial
-axes; each spec's m reaches the orbit distances on that axis.  Trial i
-keeps the sample points and the Philox-seeded unitaries it would have
-alone, in any chunk and beside any other specs.  ``run_verifications``
-runs the suite on one stack for each run of consecutive specs with equal
-(d, n), so each draw is made once for the run by construction; nothing is
+their m, as well as a single spec.  It draws a chunk of trials, splits its
+unitaries as e^{it} B, and then evaluates the stack's distinct formula rows
+on them in numpy passes, with the rows on a leading axis before the trial
+axes: specs that differ only in m, or in m, p and q with one sigma, share
+a row and each formula, ``_transport`` and ``_apply`` evaluation.  Only the
+orbit distances read m, so only they gather the rows' images to the specs,
+each spec's m on their first axis; ``power_branch`` and ``dimtwo`` take one
+residual a row.  Trial i keeps the sample points and the Philox-seeded
+unitaries it would have alone, in any chunk and beside any other specs.
+
+On a stack a check gives a :class:`Checked`, arrays with one entry a spec,
+and ``kernel_scan_agrees`` a list of verdicts; on one spec a
+:class:`CheckResult` and a verdict.  ``run_suite`` runs every check on one
+stack, and ``run_verifications`` runs it on one stack for each run of
+consecutive specs with equal (d, n), so each draw is made once for the run
+by construction, and gives a :class:`VerificationReport` a spec; nothing is
 kept from one call to the next.
 """
 
@@ -26,14 +34,14 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import wraps
 from itertools import groupby
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .action import (ActionKind, ActionSpec, SpecStack, _apply, _transport, evaluate_formula,
-                     type2_as_type1)
+from .action import (ActionKind, ActionSpec, SpecStack, SU2_CONJUGATOR, _apply, _transport,
+                     evaluate_formula)
 from .cmatrix import TWO_PI, UnitaryElement, _rng, random_unitary, su_decompose
-from .effectiveness import is_effective
+from .effectiveness import _congruence_coefficient, find_witnesses
 from .hopf import HopfParams, orbit_distance
 
 
@@ -69,14 +77,30 @@ class VerificationReport:
                 "all_passed": self.all_passed}
 
 
+class Checked(NamedTuple):
+    """One check's outcome on each spec of a stack: the worst residual, NaN
+    where some trial's residual was NaN or infinite, and whether it passed."""
+
+    name: str
+    trials: int
+    residual: np.ndarray
+    passed: np.ndarray
+
+    def results(self) -> list:
+        """The outcome of each spec as a :class:`CheckResult`."""
+        return [CheckResult(self.name, self.trials, None if w != w else w, ok)
+                for w, ok in zip(self.residual.tolist(), self.passed.tolist())]
+
+
 # Checks run in chunks of (spec, trial) pairs so that the largest complex
 # temporary of one chunk stays near this many bytes; 256 KB runs faster than
-# 1 MB and adds almost nothing to peak memory.  Per pair that temporary is an
-# orbit distance's 3 shells x n coordinates (for each of the 5n re-splittings
-# of a well-definedness trial, or of the kernel probe's 10 samples), or an
-# n x n matrix.  A chunk takes as many trials as fit, and then
-# as many specs as fit beside them; each chunk of trials is drawn once and
-# serves every spec of the stack.
+# 1 MB and adds almost nothing to peak memory.  Per pair that temporary holds
+# at most max(3, n) x n values: an n x n matrix, or the few n-coordinate
+# arrays of an orbit distance (for each of the 5n re-splittings of a
+# well-definedness trial, or of the kernel probe's 10 samples).  A chunk
+# takes as many trials as fit, and then as many rows as fit beside them with
+# every spec that uses them; each chunk of trials is drawn once and serves
+# every spec of the stack.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -98,21 +122,33 @@ def sample_points(params: HopfParams, count: int, seed: int,
 
 
 def _shared_split(a: np.ndarray) -> UnitaryElement:
-    """The e^{it} B splitting of unitaries (T, n, n) that every spec of a
-    stack shares: t (1, T) and B (1, T, n, n), with a spec axis of size 1."""
+    """The e^{it} B splitting of unitaries (T, n, n) that every row of a
+    stack shares: t (1, T) and B (1, T, n, n), with a row axis of size 1."""
     ue = su_decompose(a)
     return UnitaryElement(ue.t[None], ue.su_part[None])
 
 
 def _one_or_many(check):
-    """Let ``check``, which gives one result for each spec of a SpecStack,
-    take a single ActionSpec too and give that spec's result."""
+    """Let ``check``, which gives a :class:`Checked` or a list of verdicts
+    for the specs of a SpecStack, take a single ActionSpec too and give that
+    spec's :class:`CheckResult` or verdict."""
     @wraps(check)
     def run(spec, *args, **kwargs):
         if isinstance(spec, SpecStack):
             return check(spec, *args, **kwargs)
-        return check(SpecStack.of([spec]), *args, **kwargs)[0]
+        result = check(SpecStack.of([spec]), *args, **kwargs)
+        return result[0] if isinstance(result, list) else result.results()[0]
     return run
+
+
+def _distance(part, x, y) -> np.ndarray:
+    """The orbit distance between x and y for each spec of ``part``: x and y
+    have a leading axis over the part's rows, or of size 1 for all of them,
+    and each spec takes its row's entries and its own m."""
+    if part.row is not None:
+        x, y = (v if len(v) == 1 else v[part.row] for v in (x, y))
+    lead = max(x.ndim, y.ndim) - 1
+    return orbit_distance(x, y, part.rows.params, part.m.reshape((-1,) + (1,) * (lead - 1)))
 
 
 # The largest n*|r|*m the kernel probe tells apart at the tol of 1e-9 that
@@ -124,15 +160,16 @@ def _one_or_many(check):
 MAX_PROBE_ORDER = int(TWO_PI / (10 * 1e-9))
 
 
-def _scan_order(spec: ActionSpec, tol: float = 1e-9) -> int:
-    """N = n*|r|, the order of the scalars the kernel scan probes at ``tol``."""
+def _scan_order(n: int, r: int, m: int, tol: float = 1e-9) -> int:
+    """N = n*|r|, the order of the scalars the kernel scan probes at ``tol``
+    on M_d^n/Z_m."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    N, bound = spec.params.n * abs(spec.r), TWO_PI / (10 * tol)
+    N, bound = n * abs(r), TWO_PI / (10 * tol)
     # an int against a float compares exactly, and against inf for a tiny tol
-    if N * spec.params.m > bound:
+    if N * m > bound:
         name = "MAX_PROBE_ORDER" if tol == 1e-9 else f"2*pi/(10*tol) at tol = {tol!r}"
-        raise ValueError(f"n*|r|*m = {N * spec.params.m} exceeds {name} = {int(bound)}, "
+        raise ValueError(f"n*|r|*m = {N * m} exceeds {name} = {int(bound)}, "
                          f"beyond which the kernel probe cannot tell a scalar outside the "
                          f"kernel from one in it")
     return N
@@ -155,30 +192,50 @@ def _prime_powers(N: int) -> list:
 
 def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
     """The hits of :func:`numeric_kernel_scan` for each spec of the stack.
-    The (spec, probe) rows go through the action in chunks."""
+    The probes of a row depend only on its N = n*|r|, so each distinct
+    scalar e^{2*pi*i*j/N} * id is split once; the (row, probe) pairs go
+    through the action in chunks of rows, and each spec of a row measures
+    its images at its own m."""
     if z_samples < 1:
         raise ValueError("z_samples must be >= 1")
     p = specs.params
-    orders = [_scan_order(spec, tol) for spec in specs.specs]
-    probes = [[0] + [N // q for q in _prime_powers(N)] for N in orders]
-    counts = [len(js) for js in probes]
-    spec_of, N = np.repeat(np.arange(len(specs)), counts), np.repeat(orders, counts)
-    j = np.concatenate(probes)
+    for r, m in dict.fromkeys(zip(specs.r, specs.m)):     # in order, each once
+        _scan_order(p.n, r, m, tol)
+    orders = [p.n * abs(specs.r[i]) for i in specs.first]
+    probes = {N: [0] + [N // q for q in _prime_powers(N)] for N in set(orders)}
+    scalar = {(N, j): i for i, (N, j) in
+              enumerate((N, j) for N, js in probes.items() for j in js)}
+    N, j = np.array(list(scalar)).reshape(-1, 2).T
+    split = su_decompose(np.exp(2j * math.pi * j / N)[:, None, None] * np.eye(p.n))
+    # the (row, probe) pairs in row order: each one's j and split scalar
+    probe_j = [j for N in orders for j in probes[N]]
+    probe_scalar = np.array([scalar[N, j] for N in orders for j in probes[N]])
+    counts = np.array([len(probes[N]) for N in orders])
+    starts = np.concatenate([[0], np.cumsum(counts)])
     z = sample_points(p, z_samples, seed)
-    hit = np.empty(len(j), dtype=bool)
-    step = _chunk(z_samples * p.n * max(3, p.n))
+    hits = [[] for _ in range(len(specs))]
+    step = max(1, _chunk(z_samples * p.n * max(3, p.n)) // (max(counts) * specs.width))
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
-        for lo in range(0, len(j), step):
-            rows = slice(lo, lo + step)
-            scalars = np.exp(2j * math.pi * j[rows] / N[rows])[:, None, None, None] * np.eye(p.n)
-            stack = specs[spec_of[rows]]
-            images = _apply(stack, scalars, z)
-            hit[rows] = (orbit_distance(images, z, p, stack.m[:, None]) < tol).all(axis=1)
-    hits = [[] for _ in probes]
-    for i, found in zip(spec_of[hit].tolist(), j[hit].tolist()):
-        hits[i].append(found)
+        for part in specs.parts(step):
+            lo, hi = part.rows_at.start, part.rows_at.start + len(part.rows)
+            which = probe_scalar[starts[lo]:starts[hi]]
+            images = evaluate_formula(part.rows[np.repeat(np.arange(hi - lo), counts[lo:hi])],
+                                      split.t[which][:, None], split.su_part[which][:, None], z)
+            # the k-th (spec, probe) pair of a spec is its row's k-th probe,
+            # measured at the spec's own m
+            row = np.arange(hi - lo) if part.row is None else part.row
+            per_spec = counts[lo + row]
+            spec_of = np.repeat(np.arange(len(row)), per_spec)
+            item = np.arange(len(spec_of)) + np.repeat(
+                starts[lo + row] - starts[lo] - np.cumsum(per_spec) + per_spec, per_spec)
+            if part.row is not None:
+                images = images[item]
+            hit = (orbit_distance(images, z, p, part.m[spec_of][:, None]) < tol).all(axis=1)
+            at = np.arange(len(specs))[part.at]
+            for s, k in zip(at[spec_of[hit]].tolist(), (starts[lo] + item[hit]).tolist()):
+                hits[s].append(probe_j[k])
     return [sorted(h) for h in hits]
 
 
@@ -190,24 +247,42 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
     (Cauchy: it is nontrivial iff it has an element of prime order), and
     N/q is a hit iff q | h, so these O(log N) probes, acted through the
     action, find h.  Returns the hits in sorted order."""
-    _scan_order(spec, tol)     # before the stack takes n*r, which may be past the floats
+    # before the stack takes n*r, which may be past the floats
+    _scan_order(spec.params.n, spec.r, spec.params.m, tol)
     return _probe(SpecStack.of([spec]), z_samples, tol, seed)[0]
 
 
-def _agrees(spec: ActionSpec, hits: list) -> bool:
-    """:func:`kernel_scan_agrees` for one spec, given its probe hits."""
-    verdict = is_effective(spec)
+def _exact_kernels(specs: SpecStack) -> list:
+    """For each spec, N = n*|r|, the exact kernel order h = gcd(A, N) and
+    the j of the witness's scalar e^{2*pi*i*j/N} * id, None when the action
+    is effective.  ``find_witnesses`` runs once for each run of specs on one
+    grid line (kind, m, p, q); the witness's k is that of
+    ``effectiveness.kernel_witness_element``, which the witness makes exact."""
+    n = specs.params.n
+    kernels = []
+    for (kind, m, p, q), line in groupby(zip(specs.kind, specs.m, specs.p, specs.q, specs.r),
+                                         key=lambda spec: spec[:4]):
+        rs = [spec[4] for spec in line]
+        a = _congruence_coefficient(kind, n, m, p, q)
+        for r, w in zip(rs, find_witnesses(kind, n, m, p, q, rs)):
+            N = n * abs(r)
+            if w is None:
+                kernels.append((N, 1, None))
+                continue
+            k = -kind.eps * ((w.ell * a - n * w.K * r) // (r * m)) % n
+            kernels.append((N, math.gcd(a, N), ((1 if r > 0 else -1) * w.ell + k * abs(r)) % N))
+    return kernels
+
+
+def _agrees(hits: list, N: int, h: int, j_witness: Optional[int]) -> bool:
+    """:func:`kernel_scan_agrees` for one spec, given its probe hits and its
+    exact kernel."""
     if 0 not in hits:
         return False
-    r = spec.r
-    N = spec.params.n * abs(r)
     s = math.gcd(N, *hits)
-    if N // s != verdict.kernel_order:
+    if N // s != h:
         return False
-    if verdict.effective:
-        return True
-    j_w = ((1 if r > 0 else -1) * verdict.witness.ell + verdict.kernel_element.k * abs(r)) % N
-    return j_w != 0 and j_w % s == 0
+    return j_witness is None or (j_witness != 0 and j_witness % s == 0)
 
 
 @_one_or_many
@@ -217,40 +292,44 @@ def kernel_scan_agrees(specs: SpecStack, z_samples: int = 10, tol: float = 1e-9,
     trivially acting scalars, the j divisible by s = gcd(N, hits), are
     N/s = h of them, h the exact kernel order, and hold the exact witness
     unless the action is effective."""
-    return [_agrees(spec, hits)
-            for spec, hits in zip(specs.specs, _probe(specs, z_samples, tol, seed))]
+    return [_agrees(hits, *kernel) for hits, kernel in
+            zip(_probe(specs, z_samples, tol, seed), _exact_kernels(specs))]
 
 
 def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int,
-               draw, residuals) -> list:
+               draw, residuals, by_row: bool = False) -> Checked:
     """The check ``name`` on each spec of the stack.  ``draw(lo, hi)`` makes
-    the random inputs of trials lo..hi-1, with a spec axis of size 1, and
-    ``residuals(part, *inputs)`` gives their (specs, trials) residuals for
-    the specs at the slice ``part``.  Each chunk of trials is drawn once and
-    run through chunks of specs; a chunk's largest temporary holds
-    ``values`` complex numbers a (spec, trial) pair.  Overflow and invalid
-    arithmetic are let through as inf and NaN, and any non-finite residual
-    fails its spec's check."""
+    the random inputs of trials lo..hi-1, with a row axis of size 1, and
+    ``residuals(part, *inputs)`` gives their residuals for a
+    :class:`~hopfact.action.Part` of the stack: (specs, trials), or
+    (rows, trials) with ``by_row``, for a check that never reads m.  Each
+    chunk of trials is drawn once and run through the parts; a part's
+    largest temporary holds ``values`` complex numbers a (spec, trial) pair.
+    Overflow and invalid arithmetic are let through as inf and NaN, and any
+    non-finite residual fails its spec's check."""
     pairs = _chunk(values)
     trial_step = min(trials, pairs)
-    spec_step = max(1, pairs // trial_step)
-    worst = np.full(len(specs), -np.inf)
-    finite = np.ones(len(specs), dtype=bool)
+    parts = specs.parts(max(1, pairs // trial_step // (1 if by_row else specs.width)))
+    size = len(specs.rows) if by_row else len(specs)
+    worst = np.full(size, -np.inf)
+    finite = np.ones(size, dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, trials, trial_step):
             inputs = draw(lo, min(lo + trial_step, trials))
-            for first in range(0, len(specs), spec_step):
-                part = slice(first, first + spec_step)
+            for part in parts:
                 res = residuals(part, *inputs)
-                finite[part] &= np.isfinite(res).all(axis=1)
-                worst[part] = np.maximum(worst[part], res.max(axis=1))
-    return [CheckResult(name, trials, float(w), float(w) < tol) if ok
-            else CheckResult(name, trials, None, False) for w, ok in zip(worst, finite)]
+                at = part.rows_at if by_row else part.at
+                finite[at] &= np.isfinite(res).all(axis=1)
+                worst[at] = np.maximum(worst[at], res.max(axis=1))
+    if by_row and specs.row is not None:
+        worst, finite = worst[specs.row], finite[specs.row]
+    residual = np.where(finite, worst, np.nan)
+    return Checked(name, trials, residual, residual < tol)
 
 
 @_one_or_many
 def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
-                     tol: float = 1e-8) -> list:
+                     tol: float = 1e-8) -> Checked:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
     p = specs.params
     z = sample_points(p, trials, seed)
@@ -262,19 +341,18 @@ def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
         return _shared_split(a1), _shared_split(a2), _shared_split(a1 @ a2), z[None, lo:hi]
 
     def residuals(part, a1, a2, a12, zc):
-        stack = specs[part]
-        lhs = evaluate_formula(stack, a12.t, a12.su_part, zc)
-        rhs = evaluate_formula(stack, a1.t, a1.su_part,
-                               evaluate_formula(stack, a2.t, a2.su_part, zc))
-        return orbit_distance(lhs, rhs, p, stack.m[:, None])
+        rows = part.rows
+        lhs = evaluate_formula(rows, a12.t, a12.su_part, zc)
+        rhs = evaluate_formula(rows, a1.t, a1.su_part,
+                               evaluate_formula(rows, a2.t, a2.su_part, zc))
+        return _distance(part, lhs, rhs)
 
-    return _run_check("group_law", specs, trials, tol, p.n * max(3, p.n),
-                      draw, residuals)
+    return _run_check("group_law", specs, trials, tol, p.n * max(3, p.n), draw, residuals)
 
 
 @_one_or_many
 def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
-                            tol: float = 1e-8) -> list:
+                            tol: float = 1e-8) -> Checked:
     """Re-split A = e^{i(t + 2*pi*k/n + 2*pi*ell)} (e^{-2*pi*i*k/n} B) for
     all k and ell in {-2, ..., 2} and compare the raw formula outputs in
     the quotient."""
@@ -292,11 +370,9 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
         return ue.t[None], ue.su_part[None], t2[None], b2[None], z[None, lo:hi]
 
     def residuals(part, t, b, t2, b2, zc):
-        stack = specs[part]
-        base = evaluate_formula(stack, t, b, zc)                            # (S, T, n)
-        shifted = evaluate_formula(stack, t2, b2, zc[:, :, None, None])     # (S, T, n, 5, n)
-        return orbit_distance(shifted, base[:, :, None, None], p,
-                              stack.m[:, None, None, None]).max(axis=(2, 3))
+        base = evaluate_formula(part.rows, t, b, zc)                        # (R, T, n)
+        shifted = evaluate_formula(part.rows, t2, b2, zc[:, :, None, None])  # (R, T, n, 5, n)
+        return _distance(part, shifted, base[:, :, None, None]).max(axis=(2, 3))
 
     return _run_check("well_definedness", specs, trials, tol, 5 * n * n * max(3, n),
                       draw, residuals)
@@ -304,7 +380,7 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
 
 @_one_or_many
 def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
-                        tol: float = 1e-8, log10_scale: float = 0.0) -> list:
+                        tol: float = 1e-8, log10_scale: float = 0.0) -> Checked:
     """solve_transport round trip: act(A, z) must land on w."""
     p = specs.params
     zs = sample_points(p, trials, seed)
@@ -314,27 +390,26 @@ def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
         return zs[None, lo:hi], ws[None, lo:hi]
 
     def residuals(part, zc, wc):
-        stack = specs[part]
-        return orbit_distance(_apply(stack, _transport(stack, zc, wc), zc), wc, p,
-                              stack.m[:, None])
+        rows = part.rows
+        return _distance(part, _apply(rows, _transport(rows, zc, wc), zc), wc)
 
-    return _run_check("transitivity", specs, trials, tol, p.n * max(3, p.n),
-                      draw, residuals)
+    return _run_check("transitivity", specs, trials, tol, p.n * max(3, p.n), draw, residuals)
 
 
 @_one_or_many
 def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
-                        tol: float = 1e-12) -> list:
+                        tol: float = 1e-12) -> Checked:
     """Alternative d^mu branches: evaluating with an extra e^{2*pi*i*mu*L}
     factor and p shifted to p - L*r reproduces the standard evaluation
-    exactly, as raw vectors."""
+    exactly, as raw vectors.  One residual a row: m is never read."""
     p = specs.params
     z = sample_points(p, trials, seed)
     # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r
     # off it, that is (A - L*n*r*m)/m with A = sigma*m, and int / int rounds
     # that rational correctly, as float() of it would
-    exact = [(s.sigma_m, p.n * s.r * s.params.m, s.params.m) for s in specs.specs]
-    shifted = {L: replace(specs, sigma=np.array([(a - L * nrm) / m for a, nrm, m in exact]))
+    exact = [(_congruence_coefficient(specs.kind[i], p.n, specs.m[i], specs.p[i], specs.q[i]),
+              p.n * specs.r[i] * specs.m[i], specs.m[i]) for i in specs.first]
+    shifted = {L: replace(specs.rows, sigma=np.array([(a - L * nrm) / m for a, nrm, m in exact]))
                for L in range(-2, 3)}
 
     def draw(lo, hi):
@@ -342,22 +417,27 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
             z[None, lo:hi]
 
     def residuals(part, ue, zc):
-        base = evaluate_formula(specs[part], ue.t, ue.su_part, zc)
-        alt = np.stack([evaluate_formula(s[part], ue.t, ue.su_part, zc, branch=L)
-                        for L, s in shifted.items()])
+        base = evaluate_formula(part.rows, ue.t, ue.su_part, zc)
+        alt = np.stack([evaluate_formula(rows[part.rows_at], ue.t, ue.su_part, zc, branch=L)
+                        for L, rows in shifted.items()])
         return np.linalg.norm(alt - base, axis=-1).max(axis=0) / np.linalg.norm(base, axis=-1)
 
-    return _run_check("power_branch", specs, trials, tol, 5 * p.n * p.n, draw, residuals)
+    return _run_check("power_branch", specs, trials, tol, 5 * p.n * p.n, draw, residuals,
+                      by_row=True)
 
 
 @_one_or_many
 def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
-                  tol: float = 1e-10) -> list:
+                  tol: float = 1e-10) -> Checked:
     """n = 2 only: a Type2 action equals its inner-conjugation Type1 form
-    as raw vectors."""
-    if specs.params.n != 2 or not specs.conj.all():
+    as raw vectors.  One residual a row: m is never read."""
+    rows = specs.rows
+    if specs.params.n != 2 or not rows.conj.all():
         raise ValueError("dimtwo identity applies to Type2 actions with n = 2")
-    twins = SpecStack.of(type2_as_type1(s) for s in specs.specs)
+    # action.type2_as_type1 for each row: at n = 2, p - 1 and eps from -1 to
+    # +1 leave sigma as it is, and C @ J and J^T @ C^{-1} are exact
+    twins = replace(rows, conj=np.zeros_like(rows.conj), C=rows.C @ SU2_CONJUGATOR,
+                    C_inv=SU2_CONJUGATOR.T @ rows.C_inv)
     z = sample_points(specs.params, trials, seed)
 
     def draw(lo, hi):
@@ -365,11 +445,30 @@ def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
             z[None, lo:hi]
 
     def residuals(part, ue, zc):
-        lhs = evaluate_formula(specs[part], ue.t, ue.su_part, zc)
-        rhs = evaluate_formula(twins[part], ue.t, ue.su_part, zc)
+        lhs = evaluate_formula(part.rows, ue.t, ue.su_part, zc)
+        rhs = evaluate_formula(twins[part.rows_at], ue.t, ue.su_part, zc)
         return np.linalg.norm(lhs - rhs, axis=-1) / np.linalg.norm(lhs, axis=-1)
 
-    return _run_check("dimtwo", specs, trials, tol, 4, draw, residuals)
+    return _run_check("dimtwo", specs, trials, tol, 4, draw, residuals, by_row=True)
+
+
+def run_suite(stack: SpecStack, trials: int = 200, seed: int = 0, tol: float = 1e-8) -> list:
+    """Every check of the suite on the stack, in report order, each as its
+    :class:`Checked` and the positions of the specs it covers: all of them,
+    None, but for dimtwo, which covers the Type2 specs of n = 2.  The
+    kernel agreement comes last, with the residual 0.0 where it holds and
+    1.0 where it does not."""
+    checks = [(verify_group_law(stack, trials, seed + 1, tol), None),
+              (verify_well_definedness(stack, max(trials // 4, 1), seed + 2, tol), None),
+              (verify_transitivity(stack, trials, seed + 3, tol), None),
+              (verify_power_branch(stack, max(trials // 10, 1), seed + 4, 1e-12), None)]
+    conj = [kind is ActionKind.TYPE2 for kind in stack.kind]
+    if stack.params.n == 2 and any(conj):
+        at = np.flatnonzero(conj)
+        checks.append((verify_dimtwo(stack.take(at), trials // 2 or 1, seed + 5, 1e-10), at))
+    agrees = np.array(kernel_scan_agrees(stack, z_samples=10, tol=1e-9, seed=seed + 6))
+    checks.append((Checked("kernel_scan_agreement", 10, np.where(agrees, 0.0, 1.0), agrees), None))
+    return checks
 
 
 def run_verifications(specs, trials: int = 200, seed: int = 0,
@@ -377,34 +476,25 @@ def run_verifications(specs, trials: int = 200, seed: int = 0,
     """The complete oracle suite for each spec, in order.  Every n*|r|*m is
     checked against the kernel probe's bound before anything is drawn; then
     each run of consecutive specs with equal d and n, whatever their m,
-    goes through every check as one stack."""
+    goes through ``run_suite`` as one stack."""
     specs = list(specs)
     for spec in specs:
-        _scan_order(spec)
+        _scan_order(spec.params.n, spec.r, spec.params.m)
     reports = []
     for _, run in groupby(specs, key=lambda spec: (spec.params.d, spec.params.n)):
         stack = SpecStack.of(run)
-        columns = zip(verify_group_law(stack, trials, seed + 1, tol),
-                      verify_well_definedness(stack, max(trials // 4, 1), seed + 2, tol),
-                      verify_transitivity(stack, trials, seed + 3, tol),
-                      verify_power_branch(stack, max(trials // 10, 1), seed + 4, 1e-12))
-        dimtwo = iter([])
-        if stack.params.n == 2 and stack.conj.any():
-            dimtwo = iter(verify_dimtwo(stack[np.flatnonzero(stack.conj)], trials // 2 or 1,
-                                        seed + 5, 1e-10))
-        agrees = kernel_scan_agrees(stack, z_samples=10, tol=1e-9, seed=seed + 6)
-        for spec, checks, agree in zip(stack.specs, columns, agrees):
-            p = spec.params
-            report = VerificationReport(
-                spec_summary={"kind": spec.kind.value, "p": spec.p, "q": spec.q,
-                              "r": spec.r, "n": p.n, "m": p.m,
-                              "d": [p.d.real, p.d.imag]},
-                seed=seed, tol=tol, checks=list(checks))
-            if p.n == 2 and spec.kind is ActionKind.TYPE2:
-                report.checks.append(next(dimtwo))
-            report.checks.append(CheckResult("kernel_scan_agreement", 10,
-                                             0.0 if agree else 1.0, agree))
-            reports.append(report)
+        d = stack.params.d
+        checks = [[] for _ in range(len(stack))]
+        for checked, at in run_suite(stack, trials, seed, tol):
+            for i, result in zip(range(len(stack)) if at is None else at.tolist(),
+                                 checked.results()):
+                checks[i].append(result)
+        reports += [VerificationReport(
+            spec_summary={"kind": kind.value, "p": p, "q": q, "r": r, "n": stack.params.n,
+                          "m": m, "d": [d.real, d.imag]},
+            seed=seed, tol=tol, checks=results)
+            for kind, p, q, r, m, results in zip(stack.kind, stack.p, stack.q, stack.r,
+                                                 stack.m, checks)]
     return reports
 
 

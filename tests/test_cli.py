@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,10 +23,12 @@ import hopfact.action
 import hopfact.oracle
 from hopfact import cli, serialize
 from hopfact.cli import ENUMERATE_FORMATS
-from hopfact.action import ActionKind, d_pow
+from hopfact.action import ActionKind, ActionSpec, SpecStack, d_pow
 from hopfact.effectiveness import find_witness, line_class
 from hopfact.cmatrix import random_unitary
-from hopfact.oracle import CheckResult, VerificationReport
+from hopfact.hopf import HopfParams
+from hopfact.oracle import Checked, CheckResult, VerificationReport
+from hopfact.report import report_texts
 
 HERE = os.path.dirname(__file__)
 
@@ -677,22 +680,32 @@ class TestVerify:
                  '[\n  {\n    "spec": {\n      "kind": "type1",'),
     }
 
+    @staticmethod
+    def library_reports(cfg):
+        """run_verifications on the specs of a verify config, in the CLI's order."""
+        if "ranges" in cfg:
+            g = cfg["ranges"]
+            specs = [serialize.spec_from_config({"d": cfg["d"], "n": n, "m": m, "kind": kind,
+                                                 "p": p, "q": q, "r": r})
+                     for n in sorted(g["n_list"]) for m in sorted(g["m_list"])
+                     for kind in ("type1", "type2")
+                     for p in range(g["p_min"], g["p_max"] + 1)
+                     for q in range(g["q_min"], g["q_max"] + 1)
+                     for r in range(g["r_min"], g["r_max"] + 1) if r]
+        else:
+            specs = [serialize.spec_from_config(cfg)]
+        return hopfact.oracle.run_verifications(specs, cfg.get("trials", 200),
+                                                cfg.get("seed", 0), cfg.get("tol", 1e-8))
+
     @pytest.mark.parametrize("case", WRITTEN)
-    def test_reports_written_as_json_dumps(self, tmp_path, monkeypatch, capsys, case):
-        # the reports' templates give the bytes of json.dumps(payload, indent=2):
-        # one spec as an object, a grid as a list
+    def test_reports_written_as_json_dumps(self, tmp_path, capsys, case):
+        # the reports' templates give the bytes of json.dumps(payload, indent=2)
+        # of the library's reports on the same specs: one spec as an object, a
+        # grid as a list
         cfg, piece = self.WRITTEN[case]
-        reports = []
-        verify = hopfact.oracle.run_verifications
-
-        def recorded(*args, **kwargs):
-            reports.extend(verify(*args, **kwargs))
-            return reports
-
-        monkeypatch.setattr(hopfact.oracle, "run_verifications", recorded)
         code = run(["verify", "--spec", write_config(tmp_path, cfg)])
         assert code == (3 if case == "null residual" else 0)
-        payload = [report.to_dict() for report in reports]
+        payload = [report.to_dict() for report in self.library_reports(cfg)]
         out = capsys.readouterr().out
         assert out == json.dumps(payload if "ranges" in cfg else payload[0], indent=2) + "\n"
         assert piece in out
@@ -705,11 +718,64 @@ class TestVerify:
                   CheckResult("power_branch", 7, -0.0, True),
                   CheckResult("dimtwo", 3, None, False),
                   CheckResult("kernel_scan_agreement", 10, 1e16, False)]
+        stack = SpecStack.of([ActionSpec(ActionKind.TYPE2, -10**30, 0, -7, np.eye(2),
+                                         HopfParams(d=complex(1e-300, -2.5e300), n=2, m=2**53))])
+        columns = [(Checked(c.name, c.trials, np.array([math.nan if c.max_residual is None
+                                                        else c.max_residual]),
+                            np.array([c.passed])), None) for c in checks]
         for tol in (1e-8, 3, 0.1 + 0.2):
             report = VerificationReport({"kind": "type2", "p": -10**30, "q": 0, "r": -7,
                                          "n": 2, "m": 2**53, "d": [1e-300, -2.5e300]},
                                         seed=0, tol=tol, checks=checks)
-            assert cli._report_json(report) == json.dumps(report.to_dict(), indent=2)
+            text = json.dumps(report.to_dict(), indent=2)
+            assert report_texts(stack, 0, tol, columns) == [text]
+            assert report_texts(stack, 0, tol, columns, "  ") == [text.replace("\n", "\n  ")]
+
+    def test_a_grid_evaluates_each_formula_row_once(self, tmp_path, monkeypatch, capsys):
+        # the verify_range grid of the benchmark: q = 0, so sigma = eps + n*p
+        # does not read m, and the 96 specs of each n (m = 3 and 6) are 48
+        # formula rows.  Each check evaluates the formula and _transport on
+        # each row once a trial chunk: the group law three times, well-
+        # definedness twice, transitivity's transport once, the power branch
+        # six times, and dimtwo twice on the 24 Type2 rows of n = 2; the
+        # kernel probe acts each row's 1 + Omega(n*|r|) probes once
+        calls = []
+
+        def check(func):
+            def run(stack, *args, **kwargs):
+                calls.append((func.__name__, stack.params.n, len(stack), []))
+                return func(stack, *args, **kwargs)
+            return run
+
+        def sized(func):
+            def run(rows, *args, **kwargs):
+                calls[-1][3].append(len(rows))
+                return func(rows, *args, **kwargs)
+            return run
+
+        for name in ("verify_group_law", "verify_well_definedness", "verify_transitivity",
+                     "verify_power_branch", "verify_dimtwo", "kernel_scan_agrees"):
+            monkeypatch.setattr(hopfact.oracle, name, check(getattr(hopfact.oracle, name)))
+        for name in ("evaluate_formula", "_transport"):
+            monkeypatch.setattr(hopfact.oracle, name, sized(getattr(hopfact.oracle, name)))
+        cfg = {"d": [0.5, 0.0], "trials": 10, "seed": 205502,
+               "ranges": {"n_list": [2, 3], "m_list": [3, 6], "p_min": 0, "p_max": 1,
+                          "q_min": 0, "q_max": 0, "r_min": -6, "r_max": 6}}
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
+        rows = {(name, n, specs): sum(sizes) for name, n, specs, sizes in calls}
+        # both kinds, p = 0 and 1, and r = -6..-1 and 1..6
+        probes = {n: 8 * sum(1 + len(hopfact.oracle._prime_powers(n * r)) for r in range(1, 7))
+                  for n in (2, 3)}
+        assert rows == {(name, n, specs): per_row * count
+                        for n in (2, 3)
+                        for name, specs, per_row, count in [
+                            ("verify_group_law", 96, 3, 48),
+                            ("verify_well_definedness", 96, 2, 48),
+                            ("verify_transitivity", 96, 1, 48),
+                            ("verify_power_branch", 96, 6, 48),
+                            ("verify_dimtwo", 48, 2, 24),
+                            ("kernel_scan_agrees", 96, 1, probes[n])]
+                        if name != "verify_dimtwo" or n == 2}
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
         # stdout of the CLI before specs shared their draws (numpy 2.4,

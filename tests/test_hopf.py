@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _canonical_reference import rotation_index
+from _orbit_reference import closed_form_distance
 from _orbit_reference import orbit_distance as search_distance
 from hopfact.cmatrix import TWO_PI, principal_arg
 from hopfact.hopf import HopfParams, OrbitPoint, canonicalize, deck_equal, orbit_distance
@@ -199,6 +200,14 @@ def assert_equals_search(got, want):
     np.testing.assert_array_max_ulp(got[tie], want[tie], maxulp=4)
 
 
+def assert_same_bits(got, want):
+    """Equal bit for bit, NaN where the other is NaN, and of one shape."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), (got[~same], want[~same])
+
+
 def orbit_pairs(rng, params, count):
     """``count`` pairs (x, y) on one orbit up to a relative noise of 0, 1e-12
     or 1e-6, and ``count`` unrelated pairs."""
@@ -219,7 +228,9 @@ def test_orbit_distance_equals_the_search(d):
     for m in range(1, 61):
         p = HopfParams(d=d, n=2 + m % 3, m=m)
         x, y = orbit_pairs(rng, p, 50)
-        assert_equals_search(orbit_distance(x, y, p), search_distance(x, y, p))
+        got = orbit_distance(x, y, p)
+        assert_equals_search(got, search_distance(x, y, p))
+        assert_same_bits(got, closed_form_distance(x, y, p))
 
 
 def test_orbit_distance_equals_the_search_on_stacks():
@@ -245,7 +256,9 @@ def test_orbit_distance_equals_the_search_at_extreme_norms(d, scale_x, scale_y):
         x, y = scale_x * x, scale_y * y
         with np.errstate(all="ignore"):
             got, want = orbit_distance(x, y, p), search_distance(x, y, p)
+            closed = closed_form_distance(x, y, p)
         assert_equals_search(got, want)
+        assert_same_bits(got, closed)
         assert np.isfinite(want).any()
 
 
@@ -257,5 +270,31 @@ def test_orbit_distance_degenerate_norm_stays_nan(m):
         x = np.array([v, 0 * v, math.inf * v, v, v])
         y = np.array([0 * v, v, v, math.nan * v, math.inf * v])
         got, want = orbit_distance(x, y, p), search_distance(x, y, p)
+        closed = closed_form_distance(x, y, p)
     assert np.isnan(want).all()
     assert_equals_search(got, want)
+    assert_same_bits(got, closed)
+
+
+@pytest.mark.parametrize("m", [1, 3, 60])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_orbit_distance_is_the_closed_form_bit_for_bit(n, m):
+    # the per-coordinate sums against np.linalg.norm over the (..., 3, n)
+    # broadcast, on both sides of numpy's switch to 8 accumulators at n = 8:
+    # one pair, a stack against a broadcast y with an m for each spec, and
+    # the extreme norm scales, where d = 1e12 takes some pairs to NaN
+    rng = np.random.Generator(np.random.Philox(20 + n))
+    for d in (0.5, 1 + 2j, 1e12):
+        p = HopfParams(d=d, n=n, m=m)
+        x, y = orbit_pairs(rng, p, 12)
+        assert_same_bits(orbit_distance(x[0], y[0], p), closed_form_distance(x[0], y[0], p))
+        spec_m = np.array([m, 1, 2 * m, 7])[:, None]
+        stack = x.reshape(4, 6, n)
+        assert_same_bits(orbit_distance(stack, y[:6], p, spec_m),
+                         closed_form_distance(stack, y[:6], p, spec_m))
+        for scale_x, scale_y in [(1e150, 1e150), (1e-150, 1e-150), (1e150, 1e-150),
+                                 (1e-150, 1e150)]:
+            with np.errstate(all="ignore"):
+                got = orbit_distance(scale_x * x, scale_y * y, p)
+                want = closed_form_distance(scale_x * x, scale_y * y, p)
+            assert_same_bits(got, want)

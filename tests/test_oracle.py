@@ -12,7 +12,7 @@ import hopfact.action
 import hopfact.oracle
 from _grid import fixed_C, grid_specs
 from _scan_reference import scan_lattice
-from hopfact.action import ActionKind, ActionSpec, d_pow
+from hopfact.action import ActionKind, ActionSpec, SpecStack, d_pow
 from hopfact.cmatrix import _rng, random_unitary
 from hopfact.effectiveness import is_effective
 from hopfact.hopf import HopfParams
@@ -304,13 +304,20 @@ def test_non_finite_residual_fails_with_no_value():
 
 # n 2..4, both kinds, non-identity C, m up to 7 and complex d, in runs of
 # specs with equal (d, n): one of them comes back after others, the runs mix
-# the kinds, and the last two each span m = 1, 2, 3 and 7 on one stack
+# the kinds, and the last two each span m = 1, 2, 3 and 7 on one stack.
+# Specs whose sigma = eps + n*(p + q/m) agrees share a formula row across m:
+# (q, m) = (1, 3) and (2, 6) in the run at 0.5 + 0.3j, and q = 0 at
+# m = 1, 2, 3 and 7 in the run at -0.7 + 0.4j, both kinds with C = fixed_C
 SHARED_SPECS = [
     (ActionKind.TYPE2, 2, 3, 1, 0, 2, 1 + 2j, fixed_C(2)),
     (ActionKind.TYPE1, 2, 3, -1, 2, 3, 1 + 2j, None),
     (ActionKind.TYPE2, 2, 3, 0, 1, -1, 1 + 2j, None),
     (ActionKind.TYPE1, 3, 6, 0, 1, -2, 0.5 + 0.3j, fixed_C(3)),
+    (ActionKind.TYPE1, 3, 3, 0, 1, -2, 0.5 + 0.3j, fixed_C(3)),
     (ActionKind.TYPE2, 3, 6, 1, -1, 1, 0.5 + 0.3j, None),
+    (ActionKind.TYPE1, 3, 6, 0, 2, -2, 0.5 + 0.3j, fixed_C(3)),
+    (ActionKind.TYPE2, 3, 3, 1, 1, 2, 0.5 + 0.3j, fixed_C(3)),
+    (ActionKind.TYPE2, 3, 6, 1, 2, 2, 0.5 + 0.3j, fixed_C(3)),
     (ActionKind.TYPE2, 4, 2, 2, -1, 1, -2, None),
     (ActionKind.TYPE1, 4, 2, 1, -1, -3, -2, fixed_C(4)),
     (ActionKind.TYPE1, 2, 3, 2, -2, 1, 1 + 2j, fixed_C(2)),
@@ -321,6 +328,12 @@ SHARED_SPECS = [
     (ActionKind.TYPE2, 2, 3, -1, 2, 1, -0.7 + 0.4j, fixed_C(2)),
     (ActionKind.TYPE2, 2, 7, 2, -3, -2, -0.7 + 0.4j, None),
     (ActionKind.TYPE1, 2, 7, 1, 5, 3, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 1, 1, 0, -2, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE2, 2, 2, 1, 0, 2, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 3, 1, 0, -2, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 7, 1, 0, -2, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE2, 2, 7, 1, 0, 2, -0.7 + 0.4j, fixed_C(2)),
+    (ActionKind.TYPE1, 2, 2, 1, 0, -2, -0.7 + 0.4j, fixed_C(2)),
     (ActionKind.TYPE1, 3, 7, 0, 3, 2, 2 - 1j, fixed_C(3)),
     (ActionKind.TYPE2, 3, 1, 1, 0, -1, 2 - 1j, fixed_C(3)),
     (ActionKind.TYPE1, 3, 3, -1, 1, 3, 2 - 1j, None),
@@ -342,6 +355,9 @@ def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
     if chunk_bytes is not None:
         monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
     specs = shared_specs()
+    stacks = [SpecStack.of(run) for _, run in itertools.groupby(
+        specs, key=lambda spec: (spec.params.d, spec.params.n))]
+    assert [len(stack) - len(stack.rows) for stack in stacks] == [0, 2, 0, 0, 0, 0, 5, 0]
     alone = [run_full_verification(spec, trials=40, seed=17) for spec in specs]
     stacked = run_verifications(specs, trials=40, seed=17)
     assert [report.to_dict() for report in stacked] == [report.to_dict() for report in alone]
