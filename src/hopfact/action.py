@@ -234,18 +234,21 @@ def _replace(spec: ActionSpec, **changes) -> ActionSpec:
     return new
 
 
-def d_pow(d: complex, mu, branch: int = 0):
+def d_pow(d: complex, mu, branch=0):
     """Real power d^mu on the branch |d|^mu * e^{i*mu*(arg d + 2*pi*branch)}.
 
     The default branch uses the ordinary argument in [0, 2*pi).  Any other
-    admissible power function differs by the integer ``branch``.  ``mu``
-    may be an array; a power too large for a float is infinite or NaN, not
-    an error.
+    admissible power function differs by the integer ``branch``, which may
+    be an array that broadcasts against ``mu``.  ``mu`` may be an array; a
+    power too large for a float is infinite or NaN, not an error.
     """
     d = complex(d)
     if d == 0:
         raise ValueError("d must be nonzero")
-    theta = principal_arg(d) + TWO_PI * branch
+    # principal_arg(d) in Python floats, bit for bit: atan2, then the shifts
+    arg = cmath.phase(d)
+    arg = arg + TWO_PI if arg < 0.0 else arg
+    theta = (arg - TWO_PI if arg >= TWO_PI else arg) + TWO_PI * np.asarray(branch)
     mu = np.asarray(mu, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         return (abs(d) ** mu * np.exp(1j * mu * theta))[()]
@@ -256,22 +259,27 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _scalar_factor(spec: Specs, t: np.ndarray, branch: int = 0, ndim: int = None):
+def _scalar_factor(spec: Specs, t: np.ndarray, branch=0, ndim: int = None):
     """The scalar e^{i*sigma*t} * d^{n*r*t/(2*pi)}, t broadcast against
-    ``ndim`` (default t's) leading axes; d_pow is looked up at call time, so
-    a substituted power function reaches every use of the action."""
-    sigma, nr = _fields(spec, t.ndim if ndim is None else ndim)[:2]
+    ``ndim`` (default t's) leading axes; an array ``branch`` has one entry a
+    row.  d_pow is looked up at call time, so a substituted power function
+    reaches every use of the action."""
+    ndim = t.ndim if ndim is None else ndim
+    sigma, nr = _fields(spec, ndim)[:2]
+    if np.ndim(branch):
+        branch = np.reshape(branch, np.shape(sigma))
     return np.exp(1j * sigma * t) * d_pow(spec.params.d, nr * t / TWO_PI, branch)
 
 
 def evaluate_formula(spec: Specs, t, B: np.ndarray, vec: np.ndarray,
-                     branch: int = 0) -> np.ndarray:
+                     branch=0) -> np.ndarray:
     """Raw action formula for one explicit (t, B) representation of A.
 
     Exposed separately from :func:`act` so that well-definedness and
     power-branch identities can be probed with non-canonical splittings.
     t (...), B (..., n, n) and vec (..., n) broadcast over leading axes;
-    for Rows the first of those is the row axis.
+    for Rows the first of those is the row axis, and ``branch`` may be an
+    array with one entry a row.
     """
     t = np.asarray(t, dtype=np.float64)
     ndim = max(t.ndim, np.ndim(B) - 2, np.ndim(vec) - 1)
@@ -345,41 +353,59 @@ def match_example_to_type1(params: HopfParams, samples: int = 20, seed: int = 20
     return spec
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u v^H for vectors (..., n), broadcast."""
-    return u[..., :, None] * v.conj()[..., None, :]
+def _outer(u: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The products u row of columns u and rows ``row`` (..., n).  einsum
+    writes them with no temporary: a broadcast product would go through
+    numpy's buffers, about three times the output's size and time."""
+    return np.einsum("...i,...j->...ij", u, row)
 
 
 def _reflector_to_axis(x: np.ndarray):
-    """Householder H with H x = alpha * e1, |alpha| = ||x||; returns (H, alpha)."""
-    n = x.shape[-1]
+    """The Householder reflector H = I - tau * v v^H with H x = alpha * e1,
+    |alpha| = ||x||, as (v, tau, alpha)."""
     x0 = x[..., 0]
     alpha = -np.linalg.norm(x, axis=-1) * np.where(x0 != 0, np.exp(1j * principal_arg(x0)), 1.0)
     v = x.copy()
     v[..., 0] -= alpha
-    vv = np.sum(v.conj() * v, axis=-1)[..., None, None]
-    return np.eye(n, dtype=np.complex128) - 2.0 * _outer(v, v) / vv, alpha
+    return v, 2.0 / np.sum(v.conj() * v, axis=-1).real, alpha
 
 
-def _unitary_mapping(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A unitary U with U x = y, for ||x|| = ||y||."""
-    hx, ax = _reflector_to_axis(x)
-    hy, ay = _reflector_to_axis(y)
-    hx[..., 0, :] *= (ay / ax)[..., None]
-    return hy.conj().swapaxes(-1, -2) @ hx
+def _vh_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The rows v^H m, for vectors v (..., n) and matrices m (..., n, n)."""
+    return np.einsum("...i,...ij->...j", v.conj(), m)
 
 
-def _fix_determinant(u: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Scale u to determinant 1 by a phase on a direction orthogonal to ``fixed``."""
+def _unitary_mapping(x: np.ndarray, y: np.ndarray):
+    """A unitary U with U x = y, for ||x|| = ||y||, and its determinant.
+    U = Hy D Hx with the reflectors Hx x = ax * e1 and Hy y = ay * e1 and
+    D = diag(ay/ax, 1, ..., 1); a reflector has determinant -1, so
+    det U = ay/ax.  Each reflector is applied as a rank-one update."""
+    vx, tx, ax = _reflector_to_axis(x)
+    vy, ty, ay = _reflector_to_axis(y)
+    ratio = ay / ax
+    # D Hx = D - tx * (D vx) vx^H
+    dvx = vx.copy()
+    dvx[..., 0] *= ratio
+    u = _outer(dvx, -tx[..., None] * vx.conj())
+    u[..., 0, 0] += ratio
+    u[..., 1:, 1:] += np.eye(x.shape[-1] - 1)
+    # Hy (D Hx) = D Hx - ty * vy (vy^H D Hx)
+    u -= _outer(ty[..., None] * vy, _vh_times(vy, u))
+    return u, ratio
+
+
+def _fix_determinant(u: np.ndarray, delta: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Scale u, of determinant ``delta``, to determinant 1 by a phase on a
+    direction q orthogonal to ``fixed``: u + (1/delta - 1) q (q^H u), made
+    in place on u."""
     n = u.shape[-1]
-    delta = np.linalg.det(u)
     f = fixed / np.linalg.norm(fixed, axis=-1)[..., None]
     j = np.argmin(np.abs(f), axis=-1)
     q = (np.arange(n) == j[..., None]).astype(np.complex128)
     q -= np.sum(f.conj() * q, axis=-1)[..., None] * f
     q /= np.linalg.norm(q, axis=-1)[..., None]
-    return (np.eye(n, dtype=np.complex128)
-            + (1.0 / delta - 1.0)[..., None, None] * _outer(q, q)) @ u
+    u += _outer((1.0 / delta - 1.0)[..., None] * q, _vh_times(q, u))
+    return u
 
 
 def _transport(spec: Specs, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -396,7 +422,9 @@ def _transport(spec: Specs, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # a conjugated kind needs conj(B) u = target, i.e. B conj(u) = conj(target)
     x = np.where(conj[..., None], np.conj(u), u)
     y = np.where(conj[..., None], np.conj(target), target)
-    return np.exp(1j * t)[..., None, None] * _fix_determinant(_unitary_mapping(x, y), y)
+    a = _fix_determinant(*_unitary_mapping(x, y), y)
+    a *= np.exp(1j * t)[..., None, None]
+    return a
 
 
 def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarray:

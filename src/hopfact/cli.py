@@ -238,13 +238,17 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _numeric_m(m: int, command: str) -> None:
+    if m > MAX_NUMERIC_M:
+        raise ValueError(f"{command} needs m <= MAX_NUMERIC_M = 2**53, beyond which the "
+                         f"m-th roots of unity are not distinct floats; got m = {m}")
+
+
 def _numeric_spec(config: dict, command: str):
     """The config's spec, with m no more than ``MAX_NUMERIC_M``."""
     from . import serialize
     spec = serialize.spec_from_config(config)
-    if spec.params.m > MAX_NUMERIC_M:
-        raise ValueError(f"{command} needs m <= MAX_NUMERIC_M = 2**53, beyond which the "
-                         f"m-th roots of unity are not distinct floats; got m = {spec.params.m}")
+    _numeric_m(spec.params.m, command)
     return spec
 
 
@@ -297,12 +301,17 @@ def cmd_verify(args) -> int:
     trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
         lines, rs = _grid(config)
-        # the grid has checked p, q and r and left out r = 0, so one spec
-        # checks d, C and m for each manifold; the stacks read the other
-        # fields from the grid
-        blocks = [(_numeric_spec({**config, "n": n, "m": m, "kind": "type1", "p": 0, "q": 0,
-                                  "r": rs[0]}, "verify"), list(block))
-                  for (n, m), block in itertools.groupby(lines, key=lambda line: line[:2])]
+        # the grid has checked p, q, r and m and left out r = 0, so one spec
+        # checks d and C for each n, and each m is checked on its own, in
+        # grid order; the stacks read the other fields from the grid
+        blocks = []
+        for n, block in itertools.groupby(lines, key=lambda line: line[0]):
+            block = list(block)
+            spec = _numeric_spec({**config, "n": n, "m": block[0][1], "kind": "type1", "p": 0,
+                                  "q": 0, "r": rs[0]}, "verify")
+            for m in dict.fromkeys(line[1] for line in block):
+                _numeric_m(m, "verify")
+            blocks.append((spec, block))
     else:
         spec = _numeric_spec(config, "verify")
         p = spec.params
@@ -327,12 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide effectiveness of one spec")
     common(p_check)
     p_check.add_argument("--format", choices=CHECK_FORMATS)
-    p_check.set_defaults(func=cmd_check)
 
     p_enum = sub.add_parser("enumerate", help="effectiveness table over ranges")
     common(p_enum)
     p_enum.add_argument("--format", choices=ENUMERATE_FORMATS)
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_act = sub.add_parser("act", help="apply a unitary to a point")
     common(p_act)
@@ -340,14 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unitary matrix, inline JSON or file path")
     p_act.add_argument("--point", required=True,
                        help="point vector, inline JSON or file path")
-    p_act.set_defaults(func=cmd_act)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--tol", type=float)
     p_verify.add_argument("--trials", type=int)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -365,11 +370,17 @@ def _attach_values(argv: list) -> list:
     return out
 
 
+_parser = None     # built by the first call of main, and kept for the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        # by name at each call, so that a function rebound on the module runs
+        return globals()["cmd_" + args.command](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,29 +1,30 @@
 """Small dense complex linear algebra.
 
 Matrices are square ``numpy`` arrays of ``complex128``; determinants and
-inverses come from ``numpy.linalg``.  Random unitaries come from QR
-orthonormalization of complex Gaussian matrices with a phase-fixed
-diagonal, which is the standard Haar recipe.  ``principal_arg``,
-``unitarity_residual``, ``random_unitary`` and ``su_decompose`` also take
-stacks, broadcasting over leading axes, so that the oracle can run many
-trials in one numpy pass.
+inverses come from ``numpy.linalg``.  ``principal_arg``,
+``unitarity_residual`` and ``su_decompose`` also take stacks, broadcasting
+over leading axes, so that the oracle can run many trials in one numpy
+pass.
 
-The unitary of a seed s comes from the stream of ``Generator(Philox(s))``,
-so each trial can be rebuilt from its seed alone.  Philox is counter-based:
-its whole state is a 128-bit key and a counter, and the key is a fixed
-hash of the seed, ``SeedSequence(s).generate_state(2, np.uint64)``.
-``random_unitary`` computes that hash for a whole batch of seeds at once,
-in uint32 array arithmetic that follows numpy's ``SeedSequence`` step by
-step (``_philox_keys``).  It then builds one ``Philox`` per call and, for
-each seed, sets its state to (key, counter 0, empty buffer) before the
-draws.  A seed below 2**128 enters the hash as four little-endian 32-bit
-words, zero-padded, exactly as ``SeedSequence`` pads it to its pool of
-four.  A larger seed hashes its extra words in a further round, so such
-seeds are hashed by ``SeedSequence`` itself, one at a time, and then take
-the same draw path.
+Random unitaries are Haar-distributed: the Q of the QR factorization of a
+complex Gaussian matrix, with R's diagonal made positive (Mezzadri, "How to
+generate random matrices from the classical compact groups", Notices AMS
+54, 2007).  Q comes from Gram-Schmidt run over a whole stack at once.  The
+Gaussians are read at fixed positions of a counter-based Philox stream
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): a
+check seed keys one stream, and trial i of it reads the stream's words
+[i*W, (i+1)*W), W = 2*n*n rounded up to a multiple of 4, which
+``Philox.advance`` reaches without generating the words before them.  So a
+chunk of trials is one ``random_raw`` call, Box-Muller and one stacked
+Gram-Schmidt, and any trial is replayed from (check seed, index) alone.
+The stream's key is that of the first child of ``SeedSequence(seed)``,
+whose entropy (the seed's words, zero-padded to four, then a 0 word) no
+integer seed has.  The sample points of a check come from ``Philox(seed)``,
+whose entropy is the seed's own words, so no point stream is keyed from the
+entropy of a unitary stream.
 """
 
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,93 +62,82 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _running_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init, init*mult, init*mult**2, ... mod 2**32: the successive values
-    of a ``SeedSequence`` hash constant."""
-    values = [init]
-    for _ in range(count - 1):
-        values.append(values[-1] * mult & 0xFFFFFFFF)
-    return np.array(values, dtype=np.uint32)
+def _trial_words(n: int) -> int:
+    """The words of a unitary stream that one n x n trial reads: one per
+    real number of its n*n Gaussian entries, rounded up to the 4 words of a
+    Philox counter step, so that ``advance`` reaches each trial's first
+    word."""
+    return -(-2 * n * n // 4) * 4
 
 
-# numpy's SeedSequence constants.  Its k-th hashmix call xors with _HASH_A[k]
-# and multiplies by _HASH_A[k + 1]; word k of generate_state does the same
-# with _HASH_B.
-_HASH_A = _running_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = _running_constants(0x8B51F9DD, 0x58F38DED, 5)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+def _unitary_stream(seed: int) -> np.random.Philox:
+    """The Philox stream of the unitaries of ``seed``, at its start.  Its
+    key is that of the first child of SeedSequence(seed), numpy's way to
+    derive a stream independent of Philox(seed), which draws the sample
+    points."""
+    return np.random.Philox(np.random.SeedSequence(operator.index(seed), spawn_key=(0,)))
 
 
-def _operands(table: np.ndarray, calls) -> tuple:
-    """The xor and multiply constants of the numbered calls, as columns."""
-    calls = np.asarray(calls)[:, None]
-    return table[calls], table[calls + 1]
+def _gaussians(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, n, n) complex Gaussian matrices of trials lo..hi-1 of
+    the unitary stream of ``seed``: trial i, by Box-Muller, from the words
+    [i*W, (i+1)*W) of the stream, W = ``_trial_words(n)``.  The moduli come
+    from its first n*n words and the phases from the next n*n."""
+    if lo < 0:
+        raise ValueError(f"trial indices must be non-negative, got {lo}")
+    words = _trial_words(n)
+    bits = _unitary_stream(seed)
+    bits.advance(lo * words // 4)
+    raw = bits.random_raw((hi - lo) * words).reshape(hi - lo, words)[:, :2 * n * n]
+    # 53-bit uniforms, in (0, 1] for the logarithm and [0, 1) for the angle
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    # e^{i*theta}, theta uniform in [-pi, pi), from tan(theta/2) by the
+    # half-angle formulas: numpy vectorizes its float64 tan on CPUs where it
+    # runs cos and sin one value at a time, several times slower
+    half = np.tan(np.pi * (u[:, n * n:] - 0.5))
+    scale = np.sqrt(-np.log(1.0 - u[:, :n * n])) / (1.0 + half * half)
+    g = np.empty((hi - lo, n * n), dtype=np.complex128)
+    g.real = scale * (1.0 - half * half)
+    g.imag = scale * 2.0 * half
+    return g.reshape(-1, n, n)
 
 
-# Calls 0..3 hash the four seed words into the pool.  Then each pool word i
-# is hashed into every other word j in turn, by calls 4..15; row i itself
-# takes call 0's constants and is put back afterwards.
-_FILL = _operands(_HASH_A, range(4))
-_MIX = [_operands(_HASH_A, [4 + 3 * i + j - (j > i) if j != i else 0 for j in range(4)])
-        for i in range(4)]
-_READ = _operands(_HASH_B, range(4))
+def _orthonormalize(g: np.ndarray) -> np.ndarray:
+    """The Q of g = QR with R's diagonal positive, for a stack of
+    full-rank matrices g: classical Gram-Schmidt over the columns, each
+    projected out twice (the second pass restores orthogonality to rounding
+    level: Giraud et al., Numer. Math. 101, 2005), in numpy passes over the
+    stack."""
+    q = g.copy()
+    for j in range(g.shape[-1]):
+        v = q[..., j:j + 1]
+        if j:
+            done = q[..., :j]
+            done_h = done.conj().swapaxes(-1, -2)
+            for _ in range(2):
+                v = v - done @ (done_h @ v)
+        q[..., j:j + 1] = v / np.linalg.norm(v, axis=-2, keepdims=True)
+    return q
 
 
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    return v ^ (v >> 16)
+def random_unitary(n: int, seed, trials: range = None) -> np.ndarray:
+    """Haar-distributed n x n unitary, deterministic in the seed: trial 0
+    of the unitary stream of ``seed``, a non-negative integer.
 
-
-def _philox_keys(seeds) -> np.ndarray:
-    """The Philox key ``SeedSequence(s).generate_state(2, np.uint64)`` of
-    each seed s, as the rows of a (len(seeds), 2) array."""
-    a = np.asarray(seeds)
-    # seeds that no numpy integer type holds together (one of 2**64 or more,
-    # or one of 2**63 or more beside smaller ones), or that are not integers
-    wide = a.dtype.kind not in "iu"
-    if wide:
-        a = np.array(seeds, dtype=object)
-    if a.size and a.min() < 0:
-        raise ValueError("seeds must be non-negative integers")
-    words = np.zeros((4, a.size), dtype=np.uint32)
-    for j in range(4 if wide else 2):
-        words[j] = (a >> 32 * j) & 0xFFFFFFFF
-    pool = _hashmix(words, *_FILL)
-    for i, operands in enumerate(_MIX):
-        own = pool[i].copy()
-        pool = _MIX_L * pool - _MIX_R * _hashmix(pool[i], *operands)
-        pool ^= pool >> 16
-        pool[i] = own
-    keys = np.ascontiguousarray(_hashmix(pool, *_READ).T, dtype="<u4").view("<u8")
-    if wide:
-        for i in np.flatnonzero(a >= 1 << 128):
-            keys[i] = np.random.SeedSequence(a[i]).generate_state(2, np.uint64)
-    return keys
-
-
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed n x n unitary, deterministic in the seed.
-
-    A sequence of seeds (a ``range``, say) gives the (len(seeds), n, n)
-    stack of the unitaries of each seed, from one stacked QR; every matrix
-    equals the one its seed gives alone, bit for bit.
+    ``trials``, a range of non-negative indices with step 1, gives the
+    (len(trials), n, n) stack of those trials of the stream instead.  Each
+    matrix depends only on (seed, index), so it equals, bit for bit, the
+    one its trial gives alone or in any other chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    single = isinstance(seed, numbers.Integral)
-    keys = _philox_keys([seed] if single else seed)
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    state = bits.state                    # counter 0, empty buffer; the key is set per seed
-    g = np.empty((len(keys), 2, n, n))
-    for key, out in zip(keys, g):
-        state["state"]["key"] = key
-        bits.state = state
-        rng.standard_normal(out=out)      # the real part's n*n draws, then the imaginary part's
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (phases / np.abs(phases))[:, None, :]
-    return u[0] if single else u
+    if trials is not None and trials.step != 1:
+        raise ValueError("trials must be a range with step 1")
+    lo, hi = (0, 1) if trials is None else (trials.start, trials.stop)
+    # Q with R's diagonal positive: the QR recipe with the phases of R's
+    # diagonal fixed, which makes Q Haar-distributed
+    u = _orthonormalize(_gaussians(n, seed, lo, hi))
+    return u[0] if trials is None else u
 
 
 @dataclass(frozen=True)
@@ -175,6 +165,12 @@ def su_decompose(a) -> UnitaryElement:
     res = unitarity_residual(a)
     if np.any(res > 1e-10):
         raise ValueError(f"matrix is not unitary (residual {np.nanmax(res):.3e})")
+    return _split(a)
+
+
+def _split(a: np.ndarray) -> UnitaryElement:
+    """:func:`su_decompose` of complex128 matrices that are unitary by
+    construction, such as those of :func:`random_unitary` and their
+    products, without the unitarity check."""
     t = principal_arg(np.linalg.det(a)) / a.shape[-1]
-    b = np.exp(-1j * t)[..., None, None] * a
-    return UnitaryElement(t=t, su_part=b)
+    return UnitaryElement(t=t, su_part=np.exp(-1j * t)[..., None, None] * a)

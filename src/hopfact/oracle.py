@@ -18,8 +18,12 @@ axes: specs that differ only in m, or in m, p and q with one sigma, share
 a row and each formula, ``_transport`` and ``_apply`` evaluation.  Only the
 orbit distances read m, so only they gather the rows' images to the specs,
 each spec's m on their first axis; ``power_branch`` and ``dimtwo`` take one
-residual a row.  Trial i keeps the sample points and the Philox-seeded
-unitaries it would have alone, in any chunk and beside any other specs.
+residual a row.  A check's seed keys its sample points and its own
+counter-based stream of unitaries (``cmatrix.random_unitary``): trial i
+reads the draws at index i of that stream (2i and 2i + 1 for the group
+law's two factors), so a chunk of trials is one call, and any trial is
+replayed from (check seed, index) alone, in any chunk and beside any other
+specs.
 
 On a stack a check gives a :class:`Checked`, arrays with one entry a spec,
 and ``kernel_scan_agrees`` a list of verdicts; on one spec a
@@ -38,9 +42,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .action import (ActionKind, ActionSpec, SpecStack, SU2_CONJUGATOR, _apply, _transport,
+from .action import (ActionKind, ActionSpec, Rows, SpecStack, SU2_CONJUGATOR, _apply, _transport,
                      evaluate_formula)
-from .cmatrix import TWO_PI, UnitaryElement, _rng, random_unitary, su_decompose
+from .cmatrix import TWO_PI, UnitaryElement, _rng, _split, random_unitary
 from .effectiveness import _congruence_coefficient, find_witnesses
 from .hopf import HopfParams, orbit_distance
 
@@ -122,9 +126,11 @@ def sample_points(params: HopfParams, count: int, seed: int,
 
 
 def _shared_split(a: np.ndarray) -> UnitaryElement:
-    """The e^{it} B splitting of unitaries (T, n, n) that every row of a
-    stack shares: t (1, T) and B (1, T, n, n), with a row axis of size 1."""
-    ue = su_decompose(a)
+    """The e^{it} B splitting of drawn unitaries (T, n, n) that every row of
+    a stack shares: t (1, T) and B (1, T, n, n), with a row axis of size 1.
+    Draws are unitary by construction, so they skip su_decompose's check;
+    ``_apply`` keeps it for the transport's unitaries."""
+    ue = _split(a)
     return UnitaryElement(ue.t[None], ue.su_part[None])
 
 
@@ -206,7 +212,7 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
     scalar = {(N, j): i for i, (N, j) in
               enumerate((N, j) for N, js in probes.items() for j in js)}
     N, j = np.array(list(scalar)).reshape(-1, 2).T
-    split = su_decompose(np.exp(2j * math.pi * j / N)[:, None, None] * np.eye(p.n))
+    split = _split(np.exp(2j * math.pi * j / N)[:, None, None] * np.eye(p.n))
     # the (row, probe) pairs in row order: each one's j and split scalar
     probe_j = [j for N in orders for j in probes[N]]
     probe_scalar = np.array([scalar[N, j] for N in orders for j in probes[N]])
@@ -333,12 +339,14 @@ def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
     """act(A1*A2, z) against act(A1, act(A2, z))."""
     p = specs.params
     z = sample_points(p, trials, seed)
-    first = seed * 1_000_003
 
     def draw(lo, hi):
-        a1 = random_unitary(p.n, range(first + 2 * lo, first + 2 * hi, 2))
-        a2 = random_unitary(p.n, range(first + 2 * lo + 1, first + 2 * hi, 2))
-        return _shared_split(a1), _shared_split(a2), _shared_split(a1 @ a2), z[None, lo:hi]
+        # trial i's A1 and A2 are draws 2i and 2i + 1 of the check's stream
+        a = random_unitary(p.n, seed, trials=range(2 * lo, 2 * hi)).reshape(hi - lo, 2, p.n, p.n)
+        a1, a2 = a[:, 0], a[:, 1]
+        ue = _split(np.stack([a1, a2, a1 @ a2]))
+        return (*(UnitaryElement(t[None], b[None]) for t, b in zip(ue.t, ue.su_part)),
+                z[None, lo:hi])
 
     def residuals(part, a1, a2, a12, zc):
         rows = part.rows
@@ -363,7 +371,7 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
     ell = np.arange(-2, 3)
 
     def draw(lo, hi):
-        ue = su_decompose(random_unitary(n, range(seed * 999_983 + lo, seed * 999_983 + hi)))
+        ue = _split(random_unitary(n, seed, trials=range(lo, hi)))
         t2 = ue.t[:, None, None] + TWO_PI * k[:, None] / n + TWO_PI * ell   # (T, n, 5)
         b2 = (np.exp(-2j * math.pi * k / n)[:, None, None, None]
               * ue.su_part[:, None, None])                                  # (T, n, 1, n, n)
@@ -406,21 +414,26 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
     z = sample_points(p, trials, seed)
     # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r
     # off it, that is (A - L*n*r*m)/m with A = sigma*m, and int / int rounds
-    # that rational correctly, as float() of it would
+    # that rational correctly, as float() of it would; at L = 0 it is the
+    # row's own sigma, so that branch is the standard evaluation
     exact = [(_congruence_coefficient(specs.kind[i], p.n, specs.m[i], specs.p[i], specs.q[i]),
               p.n * specs.r[i] * specs.m[i], specs.m[i]) for i in specs.first]
-    shifted = {L: replace(specs.rows, sigma=np.array([(a - L * nrm) / m for a, nrm, m in exact]))
-               for L in range(-2, 3)}
+    branches = np.arange(-2, 3)
+    sigma = np.array([[(a - L * nrm) / m for L in branches.tolist()] for a, nrm, m in exact])
 
     def draw(lo, hi):
-        return _shared_split(random_unitary(p.n, range(seed * 7_919 + lo, seed * 7_919 + hi))), \
-            z[None, lo:hi]
+        return _shared_split(random_unitary(p.n, seed, trials=range(lo, hi))), z[None, lo:hi]
 
     def residuals(part, ue, zc):
-        base = evaluate_formula(part.rows, ue.t, ue.su_part, zc)
-        alt = np.stack([evaluate_formula(rows[part.rows_at], ue.t, ue.su_part, zc, branch=L)
-                        for L, rows in shifted.items()])
-        return np.linalg.norm(alt - base, axis=-1).max(axis=0) / np.linalg.norm(base, axis=-1)
+        # each row five times, once a branch, in one evaluation
+        rows = part.rows
+        five = Rows(p, sigma[part.rows_at].ravel(), *(np.repeat(field, 5, axis=0) for field in
+                                                       (rows.nr, rows.conj, rows.C, rows.C_inv)))
+        images = evaluate_formula(five, ue.t, ue.su_part, zc, branch=np.tile(branches, len(rows)))
+        images = images.reshape(len(rows), 5, *images.shape[1:])
+        base = images[:, 2]
+        return np.linalg.norm(images - base[:, None], axis=-1).max(axis=1) / \
+            np.linalg.norm(base, axis=-1)
 
     return _run_check("power_branch", specs, trials, tol, 5 * p.n * p.n, draw, residuals,
                       by_row=True)
@@ -441,8 +454,7 @@ def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
     z = sample_points(specs.params, trials, seed)
 
     def draw(lo, hi):
-        return _shared_split(random_unitary(2, range(seed * 104_729 + lo, seed * 104_729 + hi))), \
-            z[None, lo:hi]
+        return _shared_split(random_unitary(2, seed, trials=range(lo, hi))), z[None, lo:hi]
 
     def residuals(part, ue, zc):
         lhs = evaluate_formula(part.rows, ue.t, ue.su_part, zc)

@@ -10,8 +10,6 @@ only its own fields, residuals and verdicts.  Only ``verify`` imports this
 module.
 """
 
-from itertools import groupby
-
 import numpy as np
 
 from . import oracle
@@ -67,20 +65,17 @@ def report_texts(stack: SpecStack, seed: int, tol, checks: list, indent: str = "
 
 def verify_text(blocks: list, rs: list, trials: int, seed: int, tol, grid: bool) -> tuple:
     """The output of ``verify`` and whether every check passed.  ``blocks``
-    are (spec, lines): a validated spec of one (n, m) and the grid lines
-    (n, m, kind, p, q) of that manifold, each taken with every r of ``rs``.
+    are (spec, lines): a validated spec of one n and the grid lines
+    (n, m, kind, p, q) on that n, each taken with every r of ``rs``.
     Every n*|r|*m is checked against the kernel probe's bound first; then
-    each run of blocks with one n is one stack, with that run's first d
-    and C."""
-    for spec, _ in blocks:
-        for r in rs:
-            oracle._scan_order(spec.params.n, r, spec.params.m)
+    each block is one stack, with its spec's d and C."""
+    for spec, lines in blocks:
+        for m in dict.fromkeys(line[1] for line in lines):
+            for r in rs:
+                oracle._scan_order(spec.params.n, r, m)
     texts, passed = [], True
-    for _, run in groupby(blocks, key=lambda block: block[0].params.n):
-        run = list(run)
-        base = run[0][0]
-        kind, p, q, r, m = zip(*[(kind, p, q, r, m) for _, block in run
-                                 for _, m, kind, p, q in block for r in rs])
+    for base, lines in blocks:
+        kind, p, q, r, m = zip(*[(kind, p, q, r, m) for _, m, kind, p, q in lines for r in rs])
         stack = SpecStack.of_columns(base.params, kind, p, q, r, m, [base.C] * len(m),
                                      [base.C_inv] * len(m))
         checks = oracle.run_suite(stack, trials, seed, tol)

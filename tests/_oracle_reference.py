@@ -3,7 +3,9 @@
 The per-trial loops that ``oracle.verify_*`` replaced with batches over
 trials, one trial and one point at a time through the single-point entry
 points; the batched checks must report the same verdicts and residuals
-equal up to summation order.  Kept for reading, not for speed.
+equal up to summation order.  Each unitary is drawn alone, from its
+address (check seed, index) in the check's stream.  Kept for reading, not
+for speed.
 """
 
 import math
@@ -23,6 +25,11 @@ from hopfact.hopf import OrbitPoint, orbit_distance
 from hopfact.oracle import CheckResult, sample_points
 
 
+def draw(n: int, seed: int, index: int) -> np.ndarray:
+    """Draw ``index`` of the unitary stream of the check seed ``seed``."""
+    return random_unitary(n, seed, trials=range(index, index + 1))[0]
+
+
 def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
                      tol: float = 1e-8) -> CheckResult:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
@@ -30,8 +37,8 @@ def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
     z = sample_points(p, trials, seed)
     worst = 0.0
     for i in range(trials):
-        a1 = random_unitary(p.n, seed * 1_000_003 + 2 * i)
-        a2 = random_unitary(p.n, seed * 1_000_003 + 2 * i + 1)
+        a1 = draw(p.n, seed, 2 * i)
+        a2 = draw(p.n, seed, 2 * i + 1)
         pt = OrbitPoint(p, z[i])
         lhs = act(spec, a1 @ a2, pt)
         rhs = act(spec, a1, act(spec, a2, pt))
@@ -48,7 +55,7 @@ def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
     z = sample_points(p, trials, seed)
     worst = 0.0
     for i in range(trials):
-        a = random_unitary(p.n, seed * 999_983 + i)
+        a = draw(p.n, seed, i)
         pt = OrbitPoint(p, z[i])
         base = act(spec, a, pt)
         ue = su_decompose(a)
@@ -85,7 +92,7 @@ def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
     z = sample_points(p, trials, seed)
     worst = 0.0
     for i in range(trials):
-        a = random_unitary(p.n, seed * 7_919 + i)
+        a = draw(p.n, seed, i)
         ue = su_decompose(a)
         base = evaluate_formula(spec, ue.t, ue.su_part, z[i])
         scale = float(np.linalg.norm(base))
@@ -108,7 +115,7 @@ def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
     z = sample_points(p, trials, seed)
     worst = 0.0
     for i in range(trials):
-        a = random_unitary(2, seed * 104_729 + i)
+        a = draw(2, seed, i)
         pt = OrbitPoint(p, z[i])
         lhs = act(spec, a, pt)
         rhs = act(twin, a, pt)

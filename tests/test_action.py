@@ -16,8 +16,9 @@ from hopfact.action import (
     match_example_to_type1,
     solve_transport,
     type2_as_type1,
+    _unitary_mapping,
 )
-from hopfact.cmatrix import random_unitary, su_decompose, unitarity_residual
+from hopfact.cmatrix import principal_arg, random_unitary, su_decompose, unitarity_residual
 from hopfact.hopf import HopfParams, OrbitPoint, deck_equal, orbit_distance
 
 TWO_PI = 2 * math.pi
@@ -52,6 +53,16 @@ class TestDPow:
         d = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) or 1.5
         for k in range(-3, 4):
             assert abs(d_pow(d, k) - d ** k) < 1e-12 * abs(d) ** k + 1e-12
+
+    @pytest.mark.parametrize("d", [-1, 1 - 0j, complex(-1, -0.0), 1e-300j, 1 + 2j])
+    def test_argument_is_principal_arg_bit_for_bit(self, d):
+        # d_pow takes arg d with cmath.phase and principal_arg's shifts in
+        # Python floats; the powers keep their bits, signed zeros included
+        mu = np.array([0.0, 1.0, 0.5, -1.25, 3.0, 60.0])
+        for branch in (0, -2, np.array([1, 0, -1, 2, -2, 0])):
+            with np.errstate(over="ignore"):        # (1e-300)^-1.25 is inf
+                want = abs(d) ** mu * np.exp(1j * mu * (principal_arg(d) + TWO_PI * branch))
+            assert d_pow(d, mu, branch).tobytes() == want.tobytes()
 
 
 class TestActionSpec:
@@ -217,6 +228,31 @@ class TestSolveTransport:
                 assert unitarity_residual(a) < 1e-10
                 assert abs(np.linalg.det(a * cmath.exp(-1j * su_decompose(a).t)) - 1) < 1e-9
                 assert orbit_distance(act(spec, a, z).rep, w.rep, spec.params) < 1e-8
+
+    def test_mapping_determinant_in_closed_form(self):
+        # U = Hy D Hx, two reflectors of determinant -1 and D = diag(ay/ax, 1, ...)
+        rng = np.random.Generator(np.random.Philox(31))
+        for n in range(2, 9):
+            x = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+            y = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+            y *= (np.linalg.norm(x, axis=-1) / np.linalg.norm(y, axis=-1))[:, None]
+            u, det = _unitary_mapping(x, y)
+            assert np.abs(det - np.linalg.det(u)).max() <= 1e-13
+            assert np.abs((u @ x[..., None])[..., 0] - y).max() < 1e-13
+            assert unitarity_residual(u).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", [ActionKind.TYPE1, ActionKind.TYPE2])
+    def test_transport_for_n_up_to_8(self, kind):
+        for n in range(2, 9):
+            params = HopfParams(d=0.5 + 0.3j, n=n, m=n + 1)
+            rng = np.random.Generator(np.random.Philox(70 + n))
+            c = np.eye(n) + 0.2 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            spec = ActionSpec(kind, 1, 1, -2, c, params)
+            for i in range(5):
+                z, w = rand_point(params, 5000 + i), rand_point(params, 6000 + i)
+                a = solve_transport(spec, z, w)
+                assert unitarity_residual(a) < 1e-12
+                assert orbit_distance(act(spec, a, z).rep, w.rep, params) < 1e-10
 
 
 class TestPowerBranchIdentity:

@@ -737,8 +737,9 @@ class TestVerify:
         # formula rows.  Each check evaluates the formula and _transport on
         # each row once a trial chunk: the group law three times, well-
         # definedness twice, transitivity's transport once, the power branch
-        # six times, and dimtwo twice on the 24 Type2 rows of n = 2; the
-        # kernel probe acts each row's 1 + Omega(n*|r|) probes once
+        # five times (once a branch, in one call, the branch L = 0 being the
+        # standard evaluation), and dimtwo twice on the 24 Type2 rows of
+        # n = 2; the kernel probe acts each row's 1 + Omega(n*|r|) probes once
         calls = []
 
         def check(func):
@@ -772,14 +773,15 @@ class TestVerify:
                             ("verify_group_law", 96, 3, 48),
                             ("verify_well_definedness", 96, 2, 48),
                             ("verify_transitivity", 96, 1, 48),
-                            ("verify_power_branch", 96, 6, 48),
+                            ("verify_power_branch", 96, 5, 48),
                             ("verify_dimtwo", 48, 2, 24),
                             ("kernel_scan_agrees", 96, 1, probes[n])]
                         if name != "verify_dimtwo" or n == 2}
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
-        # stdout of the CLI before specs shared their draws (numpy 2.4,
-        # OpenBLAS): the shared draws must not move a single residual bit
+        # stdout of the CLI once each check drew its trials from one
+        # counter-addressed stream (numpy 2.4, OpenBLAS): later changes to
+        # how the draws are chunked or shared must not move a residual bit
         cfg = {"d": [0.5, 0.3], "trials": 10, "seed": 7,
                "ranges": {"n_list": [2, 3], "m_list": [3], "p_min": 0, "p_max": 0,
                           "q_min": 0, "q_max": 0, "r_min": -2, "r_max": 2}}
@@ -849,6 +851,24 @@ class TestVerify:
     GRID = {"d": [4, 0],
             "ranges": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
                        "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 2}}
+
+    @pytest.mark.parametrize("size,message", [
+        (2, "verify needs m <= MAX_NUMERIC_M = 2**53"),
+        (3, "C has dimension 3, manifold has n = 2"),
+    ])
+    def test_grid_errors_keep_their_order(self, tmp_path, monkeypatch, capsys, size, message):
+        # one spec checks d and C for each n, and each m is checked on its
+        # own, in the grid's order (n, then m): with a 2 x 2 C the m beyond
+        # the floats on n = 2 comes before the C that n = 3 rejects, and a
+        # 3 x 3 C is rejected on n = 2 before any m
+        monkeypatch.setattr(hopfact.oracle, "run_suite", None)
+        identity = [[[float(i == j), 0.0] for j in range(size)] for i in range(size)]
+        cfg = {"d": [4, 0], "C": identity,
+               "ranges": dict(self.GRID["ranges"], n_list=[3, 2], m_list=[2**54, 1])}
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
 
     @pytest.mark.parametrize("m", [2**53 + 1, 10**400])
     @pytest.mark.parametrize("grid", [False, True])
@@ -934,6 +954,38 @@ class TestFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_parser_kept_across_calls(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once a process: consecutive calls in one
+        # process (check, a bad flag that exits 2, enumerate) give the
+        # output and exit code of fresh calls
+        argvs = [["check", "--spec", write_config(tmp_path, DEMO)],
+                 ["verify", "--spec", write_config(tmp_path, DEMO), "--trails", "3"],
+                 ["enumerate", "--spec", write_config(tmp_path, TestEnumerate.PINNED, "g.json")]]
+        here = []
+        for argv in argvs:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            here.append([code, captured.out, captured.err])
+        assert [outcome[0] for outcome in here] == [0, 2, 0]
+        parser = cli._parser
+        for argv, outcome in zip(argvs, here):
+            fresh = run_fresh(
+                "import contextlib, io, json\nfrom hopfact import cli\n"
+                "out, err = io.StringIO(), io.StringIO()\n"
+                "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                f"    try:\n        code = cli.main({argv!r})\n"
+                "    except SystemExit as exc:\n        code = exc.code\n"
+                "print(json.dumps([code, out.getvalue(), err.getvalue()]))")
+            assert json.loads(fresh) == outcome, argv
+        # the kept parser names the subcommand, and the function that the
+        # module binds to its name at the call runs it
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert run(argvs[0]) == 7
+        assert cli._parser is parser
 
 
 class TestUnknownField:

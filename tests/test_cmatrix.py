@@ -5,7 +5,9 @@ import pytest
 
 from hopfact.action import ActionKind, ActionSpec
 from hopfact.cmatrix import (
-    _philox_keys,
+    _orthonormalize,
+    _trial_words,
+    _unitary_stream,
     as_cmatrix,
     principal_arg,
     random_unitary,
@@ -86,52 +88,116 @@ def test_random_unitary_deterministic():
     assert np.array_equal(random_unitary(2, 42), random_unitary(2, 42))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_random_unitary_seed_stack_is_bitwise_per_seed(n):
-    seeds = list(range(150)) + [10**20 + 7, 2**64 + 1]
-    stack = random_unitary(n, seeds)
-    assert stack.shape == (len(seeds), n, n)
-    for s, u in zip(seeds, stack):
-        assert u.tobytes() == random_unitary(n, s).tobytes()
+    # a chunk [lo, hi) of a check's stream equals each of its trials drawn
+    # alone, bit for bit, in chunks of 1, of 7 and all at once
+    lo, hi = 3, 60
+    chunk = random_unitary(n, 11, trials=range(lo, hi))
+    assert chunk.shape == (hi - lo, n, n)
+    for size in (1, 7, hi - lo):
+        parts = [random_unitary(n, 11, trials=range(at, min(at + size, hi)))
+                 for at in range(lo, hi, size)]
+        assert np.concatenate(parts).tobytes() == chunk.tobytes()
+    assert random_unitary(n, 11).tobytes() == random_unitary(n, 11, trials=range(1))[0].tobytes()
 
 
 def test_random_unitary_pins_its_philox_stream():
-    # trials are replayed from their seeds, so the matrix of a seed is fixed
+    # trials are replayed from (check seed, index), so the words each one
+    # reads are fixed: the raw words pin the key and the counter exactly.
+    # The entries go through numpy's float64 log and tan, whose last bit
+    # may depend on the CPU, hence the tolerance
+    assert _unitary_stream(7).random_raw(6).tolist() == [
+        892338168548979717, 15170909771414443098, 1728185364418901974,
+        1909119065848922519, 7862383318114072877, 1498835851804617308]
+    bits = _unitary_stream(7)
+    bits.advance(5)             # 5 counter steps of 4 words: trial 1 of n = 3 (W = 20)
+    assert bits.random_raw(4).tolist() == [12655867699524042484, 98185570645675457,
+                                           17131540420115231611, 5249249381371067672]
+    assert _unitary_stream(2**200 + 3).random_raw(2).tolist() == [16335762614722751198,
+                                                                  489761711303479239]
+    assert _trial_words(3) == 20
     u = random_unitary(3, 7)
-    assert u[0, 1] == pytest.approx(0.3840492826488002 - 0.6274767856464746j, abs=1e-12)
-    assert u[2, 0] == pytest.approx(0.3860086889011959 + 0.17148718198615376j, abs=1e-12)
-    assert u[1, 2] == pytest.approx(-0.566710950609994 + 0.3795255108405644j, abs=1e-12)
-    v = random_unitary(2, [10**20 + 7])[0]
-    assert v[0, 0] == pytest.approx(-0.7363777543634991 - 0.2302599117044959j, abs=1e-12)
-    assert v[1, 0] == pytest.approx(0.5703371129071939 - 0.2818576832039437j, abs=1e-12)
-
-
-EDGE_SEEDS = [2**32 - 1, 2**32 + 1, 2**64 - 1, 2**64 + 1, 2**128 - 1, 2**128, 3**200]
-
-
-@pytest.mark.parametrize("seeds", [range(5000), EDGE_SEEDS, [2**63, 2**63 + 5, 1]])
-def test_philox_keys_equal_seed_sequence(seeds):
-    # the batch hash must give the key Philox(s) takes from its SeedSequence;
-    # this also catches any change of that hash in numpy
-    keys = _philox_keys(seeds)
-    assert keys.shape == (len(seeds), 2)
-    for s, key in zip(seeds, keys):
-        expected = np.random.SeedSequence(s).generate_state(2, np.uint64)
-        assert key.tolist() == expected.tolist(), s
+    assert u[0, 1] == pytest.approx(0.5782786563986366 + 0.7474645322191109j, abs=1e-12)
+    assert u[2, 0] == pytest.approx(0.8359046820188974 - 0.4412710169290115j, abs=1e-12)
+    assert u[1, 2] == pytest.approx(-0.8887958663446066 + 0.19746740856047468j, abs=1e-12)
+    v = random_unitary(2, 10**20 + 7, trials=range(4, 5))[0]
+    assert v[0, 0] == pytest.approx(0.057187442272204465 + 0.9179086690453259j, abs=1e-12)
+    assert v[1, 0] == pytest.approx(-0.38003223965668537 - 0.09873585245150532j, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_random_unitary_batch_across_2_to_the_128_is_bitwise_per_seed(n):
-    seeds = [5, 2**128, 2**64 + 1, 3**200, 2**128 - 1, 0, 2**40]
-    stack = random_unitary(n, seeds)
-    for s, u in zip(seeds, stack):
-        assert u.tobytes() == random_unitary(n, s).tobytes()
+    # any non-negative seed keys a stream, however many words it has
+    for seed in [5, 2**128, 2**64 + 1, 3**200, 2**128 - 1, 0, 2**40]:
+        chunk = random_unitary(n, seed, trials=range(2, 9))
+        for i, u in enumerate(chunk):
+            assert u.tobytes() == random_unitary(n, seed, trials=range(2 + i, 3 + i))[0].tobytes()
+        assert unitarity_residual(chunk).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", [-1, [3, -2], [2**70, -1]])
 def test_random_unitary_rejects_negative_seeds(seed):
+    # a draw's address is (check seed, index), and neither may be negative
+    seed, index = (seed, 0) if isinstance(seed, int) else seed
     with pytest.raises(ValueError, match="non-negative"):
-        random_unitary(2, seed)
+        random_unitary(2, seed, trials=range(index, index + 1))
+
+
+def test_unitary_streams_share_no_key_with_point_streams():
+    # the sample points of a check seed s come from Philox(s), its unitaries
+    # from the first child of SeedSequence(s).  An entropy [s, 1] would be
+    # that of the integer s + 2**32, which is why the child's entropy ends
+    # in a 0 word, which no integer's has
+    def key(bits):
+        return tuple(bits.state["state"]["key"].tolist())
+
+    seeds = list(range(2000)) + [2**32 + s for s in range(50)] + [2**128 + s for s in range(50)]
+    points = {key(np.random.Philox(s)) for s in seeds}
+    unitaries = {key(_unitary_stream(s)) for s in seeds}
+    assert len(points) == len(unitaries) == len(seeds)
+    assert not points & unitaries
+    assert key(np.random.Philox(np.random.SeedSequence([5, 1]))) == key(np.random.Philox(5 + 2**32))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_random_unitary_haar_moments(n):
+    # for Haar U in U(n), E|tr U|^2 = 1 and, for n >= 2, E|tr U|^4 = 2
+    # (Diaconis and Shahshahani, J. Appl. Probab. 31A, 1994).  Over N = 20,000
+    # draws the standard error of the first mean is sqrt(E|tr U|^4 - 1) /
+    # sqrt(N) = 0.0071, and of the second sqrt(E|tr U|^8 - 4) / sqrt(N), with
+    # E|tr U|^8 <= 4! = 24, at most 0.032; the bounds are 5 standard errors
+    u = random_unitary(n, 20_000 + n, trials=range(20_000))
+    power = np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2
+    assert abs(power.mean() - 1.0) < 5 * 0.0071
+    assert abs(np.mean(power ** 2) - 2.0) < 5 * 0.032
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_gram_schmidt_equals_phase_fixed_qr(n):
+    # the Q of Gram-Schmidt is the Q of LAPACK's QR with R's diagonal made
+    # positive.  Both are backward stable, so they differ by about
+    # cond(G) * 2**-52 in a matrix, the most the rounding of G leaves Q
+    # determined to: at most 1e-13 on Gaussian G and on G whose last column
+    # is nearly its first (cond up to a few 1e3), and a few cond(G) * 2**-52
+    # when the columns are nearly dependent (cond up to about 1e7).  Q stays
+    # unitary to rounding level there too, by the second pass
+    rng = np.random.Generator(np.random.Philox(n))
+    g = rng.standard_normal((100, n, n)) + 1j * rng.standard_normal((100, n, n))
+    for eps in (None, 1e-1, 1e-5):
+        h = g.copy()
+        if eps is not None:
+            h[..., -1] = h[..., 0] + eps * h[..., -1]
+        q, r = np.linalg.qr(h)
+        phases = np.diagonal(r, axis1=-2, axis2=-1)
+        want = q * (phases / np.abs(phases))[..., None, :]
+        got = _orthonormalize(h)
+        error = np.abs(got - want).max(axis=(-2, -1))
+        if eps == 1e-5:
+            assert (error <= 4 * np.linalg.cond(h) * 2.0**-52).all()
+        else:
+            assert error.max() <= 1e-13
+        assert unitarity_residual(got).max() < 1e-14
 
 
 def test_random_unitary_is_unitary():

@@ -1,8 +1,10 @@
+import collections
 import itertools
 import math
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ import hopfact.action
 import hopfact.oracle
 from _grid import fixed_C, grid_specs
 from _scan_reference import scan_lattice
-from hopfact.action import ActionKind, ActionSpec, SpecStack, d_pow
-from hopfact.cmatrix import _rng, random_unitary
+from hopfact.action import ActionKind, ActionSpec, Rows, SpecStack, d_pow, evaluate_formula
+from hopfact.cmatrix import _rng, random_unitary, su_decompose
 from hopfact.effectiveness import is_effective
 from hopfact.hopf import HopfParams
 from hopfact.oracle import (
@@ -237,6 +239,32 @@ def test_corrupted_power_branch_detected(monkeypatch):
     assert not check.passed
 
 
+def test_power_branch_in_one_call_equals_per_branch_calls():
+    # the check evaluates each row once a branch L = -2..2 in one call, with
+    # an array branch on the row axis; each image keeps the bits of its own
+    # call with that row's sigma shifted and a scalar branch, and L = 0 is
+    # the standard evaluation
+    specs = shared_specs()[3:9]
+    stack = SpecStack.of(specs)
+    rows = stack.rows
+    p = stack.params
+    ue = su_decompose(random_unitary(p.n, 3, trials=range(6)))
+    z = sample_points(p, 6, 4)
+    shift = {L: np.array([(s.sigma_m - L * p.n * s.r * s.params.m) / s.params.m
+                          for s in (specs[i] for i in stack.first)]) for L in range(-2, 3)}
+    five = Rows(p, np.stack([shift[L] for L in range(-2, 3)], axis=1).ravel(),
+                *(np.repeat(field, 5, axis=0) for field in (rows.nr, rows.conj, rows.C, rows.C_inv)))
+    images = evaluate_formula(five, ue.t[None], ue.su_part[None], z[None],
+                              branch=np.tile(np.arange(-2, 3), len(rows)))
+    images = images.reshape(len(rows), 5, 6, p.n)
+    for k, L in enumerate(range(-2, 3)):
+        alone = evaluate_formula(replace(rows, sigma=shift[L]), ue.t[None], ue.su_part[None],
+                                 z[None], branch=L)
+        assert images[:, k].tobytes() == alone.tobytes(), L
+    standard = evaluate_formula(rows, ue.t[None], ue.su_part[None], z[None])
+    assert images[:, 2].tobytes() == standard.tobytes()
+
+
 def test_report_serialization():
     report = run_full_verification(demo_spec(), trials=10, seed=1)
     d = report.to_dict()
@@ -381,11 +409,11 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
     # every run of specs with equal (d, n) draws each trial's unitaries and
     # each point array once, whatever the chunking, however many specs and
     # however many m among them
-    unitaries, points = [], []
+    calls, points = [], []
 
-    def counted(n, seeds):
-        unitaries.append(len(seeds))
-        return random_unitary(n, seeds)
+    def counted(n, seed, trials):
+        calls.append((seed, trials))
+        return random_unitary(n, seed, trials=trials)
 
     def recorded(seed):
         points.append(seed)
@@ -401,11 +429,22 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
         specs, key=lambda spec: (spec.params.d, spec.params.n))]
     assert len(runs) == 8
     assert [sorted({s.params.m for s in run}) for run in runs[-2:]] == [[1, 2, 3, 7]] * 2
-    # group law 2 * 40, well-definedness 40 // 4, power branch 40 // 10 and
-    # dimtwo 40 // 2 unitaries; six point arrays, and one more for dimtwo
+    # each run reads, of the stream of each check seed, the draws 0..k-1
+    # once: group law (seed 18) 2 * 40 draws, well-definedness (19) 40 // 4,
+    # power branch (21) 40 // 10 and dimtwo (22) 40 // 2; six point arrays,
+    # and one more for dimtwo
     dimtwo = [any(s.params.n == 2 and s.kind is ActionKind.TYPE2 for s in run) for run in runs]
-    assert sum(unitaries) == sum(2 * 40 + 40 // 4 + 40 // 10 + 40 // 2 * d for d in dimtwo)
+    drawn = collections.Counter((seed, i) for seed, trials in calls for i in trials)
+    want = collections.Counter()
+    for d in dimtwo:
+        for seed, count in [(18, 2 * 40), (19, 40 // 4), (21, 40 // 10), (22, 40 // 2 * d)]:
+            want.update((seed, i) for i in range(count))
+    assert drawn == want
     assert len(points) == sum(6 + d for d in dimtwo)
+    # at the default chunk size, each check draws in one call a run: 3 calls,
+    # and one more for dimtwo
+    if chunk_bytes is None:
+        assert len(calls) == sum(3 + d for d in dimtwo)
 
 
 def test_memory_of_a_large_run_is_bounded():
