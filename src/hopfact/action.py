@@ -12,22 +12,20 @@ its conjugate.  The orbit class of the result does not depend on the
 branch of the e^{it} B splitting; that is a tested property rather than an
 assumption.
 
-``d_pow``, ``evaluate_formula`` and the transport solver broadcast over
-leading axes (arrays of t, stacks of B and of vectors), so the oracle
-evaluates many trials in one numpy pass; the single-point entry points
-``act`` and ``solve_transport`` run the same code without those axes.
-They also take :class:`Rows` in place of one spec: the formula fields of
-many specs that share d and n, stacked on a row axis that is the first of
-the leading axes, so that one pass evaluates many specs as well.  A
-:class:`SpecStack` holds such specs as integer columns and gives each
-distinct formula row once: specs that differ only in m, or in m, p and q
-with one sigma, share a row.
+An :class:`ActionSpec` is that exact data, validated once.  The floats the
+formula reads (sigma, n*r, C and C^{-1}) exist only in :class:`Rows`, which
+``SpecStack.of_columns`` makes: the formula fields of specs that share d
+and n, on a row axis, the first of the leading axes that ``d_pow``,
+``evaluate_formula`` and the transport solver broadcast over (arrays of t,
+stacks of B and of vectors).  A :class:`SpecStack` holds such specs as
+integer columns and gives each distinct formula row once: specs that differ
+only in m, or in m, p and q with one sigma, share a row.  ``act`` and
+``solve_transport`` evaluate the one row of their spec.
 """
 
 import cmath
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -49,9 +47,10 @@ from .hopf import HopfParams, OrbitPoint, deck_equal, orbit_distance
 SU2_CONJUGATOR = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionSpec:
-    """Full parametrization of one action."""
+    """Full parametrization of one action, exact and validated once: r is
+    nonzero and C a finite, well-conditioned n x n matrix, held read-only."""
 
     kind: ActionKind
     p: int
@@ -59,19 +58,19 @@ class ActionSpec:
     r: int
     C: np.ndarray
     params: HopfParams
-    C_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.r == 0:
             raise ValueError("r must be nonzero")
-        self.C = as_cmatrix(self.C)
-        if self.C.shape[0] != self.params.n:
-            raise ValueError(
-                f"C has dimension {self.C.shape[0]}, manifold has n = {self.params.n}"
-            )
-        if np.linalg.cond(self.C) >= 1e8:
+        C = as_cmatrix(self.C).copy()
+        if C.shape[0] != self.params.n:
+            raise ValueError(f"C has dimension {C.shape[0]}, manifold has n = {self.params.n}")
+        if not np.isfinite(C).all():
+            raise ValueError("C must be finite")
+        if np.linalg.cond(C) >= 1e8:
             raise ValueError("C is too ill-conditioned to be treated as invertible")
-        self.C_inv = np.linalg.inv(self.C)
+        C.flags.writeable = False
+        object.__setattr__(self, "C", C)
 
     @property
     def sigma_m(self) -> int:
@@ -83,11 +82,6 @@ class ActionSpec:
         """Exact phase exponent eps + (p + q/m)*n; denominator divides m."""
         from fractions import Fraction
         return Fraction(self.sigma_m, self.params.m)
-
-    @property
-    def sigma_float(self) -> float:
-        # int / int is correctly rounded, so this is float(self.sigma)
-        return self.sigma_m / self.params.m
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,8 @@ class Rows:
     sigma: np.ndarray       # (R,) sigma as a float
     nr: np.ndarray          # (R,) n*r as floats
     conj: np.ndarray        # (R,) True where B enters as its conjugate
-    C: np.ndarray           # (R, n, n)
-    C_inv: np.ndarray       # (R, n, n)
+    C: np.ndarray           # (R, n, n) the spec's C times a power of two
+    C_inv: np.ndarray       # (R, n, n) its inverse
 
     def __len__(self) -> int:
         return len(self.sigma)
@@ -153,28 +147,33 @@ class SpecStack:
             raise ValueError("stacked specs must share d and n")
         return cls.of_columns(params, [s.kind for s in specs], [s.p for s in specs],
                               [s.q for s in specs], [s.r for s in specs],
-                              [s.params.m for s in specs], [s.C for s in specs],
-                              [s.C_inv for s in specs])
+                              [s.params.m for s in specs], [s.C for s in specs])
 
     @classmethod
-    def of_columns(cls, params: HopfParams, kind, p, q, r, m, C, C_inv) -> "SpecStack":
+    def of_columns(cls, params: HopfParams, kind, p, q, r, m, C) -> "SpecStack":
         """The specs on the d and n of ``params`` whose fields are the
-        columns kind, p, q, r and m, with the matrices of the sequences C and
-        C_inv, one entry a spec.  Nothing is validated again: r must be
-        nonzero, m positive, C well conditioned and C_inv its inverse."""
+        columns kind, p, q, r and m, with the complex128 matrices of the
+        sequence C, one entry a spec.  Nothing is validated again: r must be
+        nonzero, m positive and C finite and well conditioned.  The distinct
+        Cs are scaled by ``_unit_scaled`` and inverted in one call."""
         n = params.n
-        keys, row, first, sigma = {}, [], [], []
+        keys, row, first, sigma, matrices = {}, [], [], [], {}
         for i, (kind_i, p_i, q_i, r_i, m_i, c) in enumerate(zip(kind, p, q, r, m, C)):
             a = _congruence_coefficient(kind_i, n, m_i, p_i, q_i)
             g = math.gcd(a, m_i)
-            index = keys.setdefault((kind_i, a // g, m_i // g, r_i, c.tobytes()), len(first))
+            at = matrices.setdefault(c.tobytes(), len(matrices))
+            index = keys.setdefault((kind_i, a // g, m_i // g, r_i, at), len(first))
             if index == len(first):
                 first.append(i)
-                sigma.append(a / m_i)       # int / int rounds correctly: sigma_float
+                sigma.append(_as_float(a, m_i, "sigma = A/m"))
             row.append(index)
-        rows = Rows(params, np.array(sigma), np.array([float(n * r[i]) for i in first]),
+        # the distinct Cs, rebuilt from their bytes, and each row's among them
+        scaled = _unit_scaled(np.frombuffer(b"".join(matrices), np.complex128).reshape(-1, n, n))
+        which = [key[-1] for key in keys]
+        nr = [_as_float(n * r[i], 1, "n*r") for i in first]
+        rows = Rows(params, np.array(sigma), np.array(nr),
                     np.array([kind[i] is ActionKind.TYPE2 for i in first]),
-                    np.stack([C[i] for i in first]), np.stack([C_inv[i] for i in first]))
+                    scaled[which], np.linalg.inv(scaled)[which])
         return cls(params, tuple(kind), tuple(p), tuple(q), tuple(r), tuple(m), rows, first,
                    None if len(first) == len(row) else np.array(row))
 
@@ -210,28 +209,31 @@ class SpecStack:
                 for lo, at in zip(range(0, count, step), np.split(order, edges[1:-1]))]
 
 
-Specs = Union[ActionSpec, Rows]
+def _as_float(a: int, b: int, name: str) -> float:
+    """a / b, correctly rounded, or a ValueError naming it where it is past the floats."""
+    try:
+        return a / b
+    except OverflowError:
+        raise ValueError(f"{name} is past the floats: its modulus must be below 2**1024, "
+                         "about 1.8e308") from None
 
 
-def _fields(spec: Specs, ndim: int) -> tuple:
-    """sigma, n*r, conj, C and C^{-1} of ``spec``, shaped to broadcast against
-    ``ndim`` leading axes; a stack's row axis is the first of them."""
-    if isinstance(spec, ActionSpec):
-        return (spec.sigma_float, spec.params.n * spec.r,
-                np.asarray(spec.kind is ActionKind.TYPE2), spec.C, spec.C_inv)
-    lead = (len(spec),) + (1,) * (ndim - 1)
-    return (spec.sigma.reshape(lead), spec.nr.reshape(lead), spec.conj.reshape(lead),
-            spec.C.reshape(lead + spec.C.shape[1:]), spec.C_inv.reshape(lead + spec.C.shape[1:]))
+def _unit_scaled(c: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack c (k, n, n) times the power of two that puts
+    the largest real or imaginary part of its entries in [1, 2), exactly
+    (but for entries below 2^-1022 of that part).  C and lambda*C define one
+    action, so C^{-1} z stays within the floats whatever the scale of C."""
+    parts = c.view(np.float64)
+    _, e = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+    return np.ldexp(parts, 1 - e[:, None, None]).view(np.complex128)
 
 
-def _replace(spec: ActionSpec, **changes) -> ActionSpec:
-    """A copy of ``spec`` with some fields changed and the rest, C and C_inv
-    included, carried over.  Nothing is validated again, so a change must
-    keep r nonzero, C well conditioned and C_inv its inverse."""
-    new = copy.copy(spec)
-    for name, value in changes.items():
-        setattr(new, name, value)
-    return new
+def _fields(rows: Rows, ndim: int) -> tuple:
+    """sigma, n*r, conj, C and C^{-1} of the rows, shaped to broadcast against
+    ``ndim`` leading axes, the row axis the first of them."""
+    lead = (len(rows),) + (1,) * (ndim - 1)
+    return (rows.sigma.reshape(lead), rows.nr.reshape(lead), rows.conj.reshape(lead),
+            rows.C.reshape(lead + rows.C.shape[1:]), rows.C_inv.reshape(lead + rows.C.shape[1:]))
 
 
 def d_pow(d: complex, mu, branch=0):
@@ -259,7 +261,7 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _scalar_factor(spec: Specs, t: np.ndarray, branch=0, ndim: int = None):
+def _scalar_factor(spec: Rows, t: np.ndarray, branch=0, ndim: int = None):
     """The scalar e^{i*sigma*t} * d^{n*r*t/(2*pi)}, t broadcast against
     ``ndim`` (default t's) leading axes; an array ``branch`` has one entry a
     row.  d_pow is looked up at call time, so a substituted power function
@@ -271,15 +273,15 @@ def _scalar_factor(spec: Specs, t: np.ndarray, branch=0, ndim: int = None):
     return np.exp(1j * sigma * t) * d_pow(spec.params.d, nr * t / TWO_PI, branch)
 
 
-def evaluate_formula(spec: Specs, t, B: np.ndarray, vec: np.ndarray,
+def evaluate_formula(spec: Rows, t, B: np.ndarray, vec: np.ndarray,
                      branch=0) -> np.ndarray:
     """Raw action formula for one explicit (t, B) representation of A.
 
     Exposed separately from :func:`act` so that well-definedness and
     power-branch identities can be probed with non-canonical splittings.
-    t (...), B (..., n, n) and vec (..., n) broadcast over leading axes;
-    for Rows the first of those is the row axis, and ``branch`` may be an
-    array with one entry a row.
+    t (...), B (..., n, n) and vec (..., n) broadcast over leading axes,
+    the first of them the row axis, and ``branch`` may be an array with
+    one entry a row.
     """
     t = np.asarray(t, dtype=np.float64)
     ndim = max(t.ndim, np.ndim(B) - 2, np.ndim(vec) - 1)
@@ -289,7 +291,7 @@ def evaluate_formula(spec: Specs, t, B: np.ndarray, vec: np.ndarray,
     return scalar[..., None] * _matvec(C, _matvec(Bp, _matvec(C_inv, vec)))
 
 
-def _apply(spec: Specs, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _apply(spec: Rows, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """The action of the unitaries A (..., n, n) on the vectors vec (..., n)."""
     ue = su_decompose(A)
     return evaluate_formula(spec, ue.t, ue.su_part, vec)
@@ -305,10 +307,8 @@ def act(spec: ActionSpec, A: np.ndarray, z: OrbitPoint) -> OrbitPoint:
         raise ValueError("point and action live on different quotient manifolds")
     A = as_cmatrix(A)
     if A.shape[0] != spec.params.n:
-        raise ValueError(
-            f"A has dimension {A.shape[0]}, manifold has n = {spec.params.n}"
-        )
-    return OrbitPoint(spec.params, _apply(spec, A, z.rep))
+        raise ValueError(f"A has dimension {A.shape[0]}, manifold has n = {spec.params.n}")
+    return OrbitPoint(spec.params, _apply(SpecStack.of([spec]).rows, A, z.rep)[0])
 
 
 def example_lambda(params: HopfParams) -> complex:
@@ -408,7 +408,7 @@ def _fix_determinant(u: np.ndarray, delta: np.ndarray, fixed: np.ndarray) -> np.
     return u
 
 
-def _transport(spec: Specs, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _transport(spec: Rows, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unitaries (..., n, n) carrying the vectors z to w (..., n); see
     :func:`solve_transport`."""
     ndim = max(z.ndim, w.ndim) - 1
@@ -438,7 +438,7 @@ def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarra
     p = spec.params
     if z.params != p or w.params != p:
         raise ValueError("points and action live on different quotient manifolds")
-    return _transport(spec, z.rep, w.rep)
+    return _transport(SpecStack.of([spec]).rows, z.rep, w.rep)[0]
 
 
 def type2_as_type1(spec: ActionSpec) -> ActionSpec:
@@ -452,7 +452,6 @@ def type2_as_type1(spec: ActionSpec) -> ActionSpec:
         raise ValueError("the conjugation identity is specific to n = 2")
     if spec.kind is not ActionKind.TYPE2:
         raise ValueError("expected a Type2 action")
-    # the conjugator's entries are 0 and +-1, so both products are exact:
-    # C @ J is as well conditioned as C, and J^T C^{-1} is its inverse
-    return _replace(spec, kind=ActionKind.TYPE1, p=spec.p - 1, C=spec.C @ SU2_CONJUGATOR,
-                    C_inv=SU2_CONJUGATOR.T @ spec.C_inv)
+    # the conjugator's entries are 0 and +-1, so C @ J is exact
+    return ActionSpec(ActionKind.TYPE1, spec.p - 1, spec.q, spec.r, spec.C @ SU2_CONJUGATOR,
+                      spec.params)

@@ -76,8 +76,7 @@ def verify_text(blocks: list, rs: list, trials: int, seed: int, tol, grid: bool)
     texts, passed = [], True
     for base, lines in blocks:
         kind, p, q, r, m = zip(*[(kind, p, q, r, m) for _, m, kind, p, q in lines for r in rs])
-        stack = SpecStack.of_columns(base.params, kind, p, q, r, m, [base.C] * len(m),
-                                     [base.C_inv] * len(m))
+        stack = SpecStack.of_columns(base.params, kind, p, q, r, m, [base.C] * len(m))
         checks = oracle.run_suite(stack, trials, seed, tol)
         texts += report_texts(stack, seed, tol, checks, "  " if grid else "")
         passed = passed and all(checked.passed.all() for checked, _ in checks)

@@ -15,6 +15,7 @@ import numpy as np
 from hopfact.action import (
     ActionKind,
     ActionSpec,
+    SpecStack,
     act,
     evaluate_formula,
     solve_transport,
@@ -28,6 +29,11 @@ from hopfact.oracle import CheckResult, sample_points
 def draw(n: int, seed: int, index: int) -> np.ndarray:
     """Draw ``index`` of the unitary stream of the check seed ``seed``."""
     return random_unitary(n, seed, trials=range(index, index + 1))[0]
+
+
+def formula(spec: ActionSpec, t, B: np.ndarray, vec: np.ndarray, branch=0) -> np.ndarray:
+    """The raw formula of one spec on one (t, B, vec): its stack's one row."""
+    return evaluate_formula(SpecStack.of([spec]).rows, t, B, vec, branch)[0]
 
 
 def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
@@ -63,7 +69,7 @@ def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
             for ell in range(-2, 3):
                 t2 = ue.t + TWO_PI * k / p.n + TWO_PI * ell
                 b2 = np.exp(-2j * math.pi * k / p.n) * ue.su_part
-                shifted = evaluate_formula(spec, t2, b2, pt.rep)
+                shifted = formula(spec, t2, b2, pt.rep)
                 worst = max(worst, orbit_distance(shifted, base.rep, p))
     return CheckResult("well_definedness", trials, worst, worst < tol)
 
@@ -94,12 +100,12 @@ def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
     for i in range(trials):
         a = draw(p.n, seed, i)
         ue = su_decompose(a)
-        base = evaluate_formula(spec, ue.t, ue.su_part, z[i])
+        base = formula(spec, ue.t, ue.su_part, z[i])
         scale = float(np.linalg.norm(base))
         for L in range(-2, 3):
             shifted_spec = ActionSpec(spec.kind, spec.p - L * spec.r, spec.q,
                                       spec.r, spec.C, spec.params)
-            alt = evaluate_formula(shifted_spec, ue.t, ue.su_part, z[i], branch=L)
+            alt = formula(shifted_spec, ue.t, ue.su_part, z[i], branch=L)
             worst = max(worst, float(np.linalg.norm(alt - base)) / scale)
     return CheckResult("power_branch", trials, worst, worst < tol)
 

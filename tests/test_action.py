@@ -8,6 +8,9 @@ from hopfact.action import (
     SU2_CONJUGATOR,
     ActionKind,
     ActionSpec,
+    SpecStack,
+    _apply,
+    _transport,
     act,
     d_pow,
     evaluate_formula,
@@ -75,11 +78,43 @@ class TestActionSpec:
         with pytest.raises(ValueError):
             ActionSpec(ActionKind.TYPE1, 0, 0, 1, c, HopfParams(d=4, n=2, m=1))
 
+    def test_rejects_non_finite_C(self):
+        with pytest.raises(ValueError, match="C must be finite"):
+            ActionSpec(ActionKind.TYPE1, 0, 0, 1, np.diag([1.0, np.nan]),
+                       HopfParams(d=4, n=2, m=1))
+
     def test_sigma_exact_rational(self):
         spec = ActionSpec(ActionKind.TYPE2, 1, 2, 1, np.eye(3),
                           HopfParams(d=2, n=3, m=4))
         # -1 + (1 + 2/4)*3 = 7/2
         assert spec.sigma.numerator == 7 and spec.sigma.denominator == 2
+
+    def test_fields_cannot_be_assigned(self):
+        # C is validated once, so neither a field nor C's entries may change
+        c = np.eye(2)
+        spec = ActionSpec(ActionKind.TYPE1, 0, 0, 1, c, HopfParams(d=4, n=2, m=1))
+        for name, value in [("C", np.zeros((2, 2))), ("r", 0), ("p", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(spec, name, value)
+        with pytest.raises(ValueError):
+            spec.C[0, 0] = 0
+        c[0, 0] = 0         # the caller's matrix stays its own
+        assert spec.C[0, 0] == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600, 2.0**-1000, 3.0, 0.75])
+    def test_row_holds_C_at_unit_scale(self, scale):
+        # a row holds C times a power of two, with the largest real or
+        # imaginary part of its entries in [1, 2); that part of c is 1, so
+        # the row of 2^k * c is c, bit for bit
+        rng = np.random.Generator(np.random.Philox(5))
+        c = np.eye(3) + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        c = c / np.abs(c.view(np.float64)).max()
+        spec = ActionSpec(ActionKind.TYPE1, 0, 0, 1, scale * c, HopfParams(d=4, n=3, m=1))
+        row = SpecStack.of([spec]).rows.C[0]
+        assert np.array_equal(spec.C, scale * c)
+        assert 1 <= np.abs(row.view(np.float64)).max() < 2
+        if math.frexp(scale)[0] == 0.5:
+            assert row.tobytes() == c.tobytes()
 
 
 class TestAct:
@@ -129,6 +164,23 @@ class TestAct:
             assert orbit_distance(lhs.rep, rhs.rep, params) < 1e-8
 
 
+class TestOneRow:
+    @pytest.mark.parametrize("kind", [ActionKind.TYPE1, ActionKind.TYPE2])
+    def test_act_and_transport_are_their_rows(self, kind):
+        # act and solve_transport evaluate their spec's one-row stack, bit for bit
+        params = HopfParams(d=0.5 + 0.3j, n=3, m=4)
+        rng = np.random.Generator(np.random.Philox(17))
+        c = 5 * np.eye(3) + rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        spec = ActionSpec(kind, 1, -1, 2, c, params)
+        rows = SpecStack.of([spec]).rows
+        for i in range(5):
+            a = random_unitary(3, 40 + i)
+            z, w = rand_point(params, 80 + i), rand_point(params, 90 + i)
+            assert act(spec, a, z).rep.tobytes() == _apply(rows, a, z.rep)[0].tobytes()
+            assert (solve_transport(spec, z, w).tobytes()
+                    == _transport(rows, z.rep, w.rep)[0].tobytes())
+
+
 class TestWellDefinedness:
     def test_branch_shifts_stay_in_orbit(self):
         params = HopfParams(d=0.5, n=3, m=2)
@@ -142,7 +194,7 @@ class TestWellDefinedness:
                 for ell in range(-2, 3):
                     t2 = ue.t + TWO_PI * k / 3 + TWO_PI * ell
                     b2 = cmath.exp(-2j * math.pi * k / 3) * ue.su_part
-                    shifted = evaluate_formula(spec, t2, b2, z.rep)
+                    shifted = evaluate_formula(SpecStack.of([spec]).rows, t2, b2, z.rep)[0]
                     assert orbit_distance(shifted, base.rep, params) < 1e-8
 
 
@@ -264,11 +316,12 @@ class TestPowerBranchIdentity:
             a = random_unitary(3, 800 + i)
             ue = su_decompose(a)
             z = rand_point(params, 900 + i)
-            base = evaluate_formula(spec, ue.t, ue.su_part, z.rep)
+            base = evaluate_formula(SpecStack.of([spec]).rows, ue.t, ue.su_part, z.rep)[0]
             for L in range(-2, 3):
                 shifted = ActionSpec(kind, spec.p - L * spec.r, spec.q, spec.r,
                                      spec.C, params)
-                alt = evaluate_formula(shifted, ue.t, ue.su_part, z.rep, branch=L)
+                alt = evaluate_formula(SpecStack.of([shifted]).rows, ue.t, ue.su_part, z.rep,
+                                       branch=L)[0]
                 assert np.max(np.abs(alt - base)) / np.linalg.norm(base) < 1e-12
 
 

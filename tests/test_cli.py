@@ -459,6 +459,34 @@ class TestAct:
         assert "act needs m <= MAX_NUMERIC_M = 2**53" in captured.err
         assert f"got m = {m}" in captured.err
 
+    @pytest.mark.parametrize("field", ["p", "q", "r"])
+    def test_sigma_or_nr_beyond_the_floats_exit_two(self, tmp_path, capsys, field):
+        code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, **{field: 10**400})),
+                    "--matrix", json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]),
+                    "--point", json.dumps([[1, 0], [0, 0]])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "n*r" if field == "r" else "sigma = A/m"
+        assert captured.err == (f"error: {name} is past the floats: its modulus must be "
+                                "below 2**1024, about 1.8e308\n")
+
+    @pytest.mark.parametrize("scale", [2.0**600, 1e-300, 1e-320])
+    def test_scale_of_C_does_not_matter(self, tmp_path, capsys, scale):
+        # C and scale * C define one action, and the formula holds C at unit
+        # scale, so C^{-1} z stays within the floats; a power of two is exact
+        outputs = []
+        for s in (1.0, scale):
+            C = [[[s * (i == j), 0.0] for j in range(2)] for i in range(2)]
+            assert run(["act", "--spec", write_config(tmp_path, dict(DEMO, C=C)),
+                        "--matrix", json.dumps([[[0.6, 0], [0, 0.8]], [[0, 0.8], [0.6, 0]]]),
+                        "--point", json.dumps([[1, 0.5], [-0.3, 2]])]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        if scale == 2.0**600:
+            assert outputs[1] == outputs[0]
+        for key in ("raw", "canonical"):
+            assert np.allclose(outputs[1][key], outputs[0][key], rtol=1e-15, atol=0)
+
     def test_non_unitary_exit_two(self, tmp_path):
         code = run(["act", "--spec", write_config(tmp_path, DEMO),
                     "--matrix", json.dumps([[[2, 0], [0, 0]], [[0, 0], [2, 0]]]),
@@ -894,6 +922,31 @@ class TestVerify:
         assert captured.out == ""
         assert (f"the grid of 'ranges' sets {field}; remove the config field {field!r}"
                 in captured.err)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(DEMO, p=10**400), dict(DEMO, q=10**400),
+        dict(GRID, ranges=dict(GRID["ranges"], p_min=10**400, p_max=10**400)),
+    ])
+    def test_sigma_beyond_the_floats_exit_two(self, tmp_path, capsys, cfg):
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sigma = A/m is past the floats: its modulus must be "
+                                "below 2**1024, about 1.8e308\n")
+
+    SCALED = {"n": 3, "m": 2, "d": [2, 0], "kind": "type2", "p": 1, "q": 0, "r": 1, "trials": 5}
+
+    @pytest.mark.parametrize("scale", [2.0**600, 1e-300, 1e-320])
+    def test_scale_of_C_does_not_matter(self, tmp_path, capsys, scale):
+        # C and scale * C define one action: every check passes, and a power
+        # of two gives the bytes of the identity
+        outputs = []
+        for s in (1.0, scale):
+            C = [[[s * (i == j), 0.0] for j in range(3)] for i in range(3)]
+            assert run(["verify", "--spec", write_config(tmp_path, dict(self.SCALED, C=C))]) == 0
+            outputs.append(capsys.readouterr().out)
+        if scale == 2.0**600:
+            assert outputs[1] == outputs[0]
 
     def test_grid_config(self, tmp_path, capsys):
         cfg = self.GRID

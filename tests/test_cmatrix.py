@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopfact.action import ActionKind, ActionSpec
+from hopfact.action import ActionKind, ActionSpec, SpecStack
 from hopfact.cmatrix import (
     _orthonormalize,
     _trial_words,
@@ -18,10 +18,16 @@ from hopfact.hopf import HopfParams
 
 
 def _c_inv(c):
-    """The inverse of C that an action stores, the program's one matrix inverse."""
+    """The inverse of C from an action's formula row, the program's one
+    matrix inverse.  The row holds C * 2^-e and its inverse, so C^{-1} is
+    that inverse times 2^-e, the ratio of any nonzero real or imaginary
+    part."""
     c = as_cmatrix(c)
     params = HopfParams(d=4, n=c.shape[0], m=1)
-    return ActionSpec(ActionKind.TYPE1, 0, 0, 1, c, params).C_inv
+    rows = SpecStack.of([ActionSpec(ActionKind.TYPE1, 0, 0, 1, c, params)]).rows
+    parts, scaled = c.view(np.float64).ravel(), rows.C[0].view(np.float64).ravel()
+    at = np.flatnonzero(parts)[0]
+    return rows.C_inv[0] * (scaled[at] / parts[at])
 
 
 def test_matmul_identity():

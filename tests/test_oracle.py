@@ -83,7 +83,8 @@ def reference_hits(spec, seed):
     trivially, from the loop scan of all lattice cells (ell, k)."""
     p = spec.params
     z = sample_points(p, 10, seed)
-    w = (spec.C @ (spec.C_inv @ z.T)).T
+    rows = SpecStack.of([spec]).rows
+    w = (rows.C[0] @ (rows.C_inv[0] @ z.T)).T
     pairs = scan_lattice(spec.kind.eps, p.n, p.m, spec.p, spec.q, spec.r, p.d, w, z, 1e-9)
     sign, N = (1 if spec.r > 0 else -1), p.n * abs(spec.r)
     return sorted({(sign * ell + k * abs(spec.r)) % N for ell, k in pairs})
