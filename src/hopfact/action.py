@@ -50,7 +50,8 @@ SU2_CONJUGATOR = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
 @dataclass(frozen=True)
 class ActionSpec:
     """Full parametrization of one action, exact and validated once: r is
-    nonzero and C a finite, well-conditioned n x n matrix, held read-only."""
+    nonzero and C a finite, well-conditioned n x n matrix, held read-only.
+    Two specs are equal when their fields are and their Cs have equal bytes."""
 
     kind: ActionKind
     p: int
@@ -71,6 +72,19 @@ class ActionSpec:
             raise ValueError("C is too ill-conditioned to be treated as invertible")
         C.flags.writeable = False
         object.__setattr__(self, "C", C)
+
+    def _key(self) -> tuple:
+        return self.kind, self.p, self.q, self.r, self.params, self.C.shape, self.C.tobytes()
+
+    # by C's shape and bytes: the generated methods would compare the C
+    # arrays elementwise, whose truth value is ambiguous, and hash an array
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def sigma_m(self) -> int:

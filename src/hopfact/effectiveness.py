@@ -24,11 +24,11 @@ h = gcd(r, A) it is
 
 Of these, g, A and n^{-1} mod m depend only on the grid line
 (kind, n, m, p, q), and only h and ell on r: ``find_witnesses`` computes
-them once per line for a whole list of r, and ``find_witness`` is its
-one-r case.  Beside n and m, a line's witnesses depend on A alone when
-g = 1 and on nothing else when g > 1, so the lines of one (n, m) fall into
-classes (``line_class``) that share every witness: ``enumerate`` decides
-and formats each class once.
+them once per line for a whole list of r, each witness a pair of ints;
+``find_witness`` is its one-r case, as a ``KernelWitness`` record.  Beside
+n and m, a line's pairs depend on A alone when g = 1 and on nothing else
+when g > 1, so the lines of one (n, m) fall into classes (``line_class``)
+that share every pair: ``enumerate`` decides and formats each class once.
 
 Proof.
 
@@ -78,7 +78,7 @@ N = n*|r|, are the multiples of N/h for h = gcd(A, N), the
 import cmath
 import enum
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from .action import ActionSpec
@@ -104,7 +104,7 @@ class _Record:
     """An immutable record of the fields named in ``__slots__``: equal to a
     record of its own class with equal fields, hashed and shown as a frozen
     dataclass would be.  A subclass's ``__init__`` sets each slot once,
-    through the slot's own setter or ``object.__setattr__``."""
+    through ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -140,13 +140,8 @@ class KernelWitness(_Record):
     __slots__ = ("ell", "K")
 
     def __init__(self, ell: int, K: int):
-        _set_ell(self, ell)
-        _set_K(self, K)
-
-
-# find_witnesses makes one witness a row: the slots' setters skip the
-# attribute lookup of object.__setattr__
-_set_ell, _set_K = KernelWitness.ell.__set__, KernelWitness.K.__set__
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "K", K)
 
 
 class KernelElement(_Record):
@@ -174,13 +169,12 @@ class EffectivenessVerdict(_Record):
         object.__setattr__(self, "kernel_order", kernel_order)
 
     def to_dict(self) -> dict:
-        return {
-            "effective": self.effective,
-            "witness": None if self.witness is None else
-                {"ell": self.witness.ell, "K": self.witness.K},
-            "kernel_element": None if self.kernel_element is None else
-                {"t": self.kernel_element.t, "k": self.kernel_element.k},
-        }
+        return {"effective": self.effective,
+                "witness": None if self.witness is None else
+                    {"ell": self.witness.ell, "K": self.witness.K},
+                "kernel_element": None if self.kernel_element is None else
+                    {"t": self.kernel_element.t, "k": self.kernel_element.k},
+                "kernel_order": self.kernel_order}
 
 
 def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) -> int:
@@ -188,16 +182,17 @@ def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) ->
 
 
 def find_witnesses(kind: ActionKind, n: int, m: int, p: int, q: int,
-                   rs: Sequence[int]) -> List[Optional[KernelWitness]]:
-    """``find_witness`` for each r of ``rs`` on the line (kind, n, m, p, q),
-    in order.  g, A and n^{-1} mod m are computed once for the line; each r
-    then costs one gcd, and ell and K when h > 1.  The lines with g > 1 share
-    one witness object.  Raises ValueError if ``rs`` holds 0."""
+                   rs: Sequence[int]) -> List[Optional[Tuple[int, int]]]:
+    """The witness of each r of ``rs`` on the line (kind, n, m, p, q), in
+    order, as a pair (ell, K) of ints, None where the action is effective.
+    g, A and n^{-1} mod m are computed once for the line; each r then costs
+    one gcd, and ell and K when h > 1.  The r of a line with g > 1 share one
+    pair object.  Raises ValueError if ``rs`` holds 0."""
     if 0 in rs:
         raise ValueError("r must be nonzero")
     g = math.gcd(n, m)
     if g > 1:
-        return [KernelWitness(0, m // g)] * len(rs)
+        return [(0, m // g)] * len(rs)
     acoef = _congruence_coefficient(kind, n, m, p, q)
     n_inv = pow(n, -1, m)
     witnesses = []
@@ -207,15 +202,15 @@ def find_witnesses(kind: ActionKind, n: int, m: int, p: int, q: int,
             witnesses.append(None)
         else:
             ell = abs(r) // h
-            witnesses.append(KernelWitness(ell, ell * acoef // r * n_inv % m))
+            witnesses.append((ell, ell * acoef // r * n_inv % m))
     return witnesses
 
 
 def line_class(kind: ActionKind, n: int, m: int, p: int, q: int) -> Optional[int]:
     """The class of the grid line (kind, n, m, p, q): two lines of equal n,
-    m and class have equal ``find_witnesses`` for every list of r.  It is
-    None when gcd(n, m) > 1, where every r has the witness (0, m/g), and A
-    otherwise, the only part of the line beside n and m that the witnesses
+    m and class have equal ``find_witnesses`` pairs for every list of r.
+    It is None when gcd(n, m) > 1, where every r has the pair (0, m/g), and
+    A otherwise, the only part of the line beside n and m that the pairs
     read."""
     return None if math.gcd(n, m) > 1 else _congruence_coefficient(kind, n, m, p, q)
 
@@ -225,7 +220,8 @@ def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,
     """Smallest (ell, K) in lexicographic order satisfying the kernel
     congruences, or None if the action is effective; the closed form and
     its proof are in the module docstring."""
-    return find_witnesses(kind, n, m, p, q, (r,))[0]
+    pair = find_witnesses(kind, n, m, p, q, (r,))[0]
+    return None if pair is None else KernelWitness(*pair)
 
 
 def kernel_witness_element(spec: "ActionSpec", ell: int, K: int) -> KernelElement:
@@ -259,8 +255,7 @@ def is_effective(spec: "ActionSpec") -> EffectivenessVerdict:
         return EffectivenessVerdict(effective=True)
     element = kernel_witness_element(spec, witness.ell, witness.K)
     h = math.gcd(_congruence_coefficient(spec.kind, n, m, spec.p, spec.q), n * spec.r)
-    return EffectivenessVerdict(effective=False, witness=witness, kernel_element=element,
-                                kernel_order=h)
+    return EffectivenessVerdict(False, witness, element, kernel_order=h)
 
 
 def is_effective_corollary(n: int, p: int, r: int, kind: ActionKind) -> bool:

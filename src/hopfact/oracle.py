@@ -262,8 +262,9 @@ def _exact_kernels(specs: SpecStack) -> list:
     """For each spec, N = n*|r|, the exact kernel order h = gcd(A, N) and
     the j of the witness's scalar e^{2*pi*i*j/N} * id, None when the action
     is effective.  ``find_witnesses`` runs once for each run of specs on one
-    grid line (kind, m, p, q); the witness's k is that of
-    ``effectiveness.kernel_witness_element``, which the witness makes exact."""
+    grid line (kind, m, p, q), and its pairs (ell, K) are read as they come;
+    the witness's k is that of ``effectiveness.kernel_witness_element``,
+    which the witness makes exact."""
     n = specs.params.n
     kernels = []
     for (kind, m, p, q), line in groupby(zip(specs.kind, specs.m, specs.p, specs.q, specs.r),
@@ -275,8 +276,9 @@ def _exact_kernels(specs: SpecStack) -> list:
             if w is None:
                 kernels.append((N, 1, None))
                 continue
-            k = -kind.eps * ((w.ell * a - n * w.K * r) // (r * m)) % n
-            kernels.append((N, math.gcd(a, N), ((1 if r > 0 else -1) * w.ell + k * abs(r)) % N))
+            ell, K = w
+            k = -kind.eps * ((ell * a - n * K * r) // (r * m)) % n
+            kernels.append((N, math.gcd(a, N), ((1 if r > 0 else -1) * ell + k * abs(r)) % N))
     return kernels
 
 

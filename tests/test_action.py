@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +102,26 @@ class TestActionSpec:
             spec.C[0, 0] = 0
         c[0, 0] = 0         # the caller's matrix stays its own
         assert spec.C[0, 0] == 1
+
+    def test_equality_and_hash(self):
+        # by kind, p, q, r, params and C's shape and bytes; the generated
+        # methods raised on the truth value of an array and on hashing it
+        params = HopfParams(d=4, n=2, m=1)
+        spec = ActionSpec(ActionKind.TYPE1, 0, 0, 1, np.eye(2), params)
+        twin = ActionSpec(ActionKind.TYPE1, 0, 0, 1, [[1, 0], [0, 1]], HopfParams(4, 2, 1))
+        assert spec == twin and not spec != twin and hash(spec) == hash(twin)
+        others = [ActionSpec(ActionKind.TYPE1, 0, 0, 1, np.diag([1, 1j]), params),
+                  ActionSpec(ActionKind.TYPE1, 0, 0, 1, 2 * np.eye(2), params),
+                  ActionSpec(ActionKind.TYPE2, 0, 0, 1, np.eye(2), params),
+                  ActionSpec(ActionKind.TYPE1, 0, 0, 2, np.eye(2), params),
+                  ActionSpec(ActionKind.TYPE1, 0, 0, 1, np.eye(2), HopfParams(4, 2, 3))]
+        for other in others:
+            assert spec != other and not spec == other
+        assert spec != (ActionKind.TYPE1, 0, 0, 1)
+        assert len({spec, twin, *others, *others}) == 1 + len(others)
+        # copies hold C arrays of their own
+        for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert copied.C is not spec.C and copied == spec
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600, 2.0**-1000, 3.0, 0.75])
     def test_row_holds_C_at_unit_scale(self, scale):

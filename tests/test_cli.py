@@ -24,7 +24,7 @@ import hopfact.oracle
 from hopfact import cli, serialize
 from hopfact.cli import ENUMERATE_FORMATS
 from hopfact.action import ActionKind, ActionSpec, SpecStack, d_pow
-from hopfact.effectiveness import find_witness, line_class
+from hopfact.effectiveness import KernelWitness, find_witness, line_class
 from hopfact.cmatrix import random_unitary
 from hopfact.hopf import HopfParams
 from hopfact.oracle import Checked, CheckResult, VerificationReport
@@ -52,13 +52,16 @@ class TestCheck:
         code = run(["check", "--spec", write_config(tmp_path, DEMO)])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == {"effective": True, "witness": None, "kernel_element": None}
+        assert out == {"effective": True, "witness": None, "kernel_element": None,
+                       "kernel_order": 1}
 
     def test_not_effective_exit_one(self, tmp_path, capsys):
         code = run(["check", "--spec", write_config(tmp_path, NOT_EFFECTIVE)])
         assert code == 1
         out = json.loads(capsys.readouterr().out)
         assert out["witness"] == {"ell": 1, "K": 0}
+        # A = 3 and N = n*|r| = 6: the scalars e^{2*pi*i*j/6}, j = 0, 2, 4
+        assert out["kernel_order"] == 3
 
     def test_unit_modulus_d_exit_two(self, tmp_path, capsys):
         bad = dict(DEMO, d=[1, 0])
@@ -292,6 +295,26 @@ class TestEnumerate:
                 f"{n} {m} {kind} p={p} q={q} r={r} effective={effective} witness=("
                 + ("," if effective else f"{ell},{K}") + ")"
                 for n, m, kind, p, q, r, effective, ell, K in rows] + [""]
+
+    def test_enumerate_makes_no_witness_record(self, tmp_path, monkeypatch):
+        # enumerate reads the (ell, K) pairs of find_witnesses as they are;
+        # a KernelWitness is made only where one r is answered
+        made = []
+        init = KernelWitness.__init__
+
+        def counted(self, ell, K):
+            made.append((ell, K))
+            init(self, ell, K)
+
+        monkeypatch.setattr(KernelWitness, "__init__", counted)
+        config = write_config(tmp_path, self.SHARED)
+        for fmt in ENUMERATE_FORMATS:
+            assert run(["enumerate", "--spec", config, "--format", fmt,
+                        "--out", str(tmp_path / fmt)]) == 0
+        assert made == []
+        # the count sees the records that are made
+        assert find_witness(ActionKind.TYPE1, 2, 2, 0, 0, 1) == KernelWitness(0, 1)
+        assert made == [(0, 1), (0, 1)]
 
     # 7,200 rows
     TRACED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,

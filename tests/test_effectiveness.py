@@ -203,14 +203,19 @@ def test_closed_form_equals_reference_search_on_grid():
     assert checked == 10584 and 0 < witnesses < checked
 
 
+def pair(w):
+    """A witness record as the pair (ell, K) that find_witnesses gives."""
+    return None if w is None else (w.ell, w.K)
+
+
 @pytest.mark.parametrize("rs", [R_RANGE, (-3, -2, -1), (2,)], ids=["G", "negative", "one"])
 def test_find_witnesses_equals_find_witness_on_grid_lines(rs):
     # whole lines (kind, n, m, p, q) of grid G, with g = gcd(n, m) > 1 and = 1
     shared = coprime = 0
     for n, m, kind, p, q in itertools.product(N_LIST, M_LIST, KINDS, P_RANGE, Q_RANGE):
         line = find_witnesses(kind, n, m, p, q, rs)
-        assert line == [find_witness(kind, n, m, p, q, r) for r in rs], (kind, n, m, p, q)
-        assert line == [reference.find_witness(kind, n, m, p, q, r) for r in rs], \
+        assert line == [pair(find_witness(kind, n, m, p, q, r)) for r in rs], (kind, n, m, p, q)
+        assert line == [pair(reference.find_witness(kind, n, m, p, q, r)) for r in rs], \
             (kind, n, m, p, q)
         if math.gcd(n, m) > 1:
             shared += 1
@@ -283,9 +288,10 @@ class TestRecords:
 
 def satisfies_congruences(kind, n, m, p, q, r, w):
     """(a) and (b) of the module docstring for the pair (ell, K) = w."""
+    ell, K = w
     modulus = abs(r) * m
-    return ((w.ell * (n * (p * m + q) + kind.eps * m) - n * w.K * r) % modulus == 0
-            and (w.ell * (p * m + q) - w.K * r) % modulus != 0)
+    return ((ell * (n * (p * m + q) + kind.eps * m) - n * K * r) % modulus == 0
+            and (ell * (p * m + q) - K * r) % modulus != 0)
 
 
 @pytest.mark.parametrize("kind", list(ActionKind))
@@ -300,14 +306,14 @@ def test_find_witnesses_with_wide_integers(kind, n, m):
     verdicts = set()
     for p, q in [(1, 0), (-(10**39), 7), (0, -(10**41)), (2, 1)]:
         line = find_witnesses(kind, n, m, p, q, rs)
-        assert line == [find_witness(kind, n, m, p, q, r) for r in rs]
+        assert line == [pair(find_witness(kind, n, m, p, q, r)) for r in rs]
         acoef = n * (p * m + q) + kind.eps * m
         for r, w in zip(rs, line):
             if w is None:
                 assert math.gcd(n, m) == math.gcd(r, acoef) == 1, (p, q, r)
             else:
                 assert satisfies_congruences(kind, n, m, p, q, r, w), (p, q, r, w)
-            verdicts.add("effective" if w is None else "ell > 0" if w.ell else "ell = 0")
+            verdicts.add("effective" if w is None else "ell > 0" if w[0] else "ell = 0")
     # the lines with g = 1 hold both verdicts, so the checks are not vacuous
     assert verdicts == ({"ell = 0"} if math.gcd(n, m) > 1 else {"effective", "ell > 0"})
 
@@ -352,8 +358,10 @@ def test_coprimality_necessary():
 def test_verdict_serialization_schema():
     v = is_effective(make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3))
     d = v.to_dict()
-    assert set(d) == {"effective", "witness", "kernel_element"}
+    assert set(d) == {"effective", "witness", "kernel_element", "kernel_order"}
     assert d["witness"] == {"ell": 1, "K": 0}
     assert d["kernel_element"]["k"] == 1
+    assert d["kernel_order"] == v.kernel_order == 3
     ve = is_effective(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 1)).to_dict()
-    assert ve == {"effective": True, "witness": None, "kernel_element": None}
+    assert ve == {"effective": True, "witness": None, "kernel_element": None,
+                  "kernel_order": 1}
