@@ -70,6 +70,7 @@ class ActionSpec:
             raise ValueError("C must be finite")
         if np.linalg.cond(C) >= 1e8:
             raise ValueError("C is too ill-conditioned to be treated as invertible")
+        C += 0.0            # -0.0 -> 0.0, so equal specs have equal bytes
         C.flags.writeable = False
         object.__setattr__(self, "C", C)
 

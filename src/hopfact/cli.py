@@ -184,19 +184,18 @@ def _grid(config: dict) -> Tuple[Iterator, list]:
 def _table(fmt: str, lines: Iterator, rs: list) -> str:
     """The enumerate output of the grid lines (n, m, kind, p, q) with every
     r of ``rs``.  A row is its line's prefix (n, m, kind, p, q and the name
-    of r), then a tail: r and the verdict.  Each distinct tail is formatted
-    once for the call: those of effective rows at the start, those of
-    witnesses when first met, kept in a dict of each r from the pair
-    (ell, K).  The lines come in (n, m) blocks; in each block the tails are
-    listed once per line class (``effectiveness.line_class``) and dropped
-    with the block.  A line's prefix is formatted once and its rows are
-    joined at once into one string, so no row outlives its line."""
+    of r), then a tail: r and the verdict.  The tails of effective rows and
+    the start of the others are formatted once for the grid.  The lines come
+    in (n, m) blocks; in each block the witnesses and tails are made once
+    per line class (``effectiveness.line_class``) and dropped with the
+    block.  A line's prefix is formatted once and its rows are joined at
+    once into one string, so no row outlives its line."""
     if fmt == "csv":
         # no field is ever quoted: each is an int or a fixed word
         head, sep, foot = ",".join(FIELDS) + "\r\n", "", ""
         prefix = "{},{},{},{},{},".format
-        tails = [(f"{r},true,,\r\n", f"{r},false,", {}) for r in rs]
-        wtail = "{},{}\r\n".format
+        tails = [(f"{r},true,,\r\n", f"{r},false,") for r in rs]
+        mid, end = ",", "\r\n"
     elif fmt == "json":
         # json.dumps(rows, indent=2) of the FIELDS of each row
         head, sep, foot = "[\n", ",\n", "\n]\n"
@@ -204,14 +203,14 @@ def _table(fmt: str, lines: Iterator, rs: list) -> str:
                   '    "p": {},\n    "q": {},\n    "r": ').format
         tails = [(f'{r},\n    "effective": true,\n    "witness_ell": null,\n'
                   f'    "witness_K": null\n  }}',
-                  f'{r},\n    "effective": false,\n    "witness_ell": ', {}) for r in rs]
-        wtail = '{},\n    "witness_K": {}\n  }}'.format
+                  f'{r},\n    "effective": false,\n    "witness_ell": ') for r in rs]
+        mid, end = ',\n    "witness_K": ', "\n  }"
     else:
         head, sep, foot = "", "", ""
         prefix = "{} {} {} p={} q={} r=".format
-        tails = [(f"{r} effective=True witness=(,)\n", f"{r} effective=False witness=(", {})
+        tails = [(f"{r} effective=True witness=(,)\n", f"{r} effective=False witness=(")
                  for r in rs]
-        wtail = "{},{})\n".format
+        mid, end = ",", ")\n"
     # one join of every piece, whose list is freed before the text is
     # written: joining the lines and then adding head and foot would hold
     # the text three times over.  A grid has a line, so the last piece is
@@ -223,10 +222,10 @@ def _table(fmt: str, lines: Iterator, rs: list) -> str:
             key = line_class(kind, n, m, p, q)
             body = bodies.get(key)
             if body is None:
-                body = bodies[key] = [effective if w is None else
-                                      done.get(w) or done.setdefault(w, witness + wtail(*w))
-                                      for (effective, witness, done), w in
-                                      zip(tails, find_witnesses(kind, n, m, p, q, rs))]
+                body = bodies[key] = [
+                    effective if w is None else f"{witness}{w[0]}{mid}{w[1]}{end}"
+                    for (effective, witness), w in
+                    zip(tails, find_witnesses(kind, n, m, p, q, rs))]
             pre = prefix(n, m, kind.value, p, q)
             texts += (pre + (sep + pre).join(body), sep)
     texts[-1] = foot

@@ -169,12 +169,14 @@ class EffectivenessVerdict(_Record):
         object.__setattr__(self, "kernel_order", kernel_order)
 
     def to_dict(self) -> dict:
-        return {"effective": self.effective,
-                "witness": None if self.witness is None else
-                    {"ell": self.witness.ell, "K": self.witness.K},
-                "kernel_element": None if self.kernel_element is None else
-                    {"t": self.kernel_element.t, "k": self.kernel_element.k},
-                "kernel_order": self.kernel_order}
+        return {
+            "effective": self.effective,
+            "witness": None if self.witness is None else
+                {"ell": self.witness.ell, "K": self.witness.K},
+            "kernel_element": None if self.kernel_element is None else
+                {"t": self.kernel_element.t, "k": self.kernel_element.k},
+            "kernel_order": self.kernel_order,
+        }
 
 
 def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) -> int:
@@ -255,7 +257,8 @@ def is_effective(spec: "ActionSpec") -> EffectivenessVerdict:
         return EffectivenessVerdict(effective=True)
     element = kernel_witness_element(spec, witness.ell, witness.K)
     h = math.gcd(_congruence_coefficient(spec.kind, n, m, spec.p, spec.q), n * spec.r)
-    return EffectivenessVerdict(False, witness, element, kernel_order=h)
+    return EffectivenessVerdict(effective=False, witness=witness, kernel_element=element,
+                                kernel_order=h)
 
 
 def is_effective_corollary(n: int, p: int, r: int, kind: ActionKind) -> bool:

@@ -110,6 +110,9 @@ class TestActionSpec:
         spec = ActionSpec(ActionKind.TYPE1, 0, 0, 1, np.eye(2), params)
         twin = ActionSpec(ActionKind.TYPE1, 0, 0, 1, [[1, 0], [0, 1]], HopfParams(4, 2, 1))
         assert spec == twin and not spec != twin and hash(spec) == hash(twin)
+        # a signed zero in C, real or imaginary, defines the same action
+        signed = ActionSpec(ActionKind.TYPE1, 0, 0, 1, [[1, -0.0], [complex(0, -0.0), 1]], params)
+        assert signed == spec and hash(signed) == hash(spec)
         others = [ActionSpec(ActionKind.TYPE1, 0, 0, 1, np.diag([1, 1j]), params),
                   ActionSpec(ActionKind.TYPE1, 0, 0, 1, 2 * np.eye(2), params),
                   ActionSpec(ActionKind.TYPE2, 0, 0, 1, np.eye(2), params),
@@ -118,7 +121,7 @@ class TestActionSpec:
         for other in others:
             assert spec != other and not spec == other
         assert spec != (ActionKind.TYPE1, 0, 0, 1)
-        assert len({spec, twin, *others, *others}) == 1 + len(others)
+        assert len({spec, twin, signed, *others, *others}) == 1 + len(others)
         # copies hold C arrays of their own
         for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
             assert copied.C is not spec.C and copied == spec
