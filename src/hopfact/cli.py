@@ -46,10 +46,12 @@ COMMAND_FIELDS = {
     "verify": SPEC_FIELDS + ("ranges", "trials", "seed", "tol", "format"),
 }
 CONFIG_FIELDS = COMMAND_FIELDS["verify"]
-# The most rows of a ranges grid.  enumerate makes and formats its rows one
-# grid line at a time, but holds the text of every line and then its output
-# before writing it: a traced peak of about 57 B a row for csv, 107 B for text
-# and 320 B for json, twice the output.
+# The most rows of a ranges grid.  enumerate holds the text of every grid line
+# and then its output before writing it, and one (n, m) block's class tails
+# while it makes the block.  Its traced peak is about twice the output (57 B
+# a row for csv, 107 B for text, 320 B for json) on a grid of many lines, and
+# 5.8 times the output for csv, 4.3 for text and 3.0 for json when a few lines
+# hold many r each (n = 3, m = 4, p = q = 0, r from -5000 to 5000).
 MAX_GRID_ROWS = 1_000_000
 # The largest m of act and verify: beyond 2**53 the m-th roots of unity cannot
 # be told apart in floats.  check and enumerate are exact and take any m.
@@ -184,51 +186,53 @@ def _grid(config: dict) -> Tuple[Iterator, list]:
 def _table(fmt: str, lines: Iterator, rs: list) -> str:
     """The enumerate output of the grid lines (n, m, kind, p, q) with every
     r of ``rs``.  A row is its line's prefix (n, m, kind, p, q and the name
-    of r), then a tail: r and the verdict.  The tails of effective rows and
-    the start of the others are formatted once for the grid.  The lines come
-    in (n, m) blocks; in each block the witnesses and tails are made once
-    per line class (``effectiveness.line_class``) and dropped with the
-    block.  A line's prefix is formatted once and its rows are joined at
-    once into one string, so no row outlives its line."""
+    of r), then a tail: r and the verdict, ending with the rows' separator.
+    The effective tail of each r is formatted once for the grid.  The lines
+    come in (n, m) blocks, and ``find_witnesses`` decides each block's line
+    classes (``effectiveness.line_class``) in one call.  A class's tails
+    start as a copy of the effective ones, and only its witness rows are
+    written in.  Each line's prefix is then joined to its class's tails
+    into one string, which takes the line's place in the block."""
     if fmt == "csv":
         # no field is ever quoted: each is an int or a fixed word
         head, sep, foot = ",".join(FIELDS) + "\r\n", "", ""
-        prefix = "{},{},{},{},{},".format
-        tails = [(f"{r},true,,\r\n", f"{r},false,") for r in rs]
-        mid, end = ",", "\r\n"
+        prefix = "%d,%d,%s,%d,%d,"
+        effective, witness = "%d,true,,\r\n", "%d,false,%d,%d\r\n"
     elif fmt == "json":
         # json.dumps(rows, indent=2) of the FIELDS of each row
         head, sep, foot = "[\n", ",\n", "\n]\n"
-        prefix = ('  {{\n    "n": {},\n    "m": {},\n    "kind": "{}",\n'
-                  '    "p": {},\n    "q": {},\n    "r": ').format
-        tails = [(f'{r},\n    "effective": true,\n    "witness_ell": null,\n'
-                  f'    "witness_K": null\n  }}',
-                  f'{r},\n    "effective": false,\n    "witness_ell": ') for r in rs]
-        mid, end = ',\n    "witness_K": ', "\n  }"
+        prefix = ('  {\n    "n": %d,\n    "m": %d,\n    "kind": "%s",\n'
+                  '    "p": %d,\n    "q": %d,\n    "r": ')
+        effective = ('%d,\n    "effective": true,\n    "witness_ell": null,\n'
+                     '    "witness_K": null\n  },\n')
+        witness = ('%d,\n    "effective": false,\n    "witness_ell": %d,\n'
+                   '    "witness_K": %d\n  },\n')
     else:
         head, sep, foot = "", "", ""
-        prefix = "{} {} {} p={} q={} r=".format
-        tails = [(f"{r} effective=True witness=(,)\n", f"{r} effective=False witness=(")
-                 for r in rs]
-        mid, end = ",", ")\n"
-    # one join of every piece, whose list is freed before the text is
-    # written: joining the lines and then adding head and foot would hold
-    # the text three times over.  A grid has a line, so the last piece is
-    # a separator, which the foot replaces.
+        prefix = "%d %d %s p=%d q=%d r="
+        effective = "%d effective=True witness=(,)\n"
+        witness = "%d effective=False witness=(%d,%d)\n"
+    # a leading "" puts the prefix before the first tail of a line too
+    tails = [""] + [effective % r for r in rs]
     texts = [head]
     for (n, m), block in itertools.groupby(lines, key=lambda line: line[:2]):
-        bodies = {}
-        for _, _, kind, p, q in block:
-            key = line_class(kind, n, m, p, q)
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = [
-                    effective if w is None else f"{witness}{w[0]}{mid}{w[1]}{end}"
-                    for (effective, witness), w in
-                    zip(tails, find_witnesses(kind, n, m, p, q, rs))]
-            pre = prefix(n, m, kind.value, p, q)
-            texts += (pre + (sep + pre).join(body), sep)
-    texts[-1] = foot
+        block = list(block)
+        keys = [line_class(kind, n, m, p, q) for _, _, kind, p, q in block]
+        bodies = dict.fromkeys(keys)
+        for key, found in zip(bodies, find_witnesses(n, m, list(bodies), rs)):
+            body = bodies[key] = tails.copy()
+            for i, ell, K in found:
+                body[i + 1] = witness % (rs[i], ell, K)
+        # _value_ is the member's plain attribute; .value is a slower property
+        for j, (_, _, kind, p, q) in enumerate(block):
+            block[j] = (prefix % (n, m, kind._value_, p, q)).join(bodies[keys[j]])
+        texts += block
+    # the last block is freed before the output is made, and the foot
+    # replaces the last row's separator; one join of every piece, since adding
+    # head and foot to the joined lines would hold the text three times over
+    del block, keys, bodies
+    texts[-1] = texts[-1].removesuffix(sep)
+    texts.append(foot)
     return "".join(texts)
 
 

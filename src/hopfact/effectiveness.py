@@ -22,13 +22,14 @@ h = gcd(r, A) it is
     g = 1, h = 1:   none; the action is effective
     g = 1, h > 1:   (ell, K) = (|r|/h, (ell*A/r) * n^{-1} mod m)
 
-Of these, g, A and n^{-1} mod m depend only on the grid line
-(kind, n, m, p, q), and only h and ell on r: ``find_witnesses`` computes
-them once per line for a whole list of r, each witness a pair of ints;
-``find_witness`` is its one-r case, as a ``KernelWitness`` record.  Beside
-n and m, a line's pairs depend on A alone when g = 1 and on nothing else
-when g > 1, so the lines of one (n, m) fall into classes (``line_class``)
-that share every pair: ``enumerate`` decides and formats each class once.
+Of these, g and n^{-1} mod m depend only on (n, m), A also on the grid
+line (kind, n, m, p, q), and h and ell on r.  Beside n and m, a line's
+witnesses depend on A alone when g = 1 and on nothing else when g > 1, so
+the lines of one (n, m) fall into classes (``line_class``) that share every
+witness.  ``find_witnesses`` decides one (n, m) block: it computes g and
+n^{-1} once, and returns for each class only the (i, ell, K) of the rs[i]
+that have a witness.  ``find_witness`` is its case of one line and one r,
+as a ``KernelWitness`` record.
 
 Proof.
 
@@ -88,9 +89,9 @@ class ActionKind(enum.Enum):
     TYPE1 = "type1"
     TYPE2 = "type2"
 
-    @property
-    def eps(self) -> int:
-        return 1 if self is ActionKind.TYPE1 else -1
+    def __init__(self, value: str):
+        # an attribute, not a property: line_class reads it for every grid line
+        self.eps = 1 if value == "type1" else -1
 
 
 def require_int(value, name: str) -> int:
@@ -183,37 +184,32 @@ def _congruence_coefficient(kind: ActionKind, n: int, m: int, p: int, q: int) ->
     return n * (p * m + q) + kind.eps * m
 
 
-def find_witnesses(kind: ActionKind, n: int, m: int, p: int, q: int,
-                   rs: Sequence[int]) -> List[Optional[Tuple[int, int]]]:
-    """The witness of each r of ``rs`` on the line (kind, n, m, p, q), in
-    order, as a pair (ell, K) of ints, None where the action is effective.
-    g, A and n^{-1} mod m are computed once for the line; each r then costs
-    one gcd, and ell and K when h > 1.  The r of a line with g > 1 share one
-    pair object.  Raises ValueError if ``rs`` holds 0."""
+def find_witnesses(n: int, m: int, classes: Sequence[Optional[int]],
+                   rs: Sequence[int]) -> List[List[Tuple[int, int, int]]]:
+    """The witnesses of one (n, m) block, whose line classes (``line_class``)
+    are ``classes``: for each class, the (i, ell, K) of each rs[i] that has
+    a witness, in the order of i; every other r is effective.  g, n^{-1}
+    mod m and the check of ``rs`` run once for the block, so each (class, r)
+    costs one gcd, and ell and K only when h > 1.  When g > 1 the classes
+    share one list.  Raises ValueError if ``rs`` holds 0."""
     if 0 in rs:
         raise ValueError("r must be nonzero")
     g = math.gcd(n, m)
     if g > 1:
-        return [(0, m // g)] * len(rs)
-    acoef = _congruence_coefficient(kind, n, m, p, q)
+        return [[(i, 0, m // g) for i in range(len(rs))]] * len(classes)
+    # ell*A/r = sign(r)*A/h, and h divides A
     n_inv = pow(n, -1, m)
-    witnesses = []
-    for r in rs:
-        h = math.gcd(r, acoef)
-        if h == 1:
-            witnesses.append(None)
-        else:
-            ell = abs(r) // h
-            witnesses.append((ell, ell * acoef // r * n_inv % m))
-    return witnesses
+    signed = [(i, abs(r), n_inv if r > 0 else -n_inv) for i, r in enumerate(rs)]
+    gcd = math.gcd
+    return [[(i, a // h, acoef // h * s % m) for i, a, s in signed if (h := gcd(a, acoef)) > 1]
+            for acoef in classes]
 
 
 def line_class(kind: ActionKind, n: int, m: int, p: int, q: int) -> Optional[int]:
     """The class of the grid line (kind, n, m, p, q): two lines of equal n,
-    m and class have equal ``find_witnesses`` pairs for every list of r.
-    It is None when gcd(n, m) > 1, where every r has the pair (0, m/g), and
-    A otherwise, the only part of the line beside n and m that the pairs
-    read."""
+    m and class have equal witnesses for every r.  It is None when
+    gcd(n, m) > 1, where every r has the witness (0, m/g), and A otherwise,
+    the only part of the line beside n and m that the witnesses read."""
     return None if math.gcd(n, m) > 1 else _congruence_coefficient(kind, n, m, p, q)
 
 
@@ -222,8 +218,8 @@ def find_witness(kind: ActionKind, n: int, m: int, p: int, q: int,
     """Smallest (ell, K) in lexicographic order satisfying the kernel
     congruences, or None if the action is effective; the closed form and
     its proof are in the module docstring."""
-    pair = find_witnesses(kind, n, m, p, q, (r,))[0]
-    return None if pair is None else KernelWitness(*pair)
+    found = find_witnesses(n, m, [line_class(kind, n, m, p, q)], (r,))[0]
+    return KernelWitness(*found[0][1:]) if found else None
 
 
 def kernel_witness_element(spec: "ActionSpec", ell: int, K: int) -> KernelElement:

@@ -45,7 +45,7 @@ import numpy as np
 from .action import (ActionKind, ActionSpec, Rows, SpecStack, SU2_CONJUGATOR, _apply, _transport,
                      evaluate_formula)
 from .cmatrix import TWO_PI, UnitaryElement, _rng, _split, random_unitary
-from .effectiveness import _congruence_coefficient, find_witnesses
+from .effectiveness import _congruence_coefficient, find_witnesses, line_class
 from .hopf import HopfParams, orbit_distance
 
 
@@ -261,24 +261,22 @@ def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9
 def _exact_kernels(specs: SpecStack) -> list:
     """For each spec, N = n*|r|, the exact kernel order h = gcd(A, N) and
     the j of the witness's scalar e^{2*pi*i*j/N} * id, None when the action
-    is effective.  ``find_witnesses`` runs once for each run of specs on one
-    grid line (kind, m, p, q), and its pairs (ell, K) are read as they come;
-    the witness's k is that of ``effectiveness.kernel_witness_element``,
-    which the witness makes exact."""
+    is effective.  Each run of specs on one grid line (kind, m, p, q) is a
+    block of one line class for ``find_witnesses``, and only the entries of
+    its witnesses (i, ell, K) are rewritten; the witness's k is that of
+    ``effectiveness.kernel_witness_element``, which the witness makes exact."""
     n = specs.params.n
     kernels = []
     for (kind, m, p, q), line in groupby(zip(specs.kind, specs.m, specs.p, specs.q, specs.r),
                                          key=lambda spec: spec[:4]):
         rs = [spec[4] for spec in line]
         a = _congruence_coefficient(kind, n, m, p, q)
-        for r, w in zip(rs, find_witnesses(kind, n, m, p, q, rs)):
-            N = n * abs(r)
-            if w is None:
-                kernels.append((N, 1, None))
-                continue
-            ell, K = w
+        run = [(n * abs(r), 1, None) for r in rs]
+        for i, ell, K in find_witnesses(n, m, [line_class(kind, n, m, p, q)], rs)[0]:
+            r, N = rs[i], run[i][0]
             k = -kind.eps * ((ell * a - n * K * r) // (r * m)) % n
-            kernels.append((N, math.gcd(a, N), ((1 if r > 0 else -1) * ell + k * abs(r)) % N))
+            run[i] = (N, math.gcd(a, N), ((1 if r > 0 else -1) * ell + k * abs(r)) % N)
+        kernels += run
     return kernels
 
 

@@ -256,16 +256,45 @@ class TestEnumerate:
     SHARED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
                          "q_min": -2, "q_max": 2, "r_min": -12, "r_max": 12}}
 
+    @staticmethod
+    def table(fmt, rows):
+        """The output of ``rows`` (the FIELDS of each, the witness fields
+        None where effective) in ``fmt``, built independently of the CLI."""
+        if fmt == "csv":
+            return "\r\n".join([",".join(cli.FIELDS)] + [
+                f"{n},{m},{kind},{p},{q},{r}," + ("true,," if effective else f"false,{ell},{K}")
+                for n, m, kind, p, q, r, effective, ell, K in rows]) + "\r\n"
+        if fmt == "json":
+            return json.dumps([dict(zip(cli.FIELDS, row)) for row in rows], indent=2) + "\n"
+        return "".join(
+            f"{n} {m} {kind} p={p} q={q} r={r} effective={effective} witness=("
+            + ("," if effective else f"{ell},{K}") + ")\n"
+            for n, m, kind, p, q, r, effective, ell, K in rows)
+
+    @staticmethod
+    def rows(ranges, find):
+        """The rows of a ranges grid, in CLI order, with the witnesses of
+        ``find(kind, n, m, p, q, r)``."""
+        rows = []
+        for n, m, kind, p, q, r in itertools.product(
+                sorted(set(ranges["n_list"])), sorted(set(ranges["m_list"])), ActionKind,
+                range(ranges["p_min"], ranges["p_max"] + 1),
+                range(ranges["q_min"], ranges["q_max"] + 1),
+                [r for r in range(ranges["r_min"], ranges["r_max"] + 1) if r]):
+            w = find(kind, n, m, p, q, r)
+            rows.append((n, m, kind.value, p, q, r, w is None,
+                         None if w is None else w.ell, None if w is None else w.K))
+        return rows
+
     @pytest.mark.parametrize("fmt", ENUMERATE_FORMATS)
     def test_lines_of_one_class_keep_their_own_rows(self, tmp_path, fmt):
-        # enumerate formats each line class once per (n, m); every row must
+        # enumerate decides each line class once per (n, m); every row must
         # still be its own tuple and that tuple's find_witness
         ranges = self.SHARED["ranges"]
         lines = list(itertools.product(
             ranges["n_list"], ranges["m_list"], ActionKind,
             range(ranges["p_min"], ranges["p_max"] + 1),
             range(ranges["q_min"], ranges["q_max"] + 1)))
-        rs = [r for r in range(ranges["r_min"], ranges["r_max"] + 1) if r]
         kinds = {}
         for n, m, kind, p, q in lines:
             kinds.setdefault((n, m, line_class(kind, n, m, p, q)), set()).add(kind)
@@ -276,29 +305,32 @@ class TestEnumerate:
         out = tmp_path / "table"
         assert run(["enumerate", "--spec", write_config(tmp_path, self.SHARED),
                     "--format", fmt, "--out", str(out)]) == 0
-        rows = []
-        for n, m, kind, p, q in lines:
-            for r in rs:
-                w = find_witness(kind, n, m, p, q, r)
-                rows.append((n, m, kind.value, p, q, r, w is None,
-                             None if w is None else w.ell, None if w is None else w.K))
-        data = out.read_bytes().decode("ascii")
-        if fmt == "csv":
-            assert data.split("\r\n") == [",".join(cli.FIELDS)] + [
-                f"{n},{m},{kind},{p},{q},{r},"
-                + ("true,," if effective else f"false,{ell},{K}")
-                for n, m, kind, p, q, r, effective, ell, K in rows] + [""]
-        elif fmt == "json":
-            assert json.loads(data) == [dict(zip(cli.FIELDS, row)) for row in rows]
-        else:
-            assert data.split("\n") == [
-                f"{n} {m} {kind} p={p} q={q} r={r} effective={effective} witness=("
-                + ("," if effective else f"{ell},{K}") + ")"
-                for n, m, kind, p, q, r, effective, ell, K in rows] + [""]
+        expected = self.table(fmt, self.rows(ranges, find_witness))
+        assert out.read_bytes() == expected.encode("ascii")
+
+    # the two extremes of a class's rows: every row a witness (each block
+    # has gcd(n, m) > 1), and none (A = +-1 on every line)
+    EXTREMES = {
+        "every": {"n_list": [2, 4], "m_list": [2, 4], "p_min": -1, "p_max": 1,
+                  "q_min": -1, "q_max": 1, "r_min": -3, "r_max": 3},
+        "none": {"n_list": [2], "m_list": [1], "p_min": 0, "p_max": 0,
+                 "q_min": 0, "q_max": 0, "r_min": -6, "r_max": 6},
+    }
+
+    @pytest.mark.parametrize("fmt", ENUMERATE_FORMATS)
+    @pytest.mark.parametrize("extreme", ["every", "none"])
+    def test_all_or_no_witness_rows(self, tmp_path, fmt, extreme):
+        ranges = self.EXTREMES[extreme]
+        rows = self.rows(ranges, reference.find_witness)
+        assert {effective for *_, effective, _, _ in rows} == {extreme == "none"}
+        out = tmp_path / "table"
+        assert run(["enumerate", "--spec", write_config(tmp_path, {"ranges": ranges}),
+                    "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == self.table(fmt, rows).encode("ascii")
 
     def test_enumerate_makes_no_witness_record(self, tmp_path, monkeypatch):
-        # enumerate reads the (ell, K) pairs of find_witnesses as they are;
-        # a KernelWitness is made only where one r is answered
+        # enumerate reads the (i, ell, K) witnesses of find_witnesses as
+        # they are; a KernelWitness is made only where one r is answered
         made = []
         init = KernelWitness.__init__
 
@@ -319,18 +351,29 @@ class TestEnumerate:
     # 7,200 rows
     TRACED = {"ranges": {"n_list": [2, 3, 4], "m_list": [1, 2, 3, 4], "p_min": -2, "p_max": 2,
                          "q_min": -2, "q_max": 2, "r_min": -6, "r_max": 6}}
+    # 20,000 rows on two lines, each its own class
+    LONG_R = {"ranges": {"n_list": [3], "m_list": [4], "p_min": 0, "p_max": 0,
+                         "q_min": 0, "q_max": 0, "r_min": -5000, "r_max": 5000}}
 
-    @pytest.mark.parametrize("fmt,most", [("csv", 3.0), ("text", 2.8), ("json", 3.0)])
-    def test_rows_are_not_held(self, tmp_path, fmt, most):
-        # traced peak bytes per output character (Python 3.11): 2.4 (csv),
-        # 2.2 (text) and 2.1 (json) when each grid line's rows are joined
-        # into one string and the lines then into the output; 4.3, 3.2 and
-        # 2.4 when each row was formatted and joined on its own; 6.0 and 3.6
-        # when the grid tuples are held in a list, 12.7 and 7.2 when the rows
-        # and their witnesses are held too, and 11.2 for json when each row
-        # is held as a dict for json.dumps
+    @pytest.mark.parametrize("grid,fmt,most", [
+        pytest.param("TRACED", fmt, most, id=f"{fmt}-{most}")
+        for fmt, most in [("csv", 3.0), ("text", 2.8), ("json", 3.0)]] + [
+        pytest.param("LONG_R", fmt, most, id=f"LONG_R-{fmt}-{most}")
+        for fmt, most in [("csv", 7.92), ("text", 5.885), ("json", 3.806)]])
+    def test_rows_are_not_held(self, tmp_path, grid, fmt, most):
+        # traced peak bytes per output character (Python 3.11) on TRACED:
+        # 2.2 (csv), 2.1 (text) and 2.0 (json) when each grid line's rows
+        # are joined into one string and the lines then into the output;
+        # 4.3, 3.2 and 2.4 when each row was formatted and joined on its
+        # own; 6.0 and 3.6 when the grid tuples are held in a list, 12.7 and
+        # 7.2 when the rows and their witnesses are held too, and 11.2 for
+        # json when each row is held as a dict for json.dumps.  On LONG_R,
+        # whose few lines hold many rows each, every class's 10,000 tails
+        # add to the held text: 5.8, 4.3 and 3.0 when the last block is
+        # freed before the output is joined, and 7.2, 5.35 and 3.46 (the
+        # bounds are 1.1 times these) when it was not
         out = tmp_path / "table"
-        argv = ["enumerate", "--spec", write_config(tmp_path, self.TRACED),
+        argv = ["enumerate", "--spec", write_config(tmp_path, getattr(self, grid)),
                 "--format", fmt, "--out", str(out)]
         assert run(argv) == 0
         tracemalloc.start()

@@ -204,22 +204,42 @@ def test_closed_form_equals_reference_search_on_grid():
 
 
 def pair(w):
-    """A witness record as the pair (ell, K) that find_witnesses gives."""
+    """A witness record as the pair (ell, K), None where effective."""
     return None if w is None else (w.ell, w.K)
+
+
+def dense(found, rs):
+    """A class's witnesses (i, ell, K) from find_witnesses as the pair
+    (ell, K) of each r of ``rs``, None where effective; the i must rise."""
+    indices = [i for i, _, _ in found]
+    assert indices == sorted(set(indices)) and all(0 <= i < len(rs) for i in indices)
+    line = [None] * len(rs)
+    for i, ell, K in found:
+        line[i] = (ell, K)
+    return line
 
 
 @pytest.mark.parametrize("rs", [R_RANGE, (-3, -2, -1), (2,)], ids=["G", "negative", "one"])
 def test_find_witnesses_equals_find_witness_on_grid_lines(rs):
-    # whole lines (kind, n, m, p, q) of grid G, with g = gcd(n, m) > 1 and = 1
+    # one call per (n, m) block of grid G, with g = gcd(n, m) > 1 and = 1:
+    # each line reads its class's witnesses, which must be find_witness's
+    # and the search reference's for every r
     shared = coprime = 0
-    for n, m, kind, p, q in itertools.product(N_LIST, M_LIST, KINDS, P_RANGE, Q_RANGE):
-        line = find_witnesses(kind, n, m, p, q, rs)
-        assert line == [pair(find_witness(kind, n, m, p, q, r)) for r in rs], (kind, n, m, p, q)
-        assert line == [pair(reference.find_witness(kind, n, m, p, q, r)) for r in rs], \
-            (kind, n, m, p, q)
+    lines = list(itertools.product(KINDS, P_RANGE, Q_RANGE))
+    for n, m in itertools.product(N_LIST, M_LIST):
+        classes = list(dict.fromkeys(line_class(kind, n, m, p, q) for kind, p, q in lines))
+        block = find_witnesses(n, m, classes, rs)
+        assert len(block) == len(classes)
+        for kind, p, q in lines:
+            line = dense(block[classes.index(line_class(kind, n, m, p, q))], rs)
+            assert line == [pair(find_witness(kind, n, m, p, q, r)) for r in rs], \
+                (kind, n, m, p, q)
+            assert line == [pair(reference.find_witness(kind, n, m, p, q, r)) for r in rs], \
+                (kind, n, m, p, q)
         if math.gcd(n, m) > 1:
             shared += 1
-            assert all(w is line[0] for w in line)
+            assert classes == [None]
+            assert dense(block[0], rs) == [(0, m // math.gcd(n, m))] * len(rs)
         else:
             coprime += 1
     assert shared and coprime
@@ -232,7 +252,7 @@ def test_lines_of_one_class_share_their_witnesses():
     for n, m, kind, p, q in itertools.product(N_LIST, M_LIST, KINDS, P_RANGE, Q_RANGE):
         for rs in (R_RANGE, (-3, -2, -1), (2,)):
             key = (n, m, line_class(kind, n, m, p, q), rs)
-            line = find_witnesses(kind, n, m, p, q, rs)
+            line = [pair(find_witness(kind, n, m, p, q, r)) for r in rs]
             assert classes.setdefault(key, line) == line, (kind, n, m, p, q, rs)
         assert (line_class(kind, n, m, p, q) is None) == (math.gcd(n, m) > 1)
     # equal A across kinds: n = 2, m = 1, type1 with s = p*m + q and type2
@@ -298,14 +318,17 @@ def satisfies_congruences(kind, n, m, p, q, r, w):
 @pytest.mark.parametrize("n,m", [(3, 10**400), (2, 10**400), (7, 1), (5, 2**61 - 1)],
                          ids=["3-1e400", "2-1e400", "7-1", "5-M61"])
 def test_find_witnesses_with_wide_integers(kind, n, m):
-    # |r| near 10^40 and m = 10^400, beyond any search: each witness is
-    # the one find_witness gives alone and satisfies the congruences, and
-    # each effective r has gcd(r, A) = 1 on a line with gcd(n, m) = 1
+    # |r| near 10^40 and m = 10^400, beyond any search, on four lines of one
+    # block: each witness is the one find_witness gives alone and satisfies
+    # the congruences, and each effective r has gcd(r, A) = 1 on a line
+    # with gcd(n, m) = 1
     big = 10**40
     rs = [big, -big, big + 1, -(big + 3), 3 * big // 2, 2**133, -(2**133 - 1)]
+    lines = [(1, 0), (-(10**39), 7), (0, -(10**41)), (2, 1)]
+    block = find_witnesses(n, m, [line_class(kind, n, m, p, q) for p, q in lines], rs)
     verdicts = set()
-    for p, q in [(1, 0), (-(10**39), 7), (0, -(10**41)), (2, 1)]:
-        line = find_witnesses(kind, n, m, p, q, rs)
+    for (p, q), found in zip(lines, block):
+        line = dense(found, rs)
         assert line == [pair(find_witness(kind, n, m, p, q, r)) for r in rs]
         acoef = n * (p * m + q) + kind.eps * m
         for r, w in zip(rs, line):
@@ -320,12 +343,16 @@ def test_find_witnesses_with_wide_integers(kind, n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
 def test_find_witnesses_rejects_zero_r(n, m):
+    classes = [line_class(ActionKind.TYPE1, n, m, 0, 0)]
     for rs in ([0], [1, 0, 2], (-1, 0)):
         with pytest.raises(ValueError, match="r must be nonzero"):
-            find_witnesses(ActionKind.TYPE1, n, m, 0, 0, rs)
+            find_witnesses(n, m, classes, rs)
+        with pytest.raises(ValueError, match="r must be nonzero"):
+            find_witnesses(n, m, [], rs)
     with pytest.raises(ValueError, match="r must be nonzero"):
         find_witness(ActionKind.TYPE1, n, m, 0, 0, 0)
-    assert find_witnesses(ActionKind.TYPE1, n, m, 0, 0, []) == []
+    assert find_witnesses(n, m, classes, []) == [[]]
+    assert find_witnesses(n, m, [], [1, 2]) == []
 
 
 def test_kernel_order_is_one_exactly_when_effective():
