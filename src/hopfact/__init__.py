@@ -33,7 +33,6 @@ _SOURCES = {
     "is_effective": "effectiveness",
     "is_effective_corollary": "effectiveness",
     "kernel_witness_element": "effectiveness",
-    "VerificationReport": "oracle",
     "numeric_kernel_scan": "oracle",
     "verify_group_law": "oracle",
     "verify_transitivity": "oracle",

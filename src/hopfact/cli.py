@@ -48,14 +48,22 @@ COMMAND_FIELDS = {
 CONFIG_FIELDS = COMMAND_FIELDS["verify"]
 # The most rows of a ranges grid.  enumerate holds the text of every grid line
 # and then its output before writing it, and one (n, m) block's class tails
-# while it makes the block.  Its traced peak is about twice the output (57 B
-# a row for csv, 107 B for text, 320 B for json) on a grid of many lines, and
-# 5.8 times the output for csv, 4.3 for text and 3.0 for json when a few lines
-# hold many r each (n = 3, m = 4, p = q = 0, r from -5000 to 5000).
+# while it makes the block.  Its traced peak, in times the output for csv,
+# text and json, depends on the grid's shape: about 2 (57 B a row for csv,
+# 107 B for text, 320 B for json) on many lines of 12 r each; 4.95, 3.10 and
+# 2.35 on many lines of one r each (n = 3, m = 4, p and q from -100 to 100,
+# r = 1), where each short line is a string of its own; and 5.8, 4.3 and 3.0
+# when a few lines hold many r each (n = 3, m = 4, p = q = 0, r from -5000
+# to 5000).
 MAX_GRID_ROWS = 1_000_000
 # The largest m of act and verify: beyond 2**53 the m-th roots of unity cannot
 # be told apart in floats.  check and enumerate are exact and take any m.
 MAX_NUMERIC_M = 2**53
+# The most trials*n of verify.  The group law's sample points and the
+# transitivity check's z and w are drawn before any trial runs, each
+# trials*n complex values: 3 * 16 B * 2**22 = 192 MiB at this bound (the
+# other checks draw 0.85*trials*n points more).
+MAX_TRIAL_POINTS = 2**22
 # A value of these flags may start with "-" (``--tol -1e-8``).
 NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
 
@@ -282,14 +290,19 @@ def cmd_act(args) -> int:
     return EXIT_OK
 
 
-def _verify_settings(config: dict):
+def _verify_settings(config: dict, n: int):
     """``trials`` >= 1 and ``seed`` >= 0 as JSON integers, ``tol`` a finite
-    positive number; nothing is rounded or converted."""
+    positive number; nothing is rounded or converted.  ``n`` is the largest
+    n of the specs, and trials*n is at most ``MAX_TRIAL_POINTS``."""
     trials = require_int(config.get("trials", 200), "trials")
     seed = require_int(config.get("seed", 0), "seed")
     tol = config.get("tol", 1e-8)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials * n > MAX_TRIAL_POINTS:
+        raise ValueError(f"trials*n = {trials * n} exceeds MAX_TRIAL_POINTS = "
+                         f"{MAX_TRIAL_POINTS}, the sample points verify draws before "
+                         f"any trial runs")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     # the chained comparison is False for NaN and exact for large integers
@@ -303,7 +316,6 @@ def cmd_verify(args) -> int:
     from .report import verify_text
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "verify")
-    trials, seed, tol = _verify_settings(config)
     if "ranges" in config:
         lines, rs = _grid(config)
         # the grid has checked p, q, r and m and left out r = 0, so one spec
@@ -321,6 +333,8 @@ def cmd_verify(args) -> int:
         spec = _numeric_spec(config, "verify")
         p = spec.params
         blocks, rs = [(spec, [(p.n, p.m, spec.kind, spec.p, spec.q)])], [spec.r]
+    # after the specs, so that trials*n is bounded; before anything is drawn
+    trials, seed, tol = _verify_settings(config, max(spec.params.n for spec, _ in blocks))
     text, passed = verify_text(blocks, rs, trials, seed, tol, "ranges" in config)
     _emit(text, args)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED

@@ -11,12 +11,12 @@ distances in the quotient.
 The random inputs depend on n, the trial counts and the seeds, never on the
 rest of the spec.  So every check, and the kernel probe, takes a
 :class:`~hopfact.action.SpecStack` of specs that share d and n, whatever
-their m, as well as a single spec.  It draws a chunk of trials, splits its
-unitaries as e^{it} B, and then evaluates the stack's distinct formula rows
-on them in numpy passes, with the rows on a leading axis before the trial
-axes: specs that differ only in m, or in m, p and q with one sigma, share
-a row and each formula, ``_transport`` and ``_apply`` evaluation.  Only the
-orbit distances read m, so only they gather the rows' images to the specs,
+their m.  It draws a chunk of trials, splits its unitaries as e^{it} B,
+and then evaluates the stack's distinct formula rows on them in numpy
+passes, with the rows on a leading axis before the trial axes: specs that
+differ only in m, or in m, p and q with one sigma, share a row and each
+formula, ``_transport`` and ``_apply`` evaluation.  Only the orbit
+distances read m, so only they gather the rows' images to the specs,
 each spec's m on their first axis; ``power_branch`` and ``dimtwo`` take one
 residual a row.  A check's seed keys its sample points and its own
 counter-based stream of unitaries (``cmatrix.random_unitary``): trial i
@@ -25,18 +25,19 @@ law's two factors), so a chunk of trials is one call, and any trial is
 replayed from (check seed, index) alone, in any chunk and beside any other
 specs.
 
-On a stack a check gives a :class:`Checked`, arrays with one entry a spec,
-and ``kernel_scan_agrees`` a list of verdicts; on one spec a
-:class:`CheckResult` and a verdict.  ``run_suite`` runs every check on one
-stack, and ``run_verifications`` runs it on one stack for each run of
-consecutive specs with equal (d, n), so each draw is made once for the run
-by construction, and gives a :class:`VerificationReport` a spec; nothing is
-kept from one call to the next.
+Every check, and the kernel agreement, takes a stack only: a check gives
+a :class:`Checked`, arrays with one entry a spec, and
+``kernel_scan_agrees`` a list of verdicts; one spec is the stack
+``SpecStack.of([spec])``, and ``numeric_kernel_scan(spec)`` probes one
+spec.  ``run_suite`` runs every check on one stack, so each draw is made
+once for the stack by construction; ``hopfact.report`` writes its reports,
+and ``run_full_verification`` is the report of one spec that ``hopfact
+verify`` prints, parsed.  Nothing is kept from one call to the next.
 """
 
+import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import wraps
+from dataclasses import replace
 from itertools import groupby
 from typing import NamedTuple, Optional
 
@@ -49,38 +50,6 @@ from .effectiveness import _congruence_coefficient, find_witnesses, line_class
 from .hopf import HopfParams, orbit_distance
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One check's outcome; ``max_residual`` is None when some trial's
-    residual was NaN or infinite, and such a check never passes."""
-
-    name: str
-    trials: int
-    max_residual: Optional[float]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "trials": self.trials,
-                "max_residual": self.max_residual, "pass": self.passed}
-
-
-@dataclass
-class VerificationReport:
-    spec_summary: dict
-    seed: int
-    tol: float
-    checks: list = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"spec": self.spec_summary, "seed": self.seed, "tol": self.tol,
-                "checks": [c.to_dict() for c in self.checks],
-                "all_passed": self.all_passed}
-
-
 class Checked(NamedTuple):
     """One check's outcome on each spec of a stack: the worst residual, NaN
     where some trial's residual was NaN or infinite, and whether it passed."""
@@ -89,11 +58,6 @@ class Checked(NamedTuple):
     trials: int
     residual: np.ndarray
     passed: np.ndarray
-
-    def results(self) -> list:
-        """The outcome of each spec as a :class:`CheckResult`."""
-        return [CheckResult(self.name, self.trials, None if w != w else w, ok)
-                for w, ok in zip(self.residual.tolist(), self.passed.tolist())]
 
 
 # Checks run in chunks of (spec, trial) pairs so that the largest complex
@@ -132,19 +96,6 @@ def _shared_split(a: np.ndarray) -> UnitaryElement:
     ``_apply`` keeps it for the transport's unitaries."""
     ue = _split(a)
     return UnitaryElement(ue.t[None], ue.su_part[None])
-
-
-def _one_or_many(check):
-    """Let ``check``, which gives a :class:`Checked` or a list of verdicts
-    for the specs of a SpecStack, take a single ActionSpec too and give that
-    spec's :class:`CheckResult` or verdict."""
-    @wraps(check)
-    def run(spec, *args, **kwargs):
-        if isinstance(spec, SpecStack):
-            return check(spec, *args, **kwargs)
-        result = check(SpecStack.of([spec]), *args, **kwargs)
-        return result[0] if isinstance(result, list) else result.results()[0]
-    return run
 
 
 def _distance(part, x, y) -> np.ndarray:
@@ -291,7 +242,6 @@ def _agrees(hits: list, N: int, h: int, j_witness: Optional[int]) -> bool:
     return j_witness is None or (j_witness != 0 and j_witness % s == 0)
 
 
-@_one_or_many
 def kernel_scan_agrees(specs: SpecStack, z_samples: int = 10, tol: float = 1e-9,
                        seed: int = 0) -> list:
     """Exact verdict vs numeric scan: the identity acts trivially, and the
@@ -333,7 +283,6 @@ def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int
     return Checked(name, trials, residual, residual < tol)
 
 
-@_one_or_many
 def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
                      tol: float = 1e-8) -> Checked:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
@@ -358,7 +307,6 @@ def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
     return _run_check("group_law", specs, trials, tol, p.n * max(3, p.n), draw, residuals)
 
 
-@_one_or_many
 def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
                             tol: float = 1e-8) -> Checked:
     """Re-split A = e^{i(t + 2*pi*k/n + 2*pi*ell)} (e^{-2*pi*i*k/n} B) for
@@ -386,7 +334,6 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
                       draw, residuals)
 
 
-@_one_or_many
 def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
                         tol: float = 1e-8, log10_scale: float = 0.0) -> Checked:
     """solve_transport round trip: act(A, z) must land on w."""
@@ -404,7 +351,6 @@ def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
     return _run_check("transitivity", specs, trials, tol, p.n * max(3, p.n), draw, residuals)
 
 
-@_one_or_many
 def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
                         tol: float = 1e-12) -> Checked:
     """Alternative d^mu branches: evaluating with an extra e^{2*pi*i*mu*L}
@@ -439,7 +385,6 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
                       by_row=True)
 
 
-@_one_or_many
 def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
                   tol: float = 1e-10) -> Checked:
     """n = 2 only: a Type2 action equals its inner-conjugation Type1 form
@@ -483,34 +428,13 @@ def run_suite(stack: SpecStack, trials: int = 200, seed: int = 0, tol: float = 1
     return checks
 
 
-def run_verifications(specs, trials: int = 200, seed: int = 0,
-                      tol: float = 1e-8) -> list:
-    """The complete oracle suite for each spec, in order.  Every n*|r|*m is
-    checked against the kernel probe's bound before anything is drawn; then
-    each run of consecutive specs with equal d and n, whatever their m,
-    goes through ``run_suite`` as one stack."""
-    specs = list(specs)
-    for spec in specs:
-        _scan_order(spec.params.n, spec.r, spec.params.m)
-    reports = []
-    for _, run in groupby(specs, key=lambda spec: (spec.params.d, spec.params.n)):
-        stack = SpecStack.of(run)
-        d = stack.params.d
-        checks = [[] for _ in range(len(stack))]
-        for checked, at in run_suite(stack, trials, seed, tol):
-            for i, result in zip(range(len(stack)) if at is None else at.tolist(),
-                                 checked.results()):
-                checks[i].append(result)
-        reports += [VerificationReport(
-            spec_summary={"kind": kind.value, "p": p, "q": q, "r": r, "n": stack.params.n,
-                          "m": m, "d": [d.real, d.imag]},
-            seed=seed, tol=tol, checks=results)
-            for kind, p, q, r, m, results in zip(stack.kind, stack.p, stack.q, stack.r,
-                                                 stack.m, checks)]
-    return reports
-
-
 def run_full_verification(spec: ActionSpec, trials: int = 200, seed: int = 0,
-                          tol: float = 1e-8) -> VerificationReport:
-    """The complete oracle suite for one action spec."""
-    return run_verifications([spec], trials, seed, tol)[0]
+                          tol: float = 1e-8) -> dict:
+    """The report of ``hopfact verify`` on one spec, parsed from its text:
+    ``run_suite`` on the spec's one-row stack, written by
+    ``hopfact.report``."""
+    from .report import report_texts
+    # before the stack takes n*r, which may be past the floats
+    _scan_order(spec.params.n, spec.r, spec.params.m)
+    stack = SpecStack.of([spec])
+    return json.loads(report_texts(stack, seed, tol, run_suite(stack, trials, seed, tol))[0])

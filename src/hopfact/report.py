@@ -6,8 +6,9 @@ a grid.  A report's text is fixed words and numbers: json writes an int
 with ``int.__repr__`` and a finite float with ``float.__repr__`` (d, tol
 and every residual are finite or null), so each check's piece is a
 template with its name and trial count filled in once, and each spec adds
-only its own fields, residuals and verdicts.  Only ``verify`` imports this
-module.
+only its own fields, residuals and verdicts.  This is the one writer of
+reports: ``verify`` and ``oracle.run_full_verification`` import it when
+they run.
 """
 
 import numpy as np
@@ -41,8 +42,10 @@ def _pieces(checked, indent: str, lead: str) -> list:
 
 
 def report_texts(stack: SpecStack, seed: int, tol, checks: list, indent: str = "") -> list:
-    """The report of each spec of the stack as json.dumps(report.to_dict(),
-    indent=2) writes it, each line after the first indented by ``indent``.
+    """The report of each spec of the stack as json.dumps(report, indent=2)
+    writes it, each line after the first indented by ``indent``.  A report
+    is an object with the spec's fields, the seed, the tol, one object a
+    check it covers (name, trials, max_residual and pass) and all_passed.
     ``checks`` are ``oracle.run_suite``'s (Checked, positions) pairs."""
     head, sep, *tails = _templates(indent, stack.params.n, stack.params.d, seed, tol)
     columns = [[head(kind.value, p, q, r, m) for kind, p, q, r, m in

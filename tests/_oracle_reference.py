@@ -9,6 +9,7 @@ for speed.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,16 @@ from hopfact.action import (
 )
 from hopfact.cmatrix import TWO_PI, random_unitary, su_decompose
 from hopfact.hopf import OrbitPoint, orbit_distance
-from hopfact.oracle import CheckResult, sample_points
+from hopfact.oracle import sample_points
+
+
+class Reference(NamedTuple):
+    """One check's outcome on one spec."""
+
+    name: str
+    trials: int
+    max_residual: float
+    passed: bool
 
 
 def draw(n: int, seed: int, index: int) -> np.ndarray:
@@ -37,7 +47,7 @@ def formula(spec: ActionSpec, t, B: np.ndarray, vec: np.ndarray, branch=0) -> np
 
 
 def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
-                     tol: float = 1e-8) -> CheckResult:
+                     tol: float = 1e-8) -> Reference:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
     p = spec.params
     z = sample_points(p, trials, seed)
@@ -49,11 +59,11 @@ def verify_group_law(spec: ActionSpec, trials: int = 200, seed: int = 1,
         lhs = act(spec, a1 @ a2, pt)
         rhs = act(spec, a1, act(spec, a2, pt))
         worst = max(worst, orbit_distance(lhs.rep, rhs.rep, p))
-    return CheckResult("group_law", trials, worst, worst < tol)
+    return Reference("group_law", trials, worst, worst < tol)
 
 
 def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
-                            tol: float = 1e-8) -> CheckResult:
+                            tol: float = 1e-8) -> Reference:
     """Re-split A = e^{i(t + 2*pi*k/n + 2*pi*ell)} (e^{-2*pi*i*k/n} B) for
     all k and ell in {-2, ..., 2} and compare the raw formula outputs in
     the quotient."""
@@ -71,11 +81,11 @@ def verify_well_definedness(spec: ActionSpec, trials: int = 50, seed: int = 2,
                 b2 = np.exp(-2j * math.pi * k / p.n) * ue.su_part
                 shifted = formula(spec, t2, b2, pt.rep)
                 worst = max(worst, orbit_distance(shifted, base.rep, p))
-    return CheckResult("well_definedness", trials, worst, worst < tol)
+    return Reference("well_definedness", trials, worst, worst < tol)
 
 
 def verify_transitivity(spec: ActionSpec, trials: int = 200, seed: int = 3,
-                        tol: float = 1e-8, log10_scale: float = 0.0) -> CheckResult:
+                        tol: float = 1e-8, log10_scale: float = 0.0) -> Reference:
     """solve_transport round trip: act(A, z) must land on w."""
     p = spec.params
     zs = sample_points(p, trials, seed)
@@ -86,11 +96,11 @@ def verify_transitivity(spec: ActionSpec, trials: int = 200, seed: int = 3,
         w = OrbitPoint(p, ws[i])
         a = solve_transport(spec, z, w)
         worst = max(worst, orbit_distance(act(spec, a, z).rep, w.rep, p))
-    return CheckResult("transitivity", trials, worst, worst < tol)
+    return Reference("transitivity", trials, worst, worst < tol)
 
 
 def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
-                        tol: float = 1e-12) -> CheckResult:
+                        tol: float = 1e-12) -> Reference:
     """Alternative d^mu branches: evaluating with an extra e^{2*pi*i*mu*L}
     factor and p shifted to p - L*r reproduces the standard evaluation
     exactly, as raw vectors."""
@@ -107,11 +117,11 @@ def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
                                       spec.r, spec.C, spec.params)
             alt = formula(shifted_spec, ue.t, ue.su_part, z[i], branch=L)
             worst = max(worst, float(np.linalg.norm(alt - base)) / scale)
-    return CheckResult("power_branch", trials, worst, worst < tol)
+    return Reference("power_branch", trials, worst, worst < tol)
 
 
 def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
-                  tol: float = 1e-10) -> CheckResult:
+                  tol: float = 1e-10) -> Reference:
     """n = 2 only: a Type2 action equals its inner-conjugation Type1 form
     as raw vectors."""
     if spec.params.n != 2 or spec.kind is not ActionKind.TYPE2:
@@ -127,4 +137,4 @@ def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,
         rhs = act(twin, a, pt)
         scale = float(np.linalg.norm(lhs.rep))
         worst = max(worst, float(np.linalg.norm(lhs.rep - rhs.rep)) / scale)
-    return CheckResult("dimtwo", trials, worst, worst < tol)
+    return Reference("dimtwo", trials, worst, worst < tol)

@@ -1,10 +1,14 @@
 """Acceptance suite over the desk-scale grid.
 
 Each test prints one PASS line with the measured evidence; criteria with a
-stated runtime budget assert the elapsed time as well.  The kernel-scan
+stated runtime budget assert the elapsed time as well.  The checks take a
+SpecStack: a criterion on single specs runs each as its one-row stack
+``SpecStack.of([spec])``, and criterion 10 runs every check of the suite
+(``oracle.run_suite``) on all 84,672 specs of grid G, one stack per n and
+d, in about 11 s on a 2-vCPU VM (budget: 60 s).  The per-spec kernel-scan
 criterion runs on the documented reduced grid (|p|, |q|, |r| <= 2, single
-d = 4) by default; set HOPFACT_FULL_GRID=1 to run it on all 84,672 specs
-of the full grid as well, which takes about 55 s on a 2-vCPU VM (budget:
+d = 4) by default; set HOPFACT_FULL_GRID=1 to run it one spec at a time on
+the full grid as well, which takes about 55 s on a 2-vCPU VM (budget:
 600 s).
 """
 
@@ -16,11 +20,12 @@ import time
 import numpy as np
 import pytest
 
-from hopfact.action import ActionKind, ActionSpec, match_example_to_type1
+from hopfact.action import ActionKind, ActionSpec, SpecStack, match_example_to_type1
 from hopfact.effectiveness import find_witness, is_effective, is_effective_corollary
 from hopfact.hopf import HopfParams
 from hopfact.oracle import (
     kernel_scan_agrees,
+    run_suite,
     verify_dimtwo,
     verify_group_law,
     verify_power_branch,
@@ -31,6 +36,12 @@ from hopfact.oracle import (
 import _witness_reference as reference
 from _grid import (
     D_LIST,
+    KINDS,
+    M_LIST,
+    N_LIST,
+    P_RANGE,
+    Q_RANGE,
+    R_RANGE,
     REDUCED_D,
     REDUCED_P,
     REDUCED_Q,
@@ -93,7 +104,8 @@ def _run_kernel_agreement(specs, budget, label):
     start = time.time()
     count = 0
     for spec in specs:
-        assert kernel_scan_agrees(spec, z_samples=10, tol=1e-9, seed=count), \
+        assert kernel_scan_agrees(SpecStack.of([spec]), z_samples=10, tol=1e-9,
+                                  seed=count) == [True], \
             f"exact/numeric kernel disagreement for {spec.kind} p={spec.p} " \
             f"q={spec.q} r={spec.r} n={spec.params.n} m={spec.params.m} " \
             f"d={spec.params.d}"
@@ -117,10 +129,11 @@ def test_criterion_3_kernel_agreement_full_grid():
 def test_criterion_4_group_law_and_well_definedness():
     worst = 0.0
     for i, spec in enumerate(sampled_effective_specs()):
-        gl = verify_group_law(spec, trials=200, seed=100 + i, tol=1e-8)
-        wd = verify_well_definedness(spec, trials=200, seed=200 + i, tol=1e-8)
-        assert gl.passed and wd.passed
-        worst = max(worst, gl.max_residual, wd.max_residual)
+        stack = SpecStack.of([spec])
+        gl = verify_group_law(stack, trials=200, seed=100 + i, tol=1e-8)
+        wd = verify_well_definedness(stack, trials=200, seed=200 + i, tol=1e-8)
+        assert gl.passed[0] and wd.passed[0]
+        worst = max(worst, gl.residual[0], wd.residual[0])
     print(f"\n[criterion 4] group law + well-definedness, 20 specs x 200 "
           f"trials, max residual {worst:.2e} < 1e-8 -- PASS")
 
@@ -128,12 +141,13 @@ def test_criterion_4_group_law_and_well_definedness():
 def test_criterion_5_transitivity():
     worst = worst_scaled = 0.0
     for i, spec in enumerate(sampled_effective_specs()):
-        tr = verify_transitivity(spec, trials=200, seed=300 + i, tol=1e-8)
-        scaled = verify_transitivity(spec, trials=50, seed=400 + i, tol=1e-7,
+        stack = SpecStack.of([spec])
+        tr = verify_transitivity(stack, trials=200, seed=300 + i, tol=1e-8)
+        scaled = verify_transitivity(stack, trials=50, seed=400 + i, tol=1e-7,
                                      log10_scale=3)
-        assert tr.passed and scaled.passed
-        worst = max(worst, tr.max_residual)
-        worst_scaled = max(worst_scaled, scaled.max_residual)
+        assert tr.passed[0] and scaled.passed[0]
+        worst = max(worst, tr.residual[0])
+        worst_scaled = max(worst_scaled, scaled.residual[0])
     print(f"\n[criterion 5] transitivity, 20 specs x 200 pairs, max residual "
           f"{worst:.2e} < 1e-8 (ill-scaled {worst_scaled:.2e} < 1e-7) -- PASS")
 
@@ -153,9 +167,9 @@ def test_criterion_7_power_branch_identity():
     specs = sampled_effective_specs(count=10, seed=7)
     worst = 0.0
     for i, spec in enumerate(specs):
-        check = verify_power_branch(spec, trials=10, seed=500 + i, tol=1e-12)
-        assert check.passed
-        worst = max(worst, check.max_residual)
+        check = verify_power_branch(SpecStack.of([spec]), trials=10, seed=500 + i, tol=1e-12)
+        assert check.passed[0]
+        worst = max(worst, check.residual[0])
     print(f"\n[criterion 7] power-branch identity on 10 specs, L in "
           f"{{-2..2}}, max residual {worst:.2e} < 1e-12 -- PASS")
 
@@ -171,9 +185,9 @@ def test_criterion_8_dimtwo_identity():
         d = D_LIST[i % len(D_LIST)]
         c = np.eye(2, dtype=np.complex128) if i % 2 == 0 else fixed_C(2)
         spec = ActionSpec(kind, p, q, r, c, HopfParams(d=d, n=2, m=m))
-        check = verify_dimtwo(spec, trials=100, seed=600 + i, tol=1e-10)
-        assert check.passed
-        worst = max(worst, check.max_residual)
+        check = verify_dimtwo(SpecStack.of([spec]), trials=100, seed=600 + i, tol=1e-10)
+        assert check.passed[0]
+        worst = max(worst, check.residual[0])
     print(f"\n[criterion 8] n=2 conjugation identity on 10 Type2 specs x 100 "
           f"samples, max residual {worst:.2e} < 1e-10 -- PASS")
 
@@ -193,3 +207,31 @@ def test_criterion_9_period_bound():
     print(f"\n[criterion 9] period bound: closed-form witness equals the "
           f"threefold ell-window search on {checked} specs in {elapsed:.1f}s "
           f"-- PASS")
+
+
+# the tol at which run_suite runs each sample check, at its default tol of 1e-8
+SUITE_TOLS = {"group_law": 1e-8, "well_definedness": 1e-8, "transitivity": 1e-8,
+              "power_branch": 1e-12, "dimtwo": 1e-10}
+
+
+def test_criterion_10_every_check_on_grid_g():
+    # one stack per (n, d), from grid G's columns with both Cs: 12 stacks of
+    # 7,056 specs, 84,672 in all, each through every check at 8 trials
+    start = time.time()
+    worst = {}
+    specs = 0
+    for n, d in itertools.product(N_LIST, D_LIST):
+        cs = (np.eye(n, dtype=np.complex128), fixed_C(n))
+        m, kind, p, q, r, c = zip(*itertools.product(M_LIST, KINDS, P_RANGE, Q_RANGE,
+                                                     R_RANGE, cs))
+        stack = SpecStack.of_columns(HopfParams(d=d, n=n, m=1), kind, p, q, r, m, c)
+        for checked, at in run_suite(stack, trials=8, seed=7):
+            assert checked.passed.all(), (checked.name, n, d)
+            worst[checked.name] = max(worst.get(checked.name, 0.0), checked.residual.max())
+        specs += len(stack)
+    elapsed = time.time() - start
+    assert specs == 84_672
+    assert elapsed < 60.0
+    ratios = ", ".join(f"{name} {worst[name] / tol:.1e}" for name, tol in SUITE_TOLS.items())
+    print(f"\n[criterion 10] every check on the {specs} specs of grid G, 8 trials, "
+          f"worst residual/tol: {ratios}; kernel agreement on all, in {elapsed:.1f}s -- PASS")

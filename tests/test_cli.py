@@ -27,7 +27,7 @@ from hopfact.action import ActionKind, ActionSpec, SpecStack, d_pow
 from hopfact.effectiveness import KernelWitness, find_witness, line_class
 from hopfact.cmatrix import random_unitary
 from hopfact.hopf import HopfParams
-from hopfact.oracle import Checked, CheckResult, VerificationReport
+from hopfact.oracle import Checked, run_suite
 from hopfact.report import report_texts
 
 HERE = os.path.dirname(__file__)
@@ -354,12 +354,17 @@ class TestEnumerate:
     # 20,000 rows on two lines, each its own class
     LONG_R = {"ranges": {"n_list": [3], "m_list": [4], "p_min": 0, "p_max": 0,
                          "q_min": 0, "q_max": 0, "r_min": -5000, "r_max": 5000}}
+    # 80,802 rows on as many lines, one r each
+    ONE_R = {"ranges": {"n_list": [3], "m_list": [4], "p_min": -100, "p_max": 100,
+                        "q_min": -100, "q_max": 100, "r_min": 1, "r_max": 1}}
 
     @pytest.mark.parametrize("grid,fmt,most", [
         pytest.param("TRACED", fmt, most, id=f"{fmt}-{most}")
         for fmt, most in [("csv", 3.0), ("text", 2.8), ("json", 3.0)]] + [
         pytest.param("LONG_R", fmt, most, id=f"LONG_R-{fmt}-{most}")
-        for fmt, most in [("csv", 7.92), ("text", 5.885), ("json", 3.806)]])
+        for fmt, most in [("csv", 7.92), ("text", 5.885), ("json", 3.806)]] + [
+        pytest.param("ONE_R", fmt, most, id=f"ONE_R-{fmt}-{most}")
+        for fmt, most in [("csv", 5.445), ("text", 3.41), ("json", 2.585)]])
     def test_rows_are_not_held(self, tmp_path, grid, fmt, most):
         # traced peak bytes per output character (Python 3.11) on TRACED:
         # 2.2 (csv), 2.1 (text) and 2.0 (json) when each grid line's rows
@@ -371,7 +376,10 @@ class TestEnumerate:
         # whose few lines hold many rows each, every class's 10,000 tails
         # add to the held text: 5.8, 4.3 and 3.0 when the last block is
         # freed before the output is joined, and 7.2, 5.35 and 3.46 (the
-        # bounds are 1.1 times these) when it was not
+        # bounds are 1.1 times these) when it was not.  On ONE_R, whose
+        # many lines hold one row each, each line's string adds its own
+        # object header to a short row: 4.95, 3.10 and 2.35 (bounds 1.1
+        # times these)
         out = tmp_path / "table"
         argv = ["enumerate", "--spec", write_config(tmp_path, getattr(self, grid)),
                 "--format", fmt, "--out", str(out)]
@@ -775,8 +783,27 @@ class TestVerify:
     }
 
     @staticmethod
-    def library_reports(cfg):
-        """run_verifications on the specs of a verify config, in the CLI's order."""
+    def report_dicts(stack, seed, tol, checks):
+        """The report of each spec of the stack as a dict, built from
+        run_suite's (Checked, positions) pairs."""
+        d = stack.params.d
+        reports = [{"spec": {"kind": kind.value, "p": p, "q": q, "r": r, "n": stack.params.n,
+                             "m": m, "d": [d.real, d.imag]},
+                    "seed": seed, "tol": tol, "checks": []}
+                   for kind, p, q, r, m in zip(stack.kind, stack.p, stack.q, stack.r, stack.m)]
+        for checked, at in checks:
+            for i, w, ok in zip(range(len(stack)) if at is None else at.tolist(),
+                                checked.residual.tolist(), checked.passed.tolist()):
+                reports[i]["checks"].append({"name": checked.name, "trials": checked.trials,
+                                             "max_residual": None if w != w else w, "pass": ok})
+        for report in reports:
+            report["all_passed"] = all(check["pass"] for check in report["checks"])
+        return reports
+
+    @classmethod
+    def library_reports(cls, cfg):
+        """The reports of a verify config as dicts, from run_suite on one
+        stack per n, in the CLI's order."""
         if "ranges" in cfg:
             g = cfg["ranges"]
             specs = [serialize.spec_from_config({"d": cfg["d"], "n": n, "m": m, "kind": kind,
@@ -788,40 +815,49 @@ class TestVerify:
                      for r in range(g["r_min"], g["r_max"] + 1) if r]
         else:
             specs = [serialize.spec_from_config(cfg)]
-        return hopfact.oracle.run_verifications(specs, cfg.get("trials", 200),
-                                                cfg.get("seed", 0), cfg.get("tol", 1e-8))
+        trials, seed, tol = cfg.get("trials", 200), cfg.get("seed", 0), cfg.get("tol", 1e-8)
+        reports = []
+        for _, run in itertools.groupby(specs, key=lambda spec: spec.params.n):
+            stack = SpecStack.of(run)
+            reports += cls.report_dicts(stack, seed, tol, run_suite(stack, trials, seed, tol))
+        return reports
 
     @pytest.mark.parametrize("case", WRITTEN)
     def test_reports_written_as_json_dumps(self, tmp_path, capsys, case):
         # the reports' templates give the bytes of json.dumps(payload, indent=2)
-        # of the library's reports on the same specs: one spec as an object, a
-        # grid as a list
+        # of the reports built as dicts from the checks' arrays on the same
+        # specs: one spec as an object, a grid as a list
         cfg, piece = self.WRITTEN[case]
         code = run(["verify", "--spec", write_config(tmp_path, cfg)])
         assert code == (3 if case == "null residual" else 0)
-        payload = [report.to_dict() for report in self.library_reports(cfg)]
+        payload = self.library_reports(cfg)
         out = capsys.readouterr().out
         assert out == json.dumps(payload if "ranges" in cfg else payload[0], indent=2) + "\n"
         assert piece in out
         assert out.startswith("[" if "ranges" in cfg else '{\n  "spec"')
+        if "ranges" not in cfg:
+            # the library's one-spec report is the CLI's, parsed
+            settings = cfg.get("trials", 200), cfg.get("seed", 0), cfg.get("tol", 1e-8)
+            assert hopfact.oracle.run_full_verification(serialize.spec_from_config(cfg),
+                                                        *settings) == json.loads(out)
 
     def test_report_template_takes_any_float(self):
         # float.__repr__ is json's float text: subnormal, huge and signed values
-        checks = [CheckResult("group_law", 2**70, 5e-324, True),
-                  CheckResult("transitivity", 1, 1.7976931348623157e308, False),
-                  CheckResult("power_branch", 7, -0.0, True),
-                  CheckResult("dimtwo", 3, None, False),
-                  CheckResult("kernel_scan_agreement", 10, 1e16, False)]
+        checks = [("group_law", 2**70, 5e-324, True),
+                  ("transitivity", 1, 1.7976931348623157e308, False),
+                  ("power_branch", 7, -0.0, True),
+                  ("dimtwo", 3, math.nan, False),
+                  ("kernel_scan_agreement", 10, 1e16, False)]
         stack = SpecStack.of([ActionSpec(ActionKind.TYPE2, -10**30, 0, -7, np.eye(2),
                                          HopfParams(d=complex(1e-300, -2.5e300), n=2, m=2**53))])
-        columns = [(Checked(c.name, c.trials, np.array([math.nan if c.max_residual is None
-                                                        else c.max_residual]),
-                            np.array([c.passed])), None) for c in checks]
+        columns = [(Checked(name, trials, np.array([w]), np.array([ok])), None)
+                   for name, trials, w, ok in checks]
         for tol in (1e-8, 3, 0.1 + 0.2):
-            report = VerificationReport({"kind": "type2", "p": -10**30, "q": 0, "r": -7,
-                                         "n": 2, "m": 2**53, "d": [1e-300, -2.5e300]},
-                                        seed=0, tol=tol, checks=checks)
-            text = json.dumps(report.to_dict(), indent=2)
+            report, = self.report_dicts(stack, 0, tol, columns)
+            assert report["spec"] == {"kind": "type2", "p": -10**30, "q": 0, "r": -7, "n": 2,
+                                      "m": 2**53, "d": [1e-300, -2.5e300]}
+            assert report["checks"][3]["max_residual"] is None
+            text = json.dumps(report, indent=2)
             assert report_texts(stack, 0, tol, columns) == [text]
             assert report_texts(stack, 0, tol, columns, "  ") == [text.replace("\n", "\n  ")]
 
@@ -969,7 +1005,7 @@ class TestVerify:
     def test_m_beyond_the_floats_exit_two(self, tmp_path, monkeypatch, capsys, m, grid):
         # every spec is checked before any is verified: the verification
         # would exit 4 if it were called
-        monkeypatch.setattr(hopfact.oracle, "run_verifications", None)
+        monkeypatch.setattr(hopfact.oracle, "run_suite", None)
         cfg = ({"d": [4, 0], "ranges": dict(self.GRID["ranges"], m_list=[1, m])} if grid
                else dict(DEMO, m=m))
         assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
@@ -977,6 +1013,36 @@ class TestVerify:
         assert captured.out == ""
         assert "verify needs m <= MAX_NUMERIC_M = 2**53" in captured.err
         assert f"got m = {m}" in captured.err
+
+    @pytest.mark.parametrize("cfg,points", [
+        (dict(DEMO, trials=10**12), 2 * 10**12),
+        (dict(DEMO, trials=cli.MAX_TRIAL_POINTS // 2 + 1), cli.MAX_TRIAL_POINTS + 2),
+        ({"d": [4, 0], "trials": cli.MAX_TRIAL_POINTS // 3 + 1,
+          "ranges": dict(GRID["ranges"], n_list=[3, 2])}, 3 * (cli.MAX_TRIAL_POINTS // 3 + 1)),
+    ])
+    def test_trials_beyond_the_points_exit_two(self, tmp_path, monkeypatch, capsys, cfg,
+                                               points):
+        # each check's sample points are drawn before its first trial, so
+        # trials*n, with the largest n of a grid, is bounded before any is
+        # drawn: without the bound, 10^12 trials ask numpy for 14.6 TiB
+        self._no_check_runs(monkeypatch)
+        monkeypatch.setattr(hopfact.oracle, "sample_points", None)
+        start = time.perf_counter()
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: trials*n = {points} exceeds MAX_TRIAL_POINTS = "
+                                f"{cli.MAX_TRIAL_POINTS}, the sample points verify draws "
+                                f"before any trial runs\n")
+
+    def test_trials_at_the_points_bound_pass_the_settings(self, tmp_path, monkeypatch, capsys):
+        # trials*n = MAX_TRIAL_POINTS is admitted: the checks, taken away
+        # here, would then run and fail with exit 4
+        self._no_check_runs(monkeypatch)
+        cfg = dict(DEMO, trials=cli.MAX_TRIAL_POINTS // 2)
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 4
+        assert "internal error: TypeError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [
         ("n", 7), ("m", 1), ("kind", "bogus"), ("p", 0), ("q", 0), ("r", 1),

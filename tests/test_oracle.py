@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import re
 import time
@@ -18,13 +19,14 @@ from hopfact.action import ActionKind, ActionSpec, Rows, SpecStack, d_pow, evalu
 from hopfact.cmatrix import _rng, random_unitary, su_decompose
 from hopfact.effectiveness import is_effective
 from hopfact.hopf import HopfParams
+from hopfact.report import report_texts
 from hopfact.oracle import (
     MAX_PROBE_ORDER,
     _prime_powers,
     kernel_scan_agrees,
     numeric_kernel_scan,
     run_full_verification,
-    run_verifications,
+    run_suite,
     sample_points,
     verify_group_law,
     verify_power_branch,
@@ -41,6 +43,11 @@ def demo_spec():
     return make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 1)
 
 
+def alone(spec):
+    """The one-row stack of ``spec``."""
+    return SpecStack.of([spec])
+
+
 def test_scan_effective_spec_only_identity():
     assert numeric_kernel_scan(demo_spec()) == [0]
 
@@ -52,7 +59,7 @@ def test_scan_finds_known_kernel():
     assert numeric_kernel_scan(spec) == [0, 2]
     verdict = is_effective(spec)
     assert (verdict.witness.ell + verdict.kernel_element.k * 3) % 6 == 4
-    assert kernel_scan_agrees(spec)
+    assert kernel_scan_agrees(alone(spec)) == [True]
 
 
 @pytest.mark.parametrize("kind,n,m,p,q,r", [
@@ -158,7 +165,7 @@ def test_probe_bound_follows_the_tol():
     message = "n*|r|*m = 540000009 exceeds 2*pi/(10*tol) at tol = 1e-06 = 628318"
     for check in (numeric_kernel_scan, kernel_scan_agrees):
         with pytest.raises(ValueError, match=re.escape(message)):
-            check(spec, tol=1e-6)
+            check(spec if check is numeric_kernel_scan else alone(spec), tol=1e-6)
     # 628,318 <= 2*pi/1e-5 < 628,320
     assert 0 in numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 314_159), tol=1e-6)
     with pytest.raises(ValueError, match=re.escape("n*|r|*m = 628320 exceeds")):
@@ -172,10 +179,10 @@ def test_scan_runs_through_the_action(monkeypatch):
     # the scan forms no power of d itself: a d_pow gone bad reaches it, and
     # the exact verdict no longer agrees with it
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
-    assert kernel_scan_agrees(spec)
+    assert kernel_scan_agrees(alone(spec)) == [True]
     monkeypatch.setattr(hopfact.action, "d_pow", lambda d, mu, branch=0: np.full_like(mu, np.nan))
     assert numeric_kernel_scan(spec) == []
-    assert not kernel_scan_agrees(spec)
+    assert kernel_scan_agrees(alone(spec)) == [False]
 
 
 def test_scan_agreement_including_witness():
@@ -183,7 +190,7 @@ def test_scan_agreement_including_witness():
                  make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3),
                  make_spec(ActionKind.TYPE2, 3, 4, 2, 1, -2, d=0.5),
                  make_spec(ActionKind.TYPE2, 2, 2, 0, 0, 2)]:
-        assert kernel_scan_agrees(spec)
+        assert kernel_scan_agrees(alone(spec)) == [True]
 
 
 def test_scan_agreement_needs_the_exact_kernel_order(monkeypatch):
@@ -193,15 +200,15 @@ def test_scan_agreement_needs_the_exact_kernel_order(monkeypatch):
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
     assert is_effective(spec).kernel_order == 3
     monkeypatch.setattr(hopfact.oracle, "_probe", lambda *args: [[0, 2, 3]])
-    assert not kernel_scan_agrees(spec)
+    assert kernel_scan_agrees(alone(spec)) == [False]
     monkeypatch.setattr(hopfact.oracle, "_probe", lambda *args: [[0, 2]])
-    assert kernel_scan_agrees(spec)
+    assert kernel_scan_agrees(alone(spec)) == [True]
 
 
 def test_verification_suite_passes_on_demo():
     report = run_full_verification(demo_spec(), trials=50, seed=3)
-    assert report.all_passed
-    names = {c.name for c in report.checks}
+    assert report["all_passed"] is True
+    names = {c["name"] for c in report["checks"]}
     assert {"group_law", "well_definedness", "transitivity",
             "power_branch", "kernel_scan_agreement"} <= names
 
@@ -209,21 +216,20 @@ def test_verification_suite_passes_on_demo():
 def test_verification_suite_type2_with_dimtwo():
     spec = make_spec(ActionKind.TYPE2, 2, 3, 1, 0, 1, d=1 + 2j)
     report = run_full_verification(spec, trials=40, seed=4)
-    assert report.all_passed
-    assert "dimtwo" in {c.name for c in report.checks}
+    assert report["all_passed"] is True
+    assert "dimtwo" in {c["name"] for c in report["checks"]}
 
 
 def test_transitivity_ill_scaled_pairs():
     spec = make_spec(ActionKind.TYPE1, 3, 2, 1, 0, 2, d=1 + 2j)
-    check = verify_transitivity(spec, trials=50, seed=6, tol=1e-7, log10_scale=3)
-    assert check.passed
+    check = verify_transitivity(alone(spec), trials=50, seed=6, tol=1e-7, log10_scale=3)
+    assert check.passed.tolist() == [True]
 
 
 def test_reports_deterministic():
-    spec = demo_spec()
-    a = verify_group_law(spec, trials=30, seed=11)
-    b = verify_group_law(spec, trials=30, seed=11)
-    assert a == b
+    a, b = (verify_group_law(alone(demo_spec()), trials=30, seed=11) for _ in range(2))
+    assert (a.name, a.trials, a.passed.tolist()) == (b.name, b.trials, b.passed.tolist())
+    assert a.residual.tobytes() == b.residual.tobytes()
 
 
 def test_corrupted_power_branch_detected(monkeypatch):
@@ -236,8 +242,8 @@ def test_corrupted_power_branch_detected(monkeypatch):
 
     monkeypatch.setattr(hopfact.action, "d_pow", wrong_branch)
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 2, d=1 + 2j)
-    check = verify_power_branch(spec, trials=5, seed=8)
-    assert not check.passed
+    check = verify_power_branch(alone(spec), trials=5, seed=8)
+    assert check.passed.tolist() == [False]
 
 
 def test_power_branch_in_one_call_equals_per_branch_calls():
@@ -267,16 +273,15 @@ def test_power_branch_in_one_call_equals_per_branch_calls():
 
 
 def test_report_serialization():
-    report = run_full_verification(demo_spec(), trials=10, seed=1)
-    d = report.to_dict()
+    d = run_full_verification(demo_spec(), trials=10, seed=1)
     assert d["all_passed"] is True
     assert {"name", "trials", "max_residual", "pass"} == set(d["checks"][0])
 
 
 def test_well_definedness_and_group_law_pass_type2():
     spec = make_spec(ActionKind.TYPE2, 3, 1, 0, 0, 1, d=-2)
-    assert verify_group_law(spec, trials=60, seed=2).passed
-    assert verify_well_definedness(spec, trials=20, seed=2).passed
+    assert verify_group_law(alone(spec), trials=60, seed=2).passed.tolist() == [True]
+    assert verify_well_definedness(alone(spec), trials=20, seed=2).passed.tolist() == [True]
 
 
 @pytest.mark.parametrize("chunk_bytes,perturbed", [(None, False), (4096, False),
@@ -314,21 +319,26 @@ def test_checks_match_loop_reference(monkeypatch, chunk_bytes, perturbed,
     if n == 2 and kind is ActionKind.TYPE2:
         runs.append(("verify_dimtwo", 40, 12, {}))
     for name, trials, seed, kwargs in runs:
-        got = getattr(hopfact.oracle, name)(spec, trials, seed, **kwargs)
+        got = getattr(hopfact.oracle, name)(alone(spec), trials, seed, **kwargs)
         want = getattr(_oracle_reference, name)(spec, trials, seed, **kwargs)
-        assert (got.name, got.trials, got.passed) == (want.name, want.trials, want.passed)
+        assert (got.name, got.trials, got.passed.tolist()) == (want.name, want.trials,
+                                                               [want.passed])
         assert want.passed == (not perturbed or name in ("verify_power_branch",
                                                         "verify_dimtwo")), name
-        assert abs(got.max_residual - want.max_residual) <= 1e-13, name
+        assert abs(got.residual[0] - want.max_residual) <= 1e-13, name
 
 
 def test_non_finite_residual_fails_with_no_value():
     # r = 48 with d = 0.5: the 2*pi*ell re-splittings need |d|^(n*r*ell)
     # far beyond a float, so the shifted images are infinite
     spec = make_spec(ActionKind.TYPE1, 6, 1, 0, 0, 48, d=0.5)
-    check = verify_well_definedness(spec, trials=3, seed=2)
-    assert (check.max_residual, check.passed) == (None, False)
-    assert check.to_dict()["max_residual"] is None
+    check = verify_well_definedness(alone(spec), trials=3, seed=2)
+    assert math.isnan(check.residual[0]) and check.passed.tolist() == [False]
+    # and the report writes it as null: the suite's well-definedness check
+    # is this one, at trials // 4 and seed + 2
+    report = run_full_verification(spec, trials=12, seed=0)
+    assert report["checks"][1] == {"name": "well_definedness", "trials": 3,
+                                   "max_residual": None, "pass": False}
 
 
 # n 2..4, both kinds, non-identity C, m up to 7 and complex d, in runs of
@@ -370,6 +380,17 @@ SHARED_SPECS = [
 ]
 
 
+def stacked_reports(specs, trials, seed, tol=1e-8):
+    """The parsed report of each spec, each run of specs with equal (d, n)
+    going through run_suite as one stack, as verify takes a grid."""
+    reports = []
+    for _, run in itertools.groupby(specs, key=lambda spec: (spec.params.d, spec.params.n)):
+        stack = SpecStack.of(run)
+        texts = report_texts(stack, seed, tol, run_suite(stack, trials, seed, tol))
+        reports += map(json.loads, texts)
+    return reports
+
+
 def shared_specs():
     return [ActionSpec(kind, p, q, r, np.eye(n) if C is None else C, HopfParams(d=d, n=n, m=m))
             for kind, n, m, p, q, r, d, C in SHARED_SPECS]
@@ -387,10 +408,10 @@ def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
     stacks = [SpecStack.of(run) for _, run in itertools.groupby(
         specs, key=lambda spec: (spec.params.d, spec.params.n))]
     assert [len(stack) - len(stack.rows) for stack in stacks] == [0, 2, 0, 0, 0, 0, 5, 0]
-    alone = [run_full_verification(spec, trials=40, seed=17) for spec in specs]
-    stacked = run_verifications(specs, trials=40, seed=17)
-    assert [report.to_dict() for report in stacked] == [report.to_dict() for report in alone]
-    assert all(report.all_passed for report in alone)
+    single = [run_full_verification(spec, trials=40, seed=17) for spec in specs]
+    stacked = stacked_reports(specs, trials=40, seed=17)
+    assert stacked == single
+    assert all(report["all_passed"] is True for report in single)
     # and the loop reference, up to summation order
     for spec, report in zip(specs, stacked):
         want = [_oracle_reference.verify_group_law(spec, 40, 18),
@@ -399,10 +420,10 @@ def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
                 _oracle_reference.verify_power_branch(spec, 4, 21, 1e-12)]
         if spec.params.n == 2 and spec.kind is ActionKind.TYPE2:
             want.append(_oracle_reference.verify_dimtwo(spec, 20, 22, 1e-10))
-        assert len(report.checks) == len(want) + 1
-        for got, ref in zip(report.checks, want):
-            assert (got.name, got.trials, got.passed) == (ref.name, ref.trials, ref.passed)
-            assert abs(got.max_residual - ref.max_residual) <= 1e-13, got.name
+        assert len(report["checks"]) == len(want) + 1
+        for got, ref in zip(report["checks"], want):
+            assert (got["name"], got["trials"], got["pass"]) == (ref.name, ref.trials, ref.passed)
+            assert abs(got["max_residual"] - ref.max_residual) <= 1e-13, got["name"]
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 4096])
@@ -425,7 +446,7 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
     if chunk_bytes is not None:
         monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
     specs = shared_specs()
-    run_verifications(specs, trials=40, seed=17)
+    stacked_reports(specs, trials=40, seed=17)
     runs = [list(run) for _, run in itertools.groupby(
         specs, key=lambda spec: (spec.params.d, spec.params.n))]
     assert len(runs) == 8
@@ -451,8 +472,9 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
 def test_memory_of_a_large_run_is_bounded():
     # 360 specs on one manifold at 40 trials: unchunked, the group law's
     # orbit distances alone would take 360 * 40 * 3 * 4 complex values
-    # (2.8 MB); chunked, the traced peak stays near a few chunks and the
-    # stack of C and C^{-1} (184 KB)
+    # (2.8 MB); chunked, the traced peak of the checks and the reports'
+    # text (300 KB) stays near a few chunks and the stack of C and C^{-1}
+    # (184 KB): 5.9 chunks
     params = HopfParams(d=0.5 + 0.3j, n=4, m=6)
     specs = [ActionSpec(kind, p, q, r, fixed_C(4) if p % 2 else np.eye(4), params)
              for kind in ActionKind for p in range(-2, 3) for q in range(6)
@@ -460,9 +482,12 @@ def test_memory_of_a_large_run_is_bounded():
     assert len(specs) == 360
     tracemalloc.start()
     try:
-        reports = run_verifications(specs, trials=40, seed=3)
+        stack = SpecStack.of(specs)
+        checks = run_suite(stack, trials=40, seed=3)
+        texts = report_texts(stack, 3, 1e-8, checks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(report.all_passed for report in reports)
+    assert all(checked.passed.all() for checked, _ in checks)
+    assert all(text.endswith('"all_passed": true\n}') for text in texts)
     assert peak < 8 * hopfact.oracle._CHUNK_BYTES

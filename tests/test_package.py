@@ -15,8 +15,8 @@ PUBLIC = [
     "match_example_to_type1", "solve_transport",
     "EffectivenessVerdict", "is_effective", "is_effective_corollary",
     "kernel_witness_element",
-    "VerificationReport", "numeric_kernel_scan", "verify_group_law",
-    "verify_transitivity", "verify_well_definedness",
+    "numeric_kernel_scan", "verify_group_law", "verify_transitivity",
+    "verify_well_definedness",
     "BACKEND_NAME",
 ]
 MODULES = (hopfact.hopf, hopfact.action, hopfact.effectiveness, hopfact.oracle)
