@@ -26,7 +26,7 @@ only in m, or in m, p and q with one sigma, share a row.  ``act`` and
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,17 +87,6 @@ class ActionSpec:
     def __hash__(self):
         return hash(self._key())
 
-    @property
-    def sigma_m(self) -> int:
-        """sigma*m = eps*m + n*(p*m + q), the integer A of the kernel congruences."""
-        return _congruence_coefficient(self.kind, self.params.n, self.params.m, self.p, self.q)
-
-    @property
-    def sigma(self):
-        """Exact phase exponent eps + (p + q/m)*n; denominator divides m."""
-        from fractions import Fraction
-        return Fraction(self.sigma_m, self.params.m)
-
 
 @dataclass(frozen=True)
 class Rows:
@@ -123,12 +112,13 @@ class Rows:
 
 
 class Part(NamedTuple):
-    """Some rows of a :class:`SpecStack` and the specs that use them."""
+    """Some rows of a :class:`SpecStack` and the specs that use them, in
+    the order of their rows."""
 
-    at: Union[slice, np.ndarray]    # the positions of the specs in the stack
+    at: np.ndarray          # the positions of the specs in the stack
     rows_at: slice          # the positions of the rows in the stack
     rows: Rows
-    row: Optional[np.ndarray]   # each spec's row in ``rows``; None when spec i uses row i
+    row: np.ndarray         # each spec's row in ``rows``
     m: np.ndarray           # each spec's m, as a float
 
 
@@ -141,8 +131,8 @@ class SpecStack:
     r and C share a formula row, whose sigma floats and power-branch shifts
     (A - L*n*r*m)/m are then bit-equal too.  ``rows`` holds each distinct
     row once, in order of first use, ``first`` the first spec of each, and
-    ``row`` the row of each spec, None when every row is distinct (spec i
-    uses row i).  ``params`` is the first spec's."""
+    ``row`` the row of each spec: spec i uses row ``row[i]``.  ``params`` is
+    the first spec's."""
 
     params: HopfParams
     kind: tuple
@@ -152,7 +142,7 @@ class SpecStack:
     m: tuple
     rows: Rows
     first: list
-    row: Optional[np.ndarray]
+    row: np.ndarray
 
     @classmethod
     def of(cls, specs) -> "SpecStack":
@@ -190,7 +180,7 @@ class SpecStack:
                     np.array([kind[i] is ActionKind.TYPE2 for i in first]),
                     scaled[which], np.linalg.inv(scaled)[which])
         return cls(params, tuple(kind), tuple(p), tuple(q), tuple(r), tuple(m), rows, first,
-                   None if len(first) == len(row) else np.array(row))
+                   np.array(row))
 
     def __len__(self) -> int:
         return len(self.m)
@@ -198,25 +188,20 @@ class SpecStack:
     @property
     def width(self) -> int:
         """The most specs that share one row."""
-        return 1 if self.row is None else int(np.bincount(self.row).max())
+        return int(np.bincount(self.row).max())
 
     def take(self, at) -> "SpecStack":
         """The stack of the specs at the positions ``at``, in that order."""
         at = list(at)
         columns = [tuple(column[i] for i in at)
                    for column in (self.kind, self.p, self.q, self.r, self.m)]
-        rows = np.array(at) if self.row is None else self.row[at]
-        used, first, row = np.unique(rows, return_index=True, return_inverse=True)
-        return SpecStack(self.params, *columns, self.rows[used], first.tolist(),
-                         None if np.array_equal(row, np.arange(len(at))) else row)
+        used, first, row = np.unique(self.row[at], return_index=True, return_inverse=True)
+        return SpecStack(self.params, *columns, self.rows[used], first.tolist(), row)
 
     def parts(self, step: int) -> list:
         """The stack as :class:`Part` s of ``step`` rows each."""
         deck_m = np.array(self.m, dtype=np.float64)
         count = len(self.rows)
-        if self.row is None:
-            return [Part(slice(lo, lo + step), slice(lo, lo + step), self.rows[lo:lo + step],
-                         None, deck_m[lo:lo + step]) for lo in range(0, count, step)]
         order = np.argsort(self.row, kind="stable")
         edges = np.searchsorted(self.row[order], [*range(0, count, step), count])
         return [Part(at, slice(lo, lo + step), self.rows[lo:lo + step], self.row[at] - lo,

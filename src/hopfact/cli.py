@@ -56,8 +56,10 @@ CONFIG_FIELDS = COMMAND_FIELDS["verify"]
 # when a few lines hold many r each (n = 3, m = 4, p = q = 0, r from -5000
 # to 5000).
 MAX_GRID_ROWS = 1_000_000
-# The largest m of act and verify: beyond 2**53 the m-th roots of unity cannot
-# be told apart in floats.  check and enumerate are exact and take any m.
+# The largest m of act: beyond 2**53 the m-th roots of unity cannot be told
+# apart in floats.  verify is bounded by the kernel probe's n*|r|*m <=
+# oracle.MAX_PROBE_ORDER, which already keeps m at most 314,159,265; check
+# and enumerate are exact and take any m.
 MAX_NUMERIC_M = 2**53
 # The most trials*n of verify.  The group law's sample points and the
 # transitivity check's z and w are drawn before any trial runs, each
@@ -251,20 +253,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _numeric_m(m: int, command: str) -> None:
-    if m > MAX_NUMERIC_M:
-        raise ValueError(f"{command} needs m <= MAX_NUMERIC_M = 2**53, beyond which the "
-                         f"m-th roots of unity are not distinct floats; got m = {m}")
-
-
-def _numeric_spec(config: dict, command: str):
-    """The config's spec, with m no more than ``MAX_NUMERIC_M``."""
-    from . import serialize
-    spec = serialize.spec_from_config(config)
-    _numeric_m(spec.params.m, command)
-    return spec
-
-
 def cmd_act(args) -> int:
     from . import serialize
     from .action import act
@@ -272,7 +260,10 @@ def cmd_act(args) -> int:
     from .hopf import canonicalize
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "act")
-    spec = _numeric_spec(config, "act")
+    spec = serialize.spec_from_config(config)
+    if spec.params.m > MAX_NUMERIC_M:
+        raise ValueError(f"act needs m <= MAX_NUMERIC_M = 2**53, beyond which the m-th "
+                         f"roots of unity are not distinct floats; got m = {spec.params.m}")
     matrix = serialize.matrix_from_json(_load_json_or_path(args.matrix), "--matrix")
     point = serialize.point_from_json(spec.params, _load_json_or_path(args.point))
     if matrix.shape[0] != spec.params.n:
@@ -313,6 +304,7 @@ def _verify_settings(config: dict, n: int):
 
 
 def cmd_verify(args) -> int:
+    from . import oracle, serialize
     from .report import verify_text
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "verify")
@@ -324,14 +316,16 @@ def cmd_verify(args) -> int:
         blocks = []
         for n, block in itertools.groupby(lines, key=lambda line: line[0]):
             block = list(block)
-            spec = _numeric_spec({**config, "n": n, "m": block[0][1], "kind": "type1", "p": 0,
-                                  "q": 0, "r": rs[0]}, "verify")
+            spec = serialize.spec_from_config({**config, "n": n, "m": block[0][1],
+                                               "kind": "type1", "p": 0, "q": 0, "r": rs[0]})
             for m in dict.fromkeys(line[1] for line in block):
-                _numeric_m(m, "verify")
+                for r in rs:
+                    oracle._scan_order(n, r, m)
             blocks.append((spec, block))
     else:
-        spec = _numeric_spec(config, "verify")
+        spec = serialize.spec_from_config(config)
         p = spec.params
+        oracle._scan_order(p.n, spec.r, p.m)
         blocks, rs = [(spec, [(p.n, p.m, spec.kind, spec.p, spec.q)])], [spec.r]
     # after the specs, so that trials*n is bounded; before anything is drawn
     trials, seed, tol = _verify_settings(config, max(spec.params.n for spec, _ in blocks))

@@ -16,14 +16,15 @@ and then evaluates the stack's distinct formula rows on them in numpy
 passes, with the rows on a leading axis before the trial axes: specs that
 differ only in m, or in m, p and q with one sigma, share a row and each
 formula, ``_transport`` and ``_apply`` evaluation.  Only the orbit
-distances read m, so only they gather the rows' images to the specs,
-each spec's m on their first axis; ``power_branch`` and ``dimtwo`` take one
-residual a row.  A check's seed keys its sample points and its own
-counter-based stream of unitaries (``cmatrix.random_unitary``): trial i
-reads the draws at index i of that stream (2i and 2i + 1 for the group
-law's two factors), so a chunk of trials is one call, and any trial is
-replayed from (check seed, index) alone, in any chunk and beside any other
-specs.
+distances read m, so only they gather the rows' images to the specs by
+``SpecStack.row``, each spec's m on their first axis; ``power_branch`` and
+``dimtwo`` compute one residual a row, which each spec of the row takes.
+The kernel probe acts each row once, with its probes on one axis.  A
+check's seed keys its sample points and its own counter-based stream of
+unitaries (``cmatrix.random_unitary``): trial i reads the draws at index i
+of that stream (2i and 2i + 1 for the group law's two factors), so a chunk
+of trials is one call, and any trial is replayed from (check seed, index)
+alone, in any chunk and beside any other specs.
 
 Every check, and the kernel agreement, takes a stack only: a check gives
 a :class:`Checked`, arrays with one entry a spec, and
@@ -38,7 +39,7 @@ verify`` prints, parsed.  Nothing is kept from one call to the next.
 import json
 import math
 from dataclasses import replace
-from itertools import groupby
+from itertools import compress, groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -89,21 +90,11 @@ def sample_points(params: HopfParams, count: int, seed: int,
     return v
 
 
-def _shared_split(a: np.ndarray) -> UnitaryElement:
-    """The e^{it} B splitting of drawn unitaries (T, n, n) that every row of
-    a stack shares: t (1, T) and B (1, T, n, n), with a row axis of size 1.
-    Draws are unitary by construction, so they skip su_decompose's check;
-    ``_apply`` keeps it for the transport's unitaries."""
-    ue = _split(a)
-    return UnitaryElement(ue.t[None], ue.su_part[None])
-
-
 def _distance(part, x, y) -> np.ndarray:
     """The orbit distance between x and y for each spec of ``part``: x and y
     have a leading axis over the part's rows, or of size 1 for all of them,
     and each spec takes its row's entries and its own m."""
-    if part.row is not None:
-        x, y = (v if len(v) == 1 else v[part.row] for v in (x, y))
+    x, y = (v if len(v) == 1 else v[part.row] for v in (x, y))
     lead = max(x.ndim, y.ndim) - 1
     return orbit_distance(x, y, part.rows.params, part.m.reshape((-1,) + (1,) * (lead - 1)))
 
@@ -149,10 +140,12 @@ def _prime_powers(N: int) -> list:
 
 def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
     """The hits of :func:`numeric_kernel_scan` for each spec of the stack.
-    The probes of a row depend only on its N = n*|r|, so each distinct
-    scalar e^{2*pi*i*j/N} * id is split once; the (row, probe) pairs go
-    through the action in chunks of rows, and each spec of a row measures
-    its images at its own m."""
+    The probes of a row, j = 0 and N/q, depend only on its N = n*|r|; each
+    row's list is padded with j = 0 to the longest, so the probes are a
+    (rows, P) rectangle, split once.  Each chunk of rows is acted on with
+    its P probes on one axis, and each spec of a row measures the images at
+    its own m.  A padded j = 0 repeats the identity probe, so a spec's hits
+    are the distinct j of its row that hit."""
     if z_samples < 1:
         raise ValueError("z_samples must be >= 1")
     p = specs.params
@@ -160,40 +153,25 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
         _scan_order(p.n, r, m, tol)
     orders = [p.n * abs(specs.r[i]) for i in specs.first]
     probes = {N: [0] + [N // q for q in _prime_powers(N)] for N in set(orders)}
-    scalar = {(N, j): i for i, (N, j) in
-              enumerate((N, j) for N, js in probes.items() for j in js)}
-    N, j = np.array(list(scalar)).reshape(-1, 2).T
-    split = _split(np.exp(2j * math.pi * j / N)[:, None, None] * np.eye(p.n))
-    # the (row, probe) pairs in row order: each one's j and split scalar
-    probe_j = [j for N in orders for j in probes[N]]
-    probe_scalar = np.array([scalar[N, j] for N in orders for j in probes[N]])
-    counts = np.array([len(probes[N]) for N in orders])
-    starts = np.concatenate([[0], np.cumsum(counts)])
+    width = max(map(len, probes.values()))
+    j = np.array([probes[N] + [0] * (width - len(probes[N])) for N in orders])
+    split = _split(np.exp(2j * math.pi * j / np.array(orders)[:, None])[..., None, None]
+                   * np.eye(p.n))
     z = sample_points(p, z_samples, seed)
-    hits = [[] for _ in range(len(specs))]
-    step = max(1, _chunk(z_samples * p.n * max(3, p.n)) // (max(counts) * specs.width))
+    hits = [None] * len(specs)
+    step = max(1, _chunk(z_samples * p.n * max(3, p.n)) // (width * specs.width))
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
         for part in specs.parts(step):
-            lo, hi = part.rows_at.start, part.rows_at.start + len(part.rows)
-            which = probe_scalar[starts[lo]:starts[hi]]
-            images = evaluate_formula(part.rows[np.repeat(np.arange(hi - lo), counts[lo:hi])],
-                                      split.t[which][:, None], split.su_part[which][:, None], z)
-            # the k-th (spec, probe) pair of a spec is its row's k-th probe,
-            # measured at the spec's own m
-            row = np.arange(hi - lo) if part.row is None else part.row
-            per_spec = counts[lo + row]
-            spec_of = np.repeat(np.arange(len(row)), per_spec)
-            item = np.arange(len(spec_of)) + np.repeat(
-                starts[lo + row] - starts[lo] - np.cumsum(per_spec) + per_spec, per_spec)
-            if part.row is not None:
-                images = images[item]
-            hit = (orbit_distance(images, z, p, part.m[spec_of][:, None]) < tol).all(axis=1)
-            at = np.arange(len(specs))[part.at]
-            for s, k in zip(at[spec_of[hit]].tolist(), (starts[lo] + item[hit]).tolist()):
-                hits[s].append(probe_j[k])
-    return [sorted(h) for h in hits]
+            rows_at = part.rows_at
+            images = evaluate_formula(part.rows, split.t[rows_at][..., None],
+                                      split.su_part[rows_at][:, :, None], z)
+            hit = (_distance(part, images, z[None, None]) < tol).all(axis=-1)
+            for s, js, ok in zip(part.at.tolist(), j[rows_at][part.row].tolist(),
+                                 hit.tolist()):
+                hits[s] = sorted(set(compress(js, ok)))
+    return hits
 
 
 def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
@@ -253,32 +231,27 @@ def kernel_scan_agrees(specs: SpecStack, z_samples: int = 10, tol: float = 1e-9,
 
 
 def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int,
-               draw, residuals, by_row: bool = False) -> Checked:
+               draw, residuals) -> Checked:
     """The check ``name`` on each spec of the stack.  ``draw(lo, hi)`` makes
     the random inputs of trials lo..hi-1, with a row axis of size 1, and
-    ``residuals(part, *inputs)`` gives their residuals for a
-    :class:`~hopfact.action.Part` of the stack: (specs, trials), or
-    (rows, trials) with ``by_row``, for a check that never reads m.  Each
-    chunk of trials is drawn once and run through the parts; a part's
+    ``residuals(part, *inputs)`` gives their residuals (specs, trials) for a
+    :class:`~hopfact.action.Part` of the stack, in the order of ``part.at``.
+    Each chunk of trials is drawn once and run through the parts; a part's
     largest temporary holds ``values`` complex numbers a (spec, trial) pair.
     Overflow and invalid arithmetic are let through as inf and NaN, and any
     non-finite residual fails its spec's check."""
     pairs = _chunk(values)
     trial_step = min(trials, pairs)
-    parts = specs.parts(max(1, pairs // trial_step // (1 if by_row else specs.width)))
-    size = len(specs.rows) if by_row else len(specs)
-    worst = np.full(size, -np.inf)
-    finite = np.ones(size, dtype=bool)
+    parts = specs.parts(max(1, pairs // trial_step // specs.width))
+    worst = np.full(len(specs), -np.inf)
+    finite = np.ones(len(specs), dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, trials, trial_step):
             inputs = draw(lo, min(lo + trial_step, trials))
             for part in parts:
                 res = residuals(part, *inputs)
-                at = part.rows_at if by_row else part.at
-                finite[at] &= np.isfinite(res).all(axis=1)
-                worst[at] = np.maximum(worst[at], res.max(axis=1))
-    if by_row and specs.row is not None:
-        worst, finite = worst[specs.row], finite[specs.row]
+                finite[part.at] &= np.isfinite(res).all(axis=1)
+                worst[part.at] = np.maximum(worst[part.at], res.max(axis=1))
     residual = np.where(finite, worst, np.nan)
     return Checked(name, trials, residual, residual < tol)
 
@@ -355,7 +328,8 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
                         tol: float = 1e-12) -> Checked:
     """Alternative d^mu branches: evaluating with an extra e^{2*pi*i*mu*L}
     factor and p shifted to p - L*r reproduces the standard evaluation
-    exactly, as raw vectors.  One residual a row: m is never read."""
+    exactly, as raw vectors.  One residual a row, which each spec of the
+    row takes: m is never read."""
     p = specs.params
     z = sample_points(p, trials, seed)
     # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r
@@ -368,7 +342,7 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
     sigma = np.array([[(a - L * nrm) / m for L in branches.tolist()] for a, nrm, m in exact])
 
     def draw(lo, hi):
-        return _shared_split(random_unitary(p.n, seed, trials=range(lo, hi))), z[None, lo:hi]
+        return _split(random_unitary(p.n, seed, trials=range(lo, hi))[None]), z[None, lo:hi]
 
     def residuals(part, ue, zc):
         # each row five times, once a branch, in one evaluation
@@ -378,17 +352,18 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
         images = evaluate_formula(five, ue.t, ue.su_part, zc, branch=np.tile(branches, len(rows)))
         images = images.reshape(len(rows), 5, *images.shape[1:])
         base = images[:, 2]
-        return np.linalg.norm(images - base[:, None], axis=-1).max(axis=1) / \
+        res = np.linalg.norm(images - base[:, None], axis=-1).max(axis=1) / \
             np.linalg.norm(base, axis=-1)
+        return res[part.row]
 
-    return _run_check("power_branch", specs, trials, tol, 5 * p.n * p.n, draw, residuals,
-                      by_row=True)
+    return _run_check("power_branch", specs, trials, tol, 5 * p.n * p.n, draw, residuals)
 
 
 def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
                   tol: float = 1e-10) -> Checked:
     """n = 2 only: a Type2 action equals its inner-conjugation Type1 form
-    as raw vectors.  One residual a row: m is never read."""
+    as raw vectors.  One residual a row, which each spec of the row takes:
+    m is never read."""
     rows = specs.rows
     if specs.params.n != 2 or not rows.conj.all():
         raise ValueError("dimtwo identity applies to Type2 actions with n = 2")
@@ -399,14 +374,14 @@ def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
     z = sample_points(specs.params, trials, seed)
 
     def draw(lo, hi):
-        return _shared_split(random_unitary(2, seed, trials=range(lo, hi))), z[None, lo:hi]
+        return _split(random_unitary(2, seed, trials=range(lo, hi))[None]), z[None, lo:hi]
 
     def residuals(part, ue, zc):
         lhs = evaluate_formula(part.rows, ue.t, ue.su_part, zc)
         rhs = evaluate_formula(twins[part.rows_at], ue.t, ue.su_part, zc)
-        return np.linalg.norm(lhs - rhs, axis=-1) / np.linalg.norm(lhs, axis=-1)
+        return (np.linalg.norm(lhs - rhs, axis=-1) / np.linalg.norm(lhs, axis=-1))[part.row]
 
-    return _run_check("dimtwo", specs, trials, tol, 4, draw, residuals, by_row=True)
+    return _run_check("dimtwo", specs, trials, tol, 4, draw, residuals)
 
 
 def run_suite(stack: SpecStack, trials: int = 200, seed: int = 0, tol: float = 1e-8) -> list:

@@ -69,13 +69,9 @@ def report_texts(stack: SpecStack, seed: int, tol, checks: list, indent: str = "
 def verify_text(blocks: list, rs: list, trials: int, seed: int, tol, grid: bool) -> tuple:
     """The output of ``verify`` and whether every check passed.  ``blocks``
     are (spec, lines): a validated spec of one n and the grid lines
-    (n, m, kind, p, q) on that n, each taken with every r of ``rs``.
-    Every n*|r|*m is checked against the kernel probe's bound first; then
-    each block is one stack, with its spec's d and C."""
-    for spec, lines in blocks:
-        for m in dict.fromkeys(line[1] for line in lines):
-            for r in rs:
-                oracle._scan_order(spec.params.n, r, m)
+    (n, m, kind, p, q) on that n, each taken with every r of ``rs``, every
+    n*|r|*m within the kernel probe's bound.  Each block is one stack, with
+    its spec's d and C."""
     texts, passed = [], True
     for base, lines in blocks:
         kind, p, q, r, m = zip(*[(kind, p, q, r, m) for _, m, kind, p, q in lines for r in rs])

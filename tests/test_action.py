@@ -88,8 +88,8 @@ class TestActionSpec:
     def test_sigma_exact_rational(self):
         spec = ActionSpec(ActionKind.TYPE2, 1, 2, 1, np.eye(3),
                           HopfParams(d=2, n=3, m=4))
-        # -1 + (1 + 2/4)*3 = 7/2
-        assert spec.sigma.numerator == 7 and spec.sigma.denominator == 2
+        # -1 + (1 + 2/4)*3 = 7/2, the float the formula reads
+        assert SpecStack.of([spec]).rows.sigma[0] == 3.5
 
     def test_fields_cannot_be_assigned(self):
         # C is validated once, so neither a field nor C's entries may change

@@ -362,7 +362,7 @@ class TestEnumerate:
         pytest.param("TRACED", fmt, most, id=f"{fmt}-{most}")
         for fmt, most in [("csv", 3.0), ("text", 2.8), ("json", 3.0)]] + [
         pytest.param("LONG_R", fmt, most, id=f"LONG_R-{fmt}-{most}")
-        for fmt, most in [("csv", 7.92), ("text", 5.885), ("json", 3.806)]] + [
+        for fmt, most in [("csv", 6.39), ("text", 4.77), ("json", 3.31)]] + [
         pytest.param("ONE_R", fmt, most, id=f"ONE_R-{fmt}-{most}")
         for fmt, most in [("csv", 5.445), ("text", 3.41), ("json", 2.585)]])
     def test_rows_are_not_held(self, tmp_path, grid, fmt, most):
@@ -374,9 +374,9 @@ class TestEnumerate:
         # 7.2 when the rows and their witnesses are held too, and 11.2 for
         # json when each row is held as a dict for json.dumps.  On LONG_R,
         # whose few lines hold many rows each, every class's 10,000 tails
-        # add to the held text: 5.8, 4.3 and 3.0 when the last block is
-        # freed before the output is joined, and 7.2, 5.35 and 3.46 (the
-        # bounds are 1.1 times these) when it was not.  On ONE_R, whose
+        # add to the held text: 5.81, 4.34 and 3.01 when the last block is
+        # freed before the output is joined (the bounds are 1.1 times
+        # these), and 7.2, 5.35 and 3.46 when it was not.  On ONE_R, whose
         # many lines hold one row each, each line's string adds its own
         # object header to a short row: 4.95, 3.10 and 2.35 (bounds 1.1
         # times these)
@@ -869,7 +869,8 @@ class TestVerify:
         # definedness twice, transitivity's transport once, the power branch
         # five times (once a branch, in one call, the branch L = 0 being the
         # standard evaluation), and dimtwo twice on the 24 Type2 rows of
-        # n = 2; the kernel probe acts each row's 1 + Omega(n*|r|) probes once
+        # n = 2; the kernel probe acts each row once, with its probes on one
+        # axis
         calls = []
 
         def check(func):
@@ -894,9 +895,6 @@ class TestVerify:
                           "q_min": 0, "q_max": 0, "r_min": -6, "r_max": 6}}
         assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
         rows = {(name, n, specs): sum(sizes) for name, n, specs, sizes in calls}
-        # both kinds, p = 0 and 1, and r = -6..-1 and 1..6
-        probes = {n: 8 * sum(1 + len(hopfact.oracle._prime_powers(n * r)) for r in range(1, 7))
-                  for n in (2, 3)}
         assert rows == {(name, n, specs): per_row * count
                         for n in (2, 3)
                         for name, specs, per_row, count in [
@@ -905,7 +903,7 @@ class TestVerify:
                             ("verify_transitivity", 96, 1, 48),
                             ("verify_power_branch", 96, 5, 48),
                             ("verify_dimtwo", 48, 2, 24),
-                            ("kernel_scan_agrees", 96, 1, probes[n])]
+                            ("kernel_scan_agrees", 96, 1, 48)]
                         if name != "verify_dimtwo" or n == 2}
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
@@ -918,6 +916,19 @@ class TestVerify:
         assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
         with open(os.path.join(HERE, "verify_ranges_pinned.json"), encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
+        # every spec above has a row of its own.  Here q = 0, so the specs
+        # of m = 3 and 6 share their formula rows: 256 specs on 128 rows,
+        # with 2 to 5 kernel probes a row.  The sha256 of stdout while each
+        # row's probes were acted per (row, probe) pair and each check
+        # re-gathered its per-row residuals at the end
+        cfg = {"d": [0.5, 0.3], "trials": 4, "seed": 7,
+               "ranges": {"n_list": [2, 3], "m_list": [3, 6], "p_min": 0, "p_max": 1,
+                          "q_min": 0, "q_max": 0, "r_min": -8, "r_max": 8}}
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)) == 256
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "5d9b15838650433d044649a6310108cc0fecdfa29b0a5a07ce86da80fa9c5fd5"
 
     def test_scan_beyond_the_float_range_is_quiet(self, tmp_path, capsys):
         # d^(n*r*t/2pi) overflows in the kernel scan; the exit code is not
@@ -983,14 +994,14 @@ class TestVerify:
                        "q_min": 0, "q_max": 0, "r_min": 1, "r_max": 2}}
 
     @pytest.mark.parametrize("size,message", [
-        (2, "verify needs m <= MAX_NUMERIC_M = 2**53"),
+        (2, f"n*|r|*m = {2 * 2**54} exceeds MAX_PROBE_ORDER = 628318530"),
         (3, "C has dimension 3, manifold has n = 2"),
     ])
     def test_grid_errors_keep_their_order(self, tmp_path, monkeypatch, capsys, size, message):
         # one spec checks d and C for each n, and each m is checked on its
         # own, in the grid's order (n, then m): with a 2 x 2 C the m beyond
-        # the floats on n = 2 comes before the C that n = 3 rejects, and a
-        # 3 x 3 C is rejected on n = 2 before any m
+        # the kernel probe on n = 2 comes before the C that n = 3 rejects,
+        # and a 3 x 3 C is rejected on n = 2 before any m
         monkeypatch.setattr(hopfact.oracle, "run_suite", None)
         identity = [[[float(i == j), 0.0] for j in range(size)] for i in range(size)]
         cfg = {"d": [4, 0], "C": identity,
@@ -1004,15 +1015,16 @@ class TestVerify:
     @pytest.mark.parametrize("grid", [False, True])
     def test_m_beyond_the_floats_exit_two(self, tmp_path, monkeypatch, capsys, m, grid):
         # every spec is checked before any is verified: the verification
-        # would exit 4 if it were called
+        # would exit 4 if it were called.  The kernel probe's bound on
+        # n*|r|*m is the one bound on m; with n = 2 and r = 1 it is reached
+        # long before 2**53
         monkeypatch.setattr(hopfact.oracle, "run_suite", None)
         cfg = ({"d": [4, 0], "ranges": dict(self.GRID["ranges"], m_list=[1, m])} if grid
                else dict(DEMO, m=m))
         assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "verify needs m <= MAX_NUMERIC_M = 2**53" in captured.err
-        assert f"got m = {m}" in captured.err
+        assert f"n*|r|*m = {2 * m} exceeds MAX_PROBE_ORDER = 628318530" in captured.err
 
     @pytest.mark.parametrize("cfg,points", [
         (dict(DEMO, trials=10**12), 2 * 10**12),

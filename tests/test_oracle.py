@@ -17,7 +17,7 @@ from _grid import fixed_C, grid_specs
 from _scan_reference import scan_lattice
 from hopfact.action import ActionKind, ActionSpec, Rows, SpecStack, d_pow, evaluate_formula
 from hopfact.cmatrix import _rng, random_unitary, su_decompose
-from hopfact.effectiveness import is_effective
+from hopfact.effectiveness import _congruence_coefficient, is_effective
 from hopfact.hopf import HopfParams
 from hopfact.report import report_texts
 from hopfact.oracle import (
@@ -134,6 +134,25 @@ def test_probe_matches_reference_on_grid_sample():
     assert len(specs) == 212
     for i, spec in enumerate(specs):
         assert_probe_matches_reference(spec, i)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+def test_stacked_probe_equals_each_spec_alone(monkeypatch, chunk_bytes):
+    # q = 0, so sigma = eps + n*p does not read m: the specs of m = 1, 2, 3
+    # and 6 share their rows.  The rows have unequal probe counts (N = 2,
+    # 14, 16, 24, 32 and 60 have 1, 2, 4, 4, 5 and 4 prime-power divisors),
+    # and 58 of the 96 specs act with a kernel.  At 4096 bytes a chunk holds
+    # a row or two.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
+    specs = [make_spec(kind, 2, m, p, 0, r) for kind in ActionKind for p in (0, 1)
+             for m in (1, 2, 3, 6) for r in (1, 7, 8, 12, -16, 30)]
+    stack = SpecStack.of(specs)
+    assert (len(stack), len(stack.rows)) == (96, 24)
+    assert sum(not is_effective(spec).effective for spec in specs) == 58
+    stacked = hopfact.oracle._probe(stack, 10, 1e-9, 11)
+    assert stacked == [numeric_kernel_scan(spec, seed=11) for spec in specs]
+    assert kernel_scan_agrees(stack, seed=11) == [True] * len(specs)
 
 
 def test_scan_of_large_r_at_once():
@@ -257,7 +276,8 @@ def test_power_branch_in_one_call_equals_per_branch_calls():
     p = stack.params
     ue = su_decompose(random_unitary(p.n, 3, trials=range(6)))
     z = sample_points(p, 6, 4)
-    shift = {L: np.array([(s.sigma_m - L * p.n * s.r * s.params.m) / s.params.m
+    shift = {L: np.array([(_congruence_coefficient(s.kind, p.n, s.params.m, s.p, s.q)
+                           - L * p.n * s.r * s.params.m) / s.params.m
                           for s in (specs[i] for i in stack.first)]) for L in range(-2, 3)}
     five = Rows(p, np.stack([shift[L] for L in range(-2, 3)], axis=1).ravel(),
                 *(np.repeat(field, 5, axis=0) for field in (rows.nr, rows.conj, rows.C, rows.C_inv)))
