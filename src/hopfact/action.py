@@ -353,59 +353,32 @@ def match_example_to_type1(params: HopfParams, samples: int = 20, seed: int = 20
     return spec
 
 
-def _outer(u: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The products u row of columns u and rows ``row`` (..., n).  einsum
-    writes them with no temporary: a broadcast product would go through
-    numpy's buffers, about three times the output's size and time."""
-    return np.einsum("...i,...j->...ij", u, row)
-
-
-def _reflector_to_axis(x: np.ndarray):
-    """The Householder reflector H = I - tau * v v^H with H x = alpha * e1,
-    |alpha| = ||x||, as (v, tau, alpha)."""
-    x0 = x[..., 0]
-    alpha = -np.linalg.norm(x, axis=-1) * np.where(x0 != 0, np.exp(1j * principal_arg(x0)), 1.0)
-    v = x.copy()
-    v[..., 0] -= alpha
-    return v, 2.0 / np.sum(v.conj() * v, axis=-1).real, alpha
-
-
-def _vh_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The rows v^H m, for vectors v (..., n) and matrices m (..., n, n)."""
-    return np.einsum("...i,...ij->...j", v.conj(), m)
-
-
-def _unitary_mapping(x: np.ndarray, y: np.ndarray):
-    """A unitary U with U x = y, for ||x|| = ||y||, and its determinant.
-    U = Hy D Hx with the reflectors Hx x = ax * e1 and Hy y = ay * e1 and
-    D = diag(ay/ax, 1, ..., 1); a reflector has determinant -1, so
-    det U = ay/ax.  Each reflector is applied as a rank-one update."""
-    vx, tx, ax = _reflector_to_axis(x)
-    vy, ty, ay = _reflector_to_axis(y)
-    ratio = ay / ax
-    # D Hx = D - tx * (D vx) vx^H
-    dvx = vx.copy()
-    dvx[..., 0] *= ratio
-    u = _outer(dvx, -tx[..., None] * vx.conj())
-    u[..., 0, 0] += ratio
-    u[..., 1:, 1:] += np.eye(x.shape[-1] - 1)
-    # Hy (D Hx) = D Hx - ty * vy (vy^H D Hx)
-    u -= _outer(ty[..., None] * vy, _vh_times(vy, u))
-    return u, ratio
-
-
-def _fix_determinant(u: np.ndarray, delta: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Scale u, of determinant ``delta``, to determinant 1 by a phase on a
-    direction q orthogonal to ``fixed``: u + (1/delta - 1) q (q^H u), made
-    in place on u."""
-    n = u.shape[-1]
-    f = fixed / np.linalg.norm(fixed, axis=-1)[..., None]
-    j = np.argmin(np.abs(f), axis=-1)
-    q = (np.arange(n) == j[..., None]).astype(np.complex128)
-    q -= np.sum(f.conj() * q, axis=-1)[..., None] * f
-    q /= np.linalg.norm(q, axis=-1)[..., None]
-    u += _outer((1.0 / delta - 1.0)[..., None] * q, _vh_times(q, u))
-    return u
+def _plane_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The special unitaries B (..., n, n) with B x = y, for ||x|| = ||y||:
+    the SU(2) turn of the plane of x and y that fixes its complement.  With
+    u = x/||x||, v = y/||x||, a = <u, v>, w the unit vector along v - a*u,
+    orthogonalised twice against u, and b = <w, v>, B = I + V (R - I) V^H
+    for V = [u w] and R = [[a, -conj(b)], [b, conj(a)]] in SU(2), so
+    det B = 1.  Where y is parallel to x up to rounding, v - a*u is noise,
+    which the second pass cuts by more than half (Kahan's test); w is then
+    e_j - conj(u_j)*u at the least |u_j|."""
+    n = x.shape[-1]
+    norm = np.linalg.norm(x, axis=-1)[..., None]
+    u, v = x / norm, y / norm
+    a = np.einsum("...i,...i->...", u.conj(), v)[..., None]
+    first = v - a * u
+    w = first - np.einsum("...i,...i->...", u.conj(), first)[..., None] * u
+    noise = ~(np.linalg.norm(w, axis=-1) > 0.5 * np.linalg.norm(first, axis=-1))
+    if noise.any():
+        j = np.argmin(np.abs(u), axis=-1)[..., None]
+        axis = (np.arange(n) == j) - np.take_along_axis(u, j, -1).conj() * u
+        w = np.where(noise[..., None], axis, w)
+    w /= np.linalg.norm(w, axis=-1)[..., None]
+    b = np.einsum("...i,...i->...", w.conj(), v)[..., None]
+    # the columns of V (R - I) are (a - 1) u + b w and (conj(a) - 1) w - conj(b) u
+    B = np.einsum("...i,...j->...ij", (a - 1) * u + b * w, u.conj()) + np.eye(n)
+    B += np.einsum("...i,...j->...ij", (a.conj() - 1) * w - b.conj() * u, w.conj())
+    return B
 
 
 def _transport(spec: Rows, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -422,18 +395,16 @@ def _transport(spec: Rows, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # a conjugated kind needs conj(B) u = target, i.e. B conj(u) = conj(target)
     x = np.where(conj[..., None], np.conj(u), u)
     y = np.where(conj[..., None], np.conj(target), target)
-    a = _fix_determinant(*_unitary_mapping(x, y), y)
-    a *= np.exp(1j * t)[..., None, None]
-    return a
+    return np.exp(1j * t)[..., None, None] * _plane_rotation(x, y)
 
 
 def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarray:
     """A unitary A carrying z to w under the action (transitivity witness).
 
     The modulus equation |d|^{n*r*t/(2*pi)} = ||C^{-1}w|| / ||C^{-1}z|| fixes
-    t (r != 0 makes it solvable); the remaining special-unitary factor is
-    built from a pair of Householder reflections plus a determinant-fixing
-    phase on an orthogonal direction (possible since n >= 2).
+    t (r != 0 makes it solvable); the special-unitary factor is the SU(2)
+    turn of the plane of x = C^{-1}z and the target, which fixes the plane's
+    complement (n >= 2 makes that plane exist).
     """
     p = spec.params
     if z.params != p or w.params != p:

@@ -61,6 +61,11 @@ MAX_GRID_ROWS = 1_000_000
 # oracle.MAX_PROBE_ORDER, which already keeps m at most 314,159,265; check
 # and enumerate are exact and take any m.
 MAX_NUMERIC_M = 2**53
+# The largest n of act and verify, checked before the n x n C is built.
+# verify's well-definedness check holds about n**3 values a trial: one spec
+# at 4 trials peaks at 105 MiB at n = 128 and 197 MiB at n = 160, past the
+# 192 MiB of MAX_TRIAL_POINTS.  check and enumerate are exact, for any n.
+MAX_NUMERIC_N = 128
 # The most trials*n of verify.  The group law's sample points and the
 # transitivity check's z and w are drawn before any trial runs, each
 # trials*n complex values: 3 * 16 B * 2**22 = 192 MiB at this bound (the
@@ -253,6 +258,12 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _numeric_n(n: int, command: str) -> None:
+    if n > MAX_NUMERIC_N:
+        raise ValueError(f"{command} needs n <= MAX_NUMERIC_N = {MAX_NUMERIC_N}, the float "
+                         f"layer's bound on memory; got n = {n}")
+
+
 def cmd_act(args) -> int:
     from . import serialize
     from .action import act
@@ -260,6 +271,7 @@ def cmd_act(args) -> int:
     from .hopf import canonicalize
     config = _apply_overrides(_load_config(args), args)
     _no_format(config, "act")
+    _numeric_n(serialize.params_from_config(config).n, "act")
     spec = serialize.spec_from_config(config)
     if spec.params.m > MAX_NUMERIC_M:
         raise ValueError(f"act needs m <= MAX_NUMERIC_M = 2**53, beyond which the m-th "
@@ -315,6 +327,7 @@ def cmd_verify(args) -> int:
         # grid order; the stacks read the other fields from the grid
         blocks = []
         for n, block in itertools.groupby(lines, key=lambda line: line[0]):
+            _numeric_n(n, "verify")
             block = list(block)
             spec = serialize.spec_from_config({**config, "n": n, "m": block[0][1],
                                                "kind": "type1", "p": 0, "q": 0, "r": rs[0]})
@@ -323,6 +336,7 @@ def cmd_verify(args) -> int:
                     oracle._scan_order(n, r, m)
             blocks.append((spec, block))
     else:
+        _numeric_n(serialize.params_from_config(config).n, "verify")
         spec = serialize.spec_from_config(config)
         p = spec.params
         oracle._scan_order(p.n, spec.r, p.m)

@@ -59,31 +59,16 @@ class OrbitPoint:
         object.__setattr__(self, "rep", v)
 
 
-def _sum_last(s, lo=0, hi=None):
-    """s summed over its last axis, lo..hi-1, in the order of numpy's own
-    add.reduce, so that the square root of a sum of squares is
-    ``np.linalg.norm`` bit for bit: in sequence below 8 terms, in 8
-    accumulators up to 128, and above that as the sum of two halves, the
-    first a multiple of 8 long.  Each term is a whole array, so no numpy
-    reduction runs over the short axis."""
-    hi = s.shape[-1] if hi is None else hi
-    if hi - lo < 8:
-        total = s[..., lo]
-        for i in range(lo + 1, hi):
-            total = total + s[..., i]
-        return total
-    if hi - lo > 128:
-        half = (hi - lo) // 2
-        half -= half % 8
-        return _sum_last(s, lo, lo + half) + _sum_last(s, lo + half, hi)
-    acc = [s[..., lo + j] for j in range(8)]
-    i = lo + 8
-    while i + 8 <= hi:
-        acc = [a + s[..., i + j] for j, a in enumerate(acc)]
-        i += 8
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for j in range(i, hi):
-        total = total + s[..., j]
+def _sum_last(s):
+    """s summed over its last axis as numpy's add.reduce, which
+    ``np.linalg.norm`` calls, sums it: below 8 terms in sequence, here with
+    whole arrays so that no reduction runs over the short axis, and from 8
+    terms on by add.reduce itself."""
+    if s.shape[-1] >= 8:
+        return np.add.reduce(s, axis=-1)
+    total = s[..., 0]
+    for i in range(1, s.shape[-1]):
+        total = total + s[..., i]
     return total
 
 

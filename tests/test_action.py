@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hopfact.action import (
     ActionSpec,
     SpecStack,
     _apply,
+    _plane_rotation,
     _transport,
     act,
     d_pow,
@@ -21,7 +23,6 @@ from hopfact.action import (
     match_example_to_type1,
     solve_transport,
     type2_as_type1,
-    _unitary_mapping,
 )
 from hopfact.cmatrix import principal_arg, random_unitary, su_decompose, unitarity_residual
 from hopfact.hopf import HopfParams, OrbitPoint, deck_equal, orbit_distance
@@ -283,11 +284,15 @@ class TestSolveTransport:
         return out
 
     def test_fixed_point(self):
-        spec = demo_spec()
-        z = rand_point(spec.params, 21)
-        a = solve_transport(spec, z, z)
-        assert unitarity_residual(a) < 1e-10
-        assert deck_equal(act(spec, a, z), z, 1e-8)
+        # x = y: the plane of x and y is a line, and a second direction is
+        # found with no warning
+        for spec in [demo_spec(), *self.specs()]:
+            z = rand_point(spec.params, 21)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a = solve_transport(spec, z, z)
+            assert unitarity_residual(a) <= 1e-13
+            assert orbit_distance(act(spec, a, z).rep, z.rep, spec.params) <= 1e-13
 
     def test_deck_translate_target(self):
         spec = demo_spec()
@@ -307,16 +312,43 @@ class TestSolveTransport:
                 assert orbit_distance(act(spec, a, z).rep, w.rep, spec.params) < 1e-8
 
     def test_mapping_determinant_in_closed_form(self):
-        # U = Hy D Hx, two reflectors of determinant -1 and D = diag(ay/ax, 1, ...)
+        # B = I + V (R - I) V^H with V orthonormal and R in SU(2), so det B = 1
         rng = np.random.Generator(np.random.Philox(31))
         for n in range(2, 9):
             x = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
             y = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
             y *= (np.linalg.norm(x, axis=-1) / np.linalg.norm(y, axis=-1))[:, None]
-            u, det = _unitary_mapping(x, y)
-            assert np.abs(det - np.linalg.det(u)).max() <= 1e-13
-            assert np.abs((u @ x[..., None])[..., 0] - y).max() < 1e-13
-            assert unitarity_residual(u).max() < 1e-13
+            b = _plane_rotation(x, y)
+            assert np.abs(np.linalg.det(b) - 1).max() <= 1e-13
+            assert np.abs((b @ x[..., None])[..., 0] - y).max() < 1e-13
+            assert unitarity_residual(b).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+    def test_degenerate_rotations(self, n):
+        # y = e^{i phi} x + delta * noise, parallel to x up to rounding or
+        # exactly, and x with a zero coordinate: w = v - a*u is then noise,
+        # and B must still be unitary, of determinant 1 and carry x to y
+        rng = np.random.Generator(np.random.Philox(40 + n))
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for zero in (False, True):
+            x = gauss(30, n)
+            if zero:
+                x[:, 0] = 0
+            phase = np.exp(1j * rng.uniform(0, TWO_PI, (30, 1)))
+            ys = [phase * x + delta * gauss(30, n) for delta in (0, 1e-18, 1e-16, 1e-12, 1e-8)]
+            for y in ys + [gauss(30, n)]:
+                y *= (np.linalg.norm(x, axis=-1) / np.linalg.norm(y, axis=-1))[:, None]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    b = _plane_rotation(x, y)
+                moved = np.linalg.norm((b @ x[..., None])[..., 0] - y, axis=-1)
+                for residual in (unitarity_residual(b), np.abs(np.linalg.det(b) - 1),
+                                 moved / np.linalg.norm(x, axis=-1)):
+                    assert not np.isnan(residual).any()
+                    assert residual.max() <= 1e-13
 
     @pytest.mark.parametrize("kind", [ActionKind.TYPE1, ActionKind.TYPE2])
     def test_transport_for_n_up_to_8(self, kind):

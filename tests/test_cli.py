@@ -533,6 +533,20 @@ class TestAct:
         assert "act needs m <= MAX_NUMERIC_M = 2**53" in captured.err
         assert f"got m = {m}" in captured.err
 
+    def test_n_beyond_the_float_layer_exit_two_at_once(self, tmp_path, monkeypatch, capsys):
+        # rejected before the n x n identity C is built, 160 GB at n = 10^5
+        monkeypatch.setattr(serialize, "spec_from_config", None)
+        start = time.perf_counter()
+        code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, n=10**5)),
+                    "--matrix", json.dumps([[[1, 0]]]), "--point", json.dumps([[1, 0]])])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: act needs n <= MAX_NUMERIC_N = "
+                                       f"{cli.MAX_NUMERIC_N}")
+        assert "got n = 100000" in captured.err
+
     @pytest.mark.parametrize("field", ["p", "q", "r"])
     def test_sigma_or_nr_beyond_the_floats_exit_two(self, tmp_path, capsys, field):
         code = run(["act", "--spec", write_config(tmp_path, dict(DEMO, **{field: 10**400})),
@@ -908,8 +922,9 @@ class TestVerify:
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
         # stdout of the CLI once each check drew its trials from one
-        # counter-addressed stream (numpy 2.4, OpenBLAS): later changes to
-        # how the draws are chunked or shared must not move a residual bit
+        # counter-addressed stream and the transport became the SU(2) turn of
+        # the plane of x and y (numpy 2.4, OpenBLAS): later changes to how
+        # the draws are chunked or shared must not move a residual bit
         cfg = {"d": [0.5, 0.3], "trials": 10, "seed": 7,
                "ranges": {"n_list": [2, 3], "m_list": [3], "p_min": 0, "p_max": 0,
                           "q_min": 0, "q_max": 0, "r_min": -2, "r_max": 2}}
@@ -920,7 +935,8 @@ class TestVerify:
         # of m = 3 and 6 share their formula rows: 256 specs on 128 rows,
         # with 2 to 5 kernel probes a row.  The sha256 of stdout while each
         # row's probes were acted per (row, probe) pair and each check
-        # re-gathered its per-row residuals at the end
+        # re-gathered its per-row residuals at the end, re-taken with the
+        # plane-rotation transport
         cfg = {"d": [0.5, 0.3], "trials": 4, "seed": 7,
                "ranges": {"n_list": [2, 3], "m_list": [3, 6], "p_min": 0, "p_max": 1,
                           "q_min": 0, "q_max": 0, "r_min": -8, "r_max": 8}}
@@ -928,7 +944,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert len(json.loads(out)) == 256
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "5d9b15838650433d044649a6310108cc0fecdfa29b0a5a07ce86da80fa9c5fd5"
+            "59387117b73a0561c046cf62e81263823ede51bc20bcfb46ef96a7394ff1d487"
 
     def test_scan_beyond_the_float_range_is_quiet(self, tmp_path, capsys):
         # d^(n*r*t/2pi) overflows in the kernel scan; the exit code is not
@@ -1025,6 +1041,32 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"n*|r|*m = {2 * m} exceeds MAX_PROBE_ORDER = 628318530" in captured.err
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_n_beyond_the_float_layer_exit_two_at_once(self, tmp_path, monkeypatch, capsys,
+                                                         grid):
+        # rejected before the n x n identity C is built, 160 GB at n = 10^5;
+        # in a grid, after the smaller n's spec, which is built as before
+        monkeypatch.setattr(hopfact.oracle, "run_suite", None)
+        cfg = ({"d": [4, 0], "ranges": dict(self.GRID["ranges"], n_list=[10**5, 2])} if grid
+               else dict(DEMO, n=10**5))
+        start = time.perf_counter()
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: verify needs n <= MAX_NUMERIC_N = "
+                                       f"{cli.MAX_NUMERIC_N}")
+        assert "got n = 100000" in captured.err
+
+    def test_n_at_the_float_layer_bound_passes_the_settings(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # n = MAX_NUMERIC_N is admitted: the checks, taken away here, would
+        # then run and fail with exit 4
+        monkeypatch.setattr(hopfact.oracle, "run_suite", None)
+        cfg = dict(DEMO, n=cli.MAX_NUMERIC_N)
+        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 4
+        assert "internal error: TypeError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg,points", [
         (dict(DEMO, trials=10**12), 2 * 10**12),

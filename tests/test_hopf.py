@@ -277,10 +277,11 @@ def test_orbit_distance_degenerate_norm_stays_nan(m):
 
 
 @pytest.mark.parametrize("m", [1, 3, 60])
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 129, 257])
 def test_orbit_distance_is_the_closed_form_bit_for_bit(n, m):
     # the per-coordinate sums against np.linalg.norm over the (..., 3, n)
-    # broadcast, on both sides of numpy's switch to 8 accumulators at n = 8:
+    # broadcast, on both sides of numpy's switch to 8 accumulators at n = 8
+    # and past its pairwise split of more than 128 terms:
     # one pair, a stack against a broadcast y with an m for each spec, and
     # the extreme norm scales, where d = 1e12 takes some pairs to NaN
     rng = np.random.Generator(np.random.Philox(20 + n))
