@@ -35,6 +35,7 @@ from .cmatrix import (
     as_cmatrix,
     principal_arg,
     random_unitary,
+    sample_points,
     su_decompose,
 )
 from .effectiveness import ActionKind, _congruence_coefficient
@@ -343,10 +344,8 @@ def match_example_to_type1(params: HopfParams, samples: int = 20, seed: int = 20
     n = params.n
     spec = ActionSpec(ActionKind.TYPE1, p=0, q=0, r=1,
                       C=np.eye(n, dtype=np.complex128), params=params)
-    rng = np.random.Generator(np.random.Philox(seed))
-    for i in range(samples):
-        A = random_unitary(n, seed + 1 + i)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    draws = range(samples)
+    for A, v in zip(random_unitary(n, seed, draws), sample_points(n, seed, draws)):
         z = OrbitPoint(params, v)
         if not deck_equal(example_action(params, A, z), act(spec, A, z), tol):
             raise AssertionError("reference action failed to match its Type1 form")

@@ -63,13 +63,13 @@ MAX_GRID_ROWS = 1_000_000
 MAX_NUMERIC_M = 2**53
 # The largest n of act and verify, checked before the n x n C is built.
 # verify's well-definedness check holds about n**3 values a trial: one spec
-# at 4 trials peaks at 105 MiB at n = 128 and 197 MiB at n = 160, past the
-# 192 MiB of MAX_TRIAL_POINTS.  check and enumerate are exact, for any n.
+# at 4 trials peaks at 105 MiB at n = 128 and 197 MiB at n = 160.  check
+# and enumerate are exact, for any n.
 MAX_NUMERIC_N = 128
-# The most trials*n of verify.  The group law's sample points and the
-# transitivity check's z and w are drawn before any trial runs, each
-# trials*n complex values: 3 * 16 B * 2**22 = 192 MiB at this bound (the
-# other checks draw 0.85*trials*n points more).
+# The most trials*n of verify.  No sample points are drawn up front: each
+# check draws its points chunk by chunk, beside its unitaries, so this caps
+# the draws a check makes (the transitivity check's z and w are 2*trials
+# points of n coordinates), not an allocation.
 MAX_TRIAL_POINTS = 2**22
 # A value of these flags may start with "-" (``--tol -1e-8``).
 NUMERIC_FLAGS = ("--seed", "--tol", "--trials")
@@ -304,8 +304,8 @@ def _verify_settings(config: dict, n: int):
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials * n > MAX_TRIAL_POINTS:
         raise ValueError(f"trials*n = {trials * n} exceeds MAX_TRIAL_POINTS = "
-                         f"{MAX_TRIAL_POINTS}, the sample points verify draws before "
-                         f"any trial runs")
+                         f"{MAX_TRIAL_POINTS}, the cap on the sample points a verify "
+                         f"check draws, chunk by chunk")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     # the chained comparison is False for NaN and exact for large integers

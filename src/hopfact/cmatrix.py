@@ -9,21 +9,21 @@ pass.
 Random unitaries are Haar-distributed: the Q of the QR factorization of a
 complex Gaussian matrix, with R's diagonal made positive (Mezzadri, "How to
 generate random matrices from the classical compact groups", Notices AMS
-54, 2007).  Q comes from Gram-Schmidt run over a whole stack at once.  The
-Gaussians are read at fixed positions of a counter-based Philox stream
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): a
-check seed keys one stream, and trial i of it reads the stream's words
-[i*W, (i+1)*W), W = 2*n*n rounded up to a multiple of 4, which
-``Philox.advance`` reaches without generating the words before them.  So a
-chunk of trials is one ``random_raw`` call, Box-Muller and one stacked
-Gram-Schmidt, and any trial is replayed from (check seed, index) alone.
-The stream's key is that of the first child of ``SeedSequence(seed)``,
-whose entropy (the seed's words, zero-padded to four, then a 0 word) no
-integer seed has.  The sample points of a check come from ``Philox(seed)``,
-whose entropy is the seed's own words, so no point stream is keyed from the
-entropy of a unitary stream.
+54, 2007).  Q comes from Gram-Schmidt run over a whole stack at once.
+Every random number is read at a fixed position of a counter-based Philox
+stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  A check seed keys two streams, children of ``SeedSequence(seed)``:
+child 0 draws the unitaries and child 1 the sample points.  Draw i of a
+stream reads its words [i*W, (i+1)*W), W = 2*size rounded up to a multiple
+of 4, for the size complex Gaussians of a draw (n*n for a unitary, n for a
+point), which ``Philox.advance`` reaches without generating the words
+before them.  So a chunk of draws is one ``random_raw`` call and
+Box-Muller, and any draw is replayed from (seed, index) alone.  A
+stream's entropy is the seed's words, zero-padded to four, then the
+child's index, so no two (seed, child) pairs share it.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -57,49 +57,39 @@ def unitarity_residual(a):
     return np.max(np.abs(gram - np.eye(a.shape[-1])), axis=(-2, -1))[()]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based, so streams are reproducible across platforms.
-    return np.random.Generator(np.random.Philox(seed))
+def _stream(seed, child: int) -> np.random.Philox:
+    """The Philox stream of child ``child`` of SeedSequence(seed), at its
+    start: child 0 draws a seed's unitaries, child 1 its sample points."""
+    return np.random.Philox(np.random.SeedSequence(operator.index(seed), spawn_key=(child,)))
 
 
-def _trial_words(n: int) -> int:
-    """The words of a unitary stream that one n x n trial reads: one per
-    real number of its n*n Gaussian entries, rounded up to the 4 words of a
-    Philox counter step, so that ``advance`` reaches each trial's first
-    word."""
-    return -(-2 * n * n // 4) * 4
-
-
-def _unitary_stream(seed: int) -> np.random.Philox:
-    """The Philox stream of the unitaries of ``seed``, at its start.  Its
-    key is that of the first child of SeedSequence(seed), numpy's way to
-    derive a stream independent of Philox(seed), which draws the sample
-    points."""
-    return np.random.Philox(np.random.SeedSequence(operator.index(seed), spawn_key=(0,)))
-
-
-def _gaussians(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """The (hi - lo, n, n) complex Gaussian matrices of trials lo..hi-1 of
-    the unitary stream of ``seed``: trial i, by Box-Muller, from the words
-    [i*W, (i+1)*W) of the stream, W = ``_trial_words(n)``.  The moduli come
-    from its first n*n words and the phases from the next n*n."""
+def _gaussians(shape: tuple, seed, child: int, trials: range) -> np.ndarray:
+    """The (len(trials), *shape) complex Gaussians of those draws of stream
+    ``child`` of ``seed``, ``trials`` a range of non-negative indices with
+    step 1: draw i, by Box-Muller, from the words [i*W, (i+1)*W) of the
+    stream, W = 2*size rounded up to the 4 words of a Philox counter step,
+    for the size entries of ``shape``: the moduli from the first size
+    words, the phases from the next size."""
+    if trials.step != 1:
+        raise ValueError("trials must be a range with step 1")
+    lo, count, size = trials.start, len(trials), math.prod(shape)
     if lo < 0:
         raise ValueError(f"trial indices must be non-negative, got {lo}")
-    words = _trial_words(n)
-    bits = _unitary_stream(seed)
+    words = -(-2 * size // 4) * 4
+    bits = _stream(seed, child)
     bits.advance(lo * words // 4)
-    raw = bits.random_raw((hi - lo) * words).reshape(hi - lo, words)[:, :2 * n * n]
+    raw = bits.random_raw(count * words).reshape(count, words)[:, :2 * size]
     # 53-bit uniforms, in (0, 1] for the logarithm and [0, 1) for the angle
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     # e^{i*theta}, theta uniform in [-pi, pi), from tan(theta/2) by the
     # half-angle formulas: numpy vectorizes its float64 tan on CPUs where it
     # runs cos and sin one value at a time, several times slower
-    half = np.tan(np.pi * (u[:, n * n:] - 0.5))
-    scale = np.sqrt(-np.log(1.0 - u[:, :n * n])) / (1.0 + half * half)
-    g = np.empty((hi - lo, n * n), dtype=np.complex128)
+    half = np.tan(np.pi * (u[:, size:] - 0.5))
+    scale = np.sqrt(-np.log(1.0 - u[:, :size])) / (1.0 + half * half)
+    g = np.empty((count, size), dtype=np.complex128)
     g.real = scale * (1.0 - half * half)
     g.imag = scale * 2.0 * half
-    return g.reshape(-1, n, n)
+    return g.reshape(count, *shape)
 
 
 def _orthonormalize(g: np.ndarray) -> np.ndarray:
@@ -121,23 +111,32 @@ def _orthonormalize(g: np.ndarray) -> np.ndarray:
 
 
 def random_unitary(n: int, seed, trials: range = None) -> np.ndarray:
-    """Haar-distributed n x n unitary, deterministic in the seed: trial 0
+    """Haar-distributed n x n unitary, deterministic in the seed: draw 0
     of the unitary stream of ``seed``, a non-negative integer.
 
     ``trials``, a range of non-negative indices with step 1, gives the
-    (len(trials), n, n) stack of those trials of the stream instead.  Each
+    (len(trials), n, n) stack of those draws of the stream instead.  Each
     matrix depends only on (seed, index), so it equals, bit for bit, the
-    one its trial gives alone or in any other chunk.
+    one its draw gives alone or in any other chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if trials is not None and trials.step != 1:
-        raise ValueError("trials must be a range with step 1")
-    lo, hi = (0, 1) if trials is None else (trials.start, trials.stop)
     # Q with R's diagonal positive: the QR recipe with the phases of R's
     # diagonal fixed, which makes Q Haar-distributed
-    u = _orthonormalize(_gaussians(n, seed, lo, hi))
+    u = _orthonormalize(_gaussians((n, n), seed, 0, range(1) if trials is None else trials))
     return u[0] if trials is None else u
+
+
+def sample_points(n: int, seed, trials: range, log10_scale: float = 0.0) -> np.ndarray:
+    """The (len(trials), n) complex Gaussian sample points of those draws
+    of the point stream of ``seed``, each bit for bit as it is drawn alone.
+    A nonzero ``log10_scale`` gives each draw n + 1 Gaussians instead and
+    spreads its first n by 10**(log10_scale * theta/pi), theta the phase of
+    the last, uniform in [-pi, pi)."""
+    if not log10_scale:
+        return _gaussians((n,), seed, 1, trials)
+    g = _gaussians((n + 1,), seed, 1, trials)
+    return g[:, :n] * 10.0 ** (log10_scale / np.pi * np.angle(g[:, n:]))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ distances read m, so only they gather the rows' images to the specs by
 ``SpecStack.row``, each spec's m on their first axis; ``power_branch`` and
 ``dimtwo`` compute one residual a row, which each spec of the row takes.
 The kernel probe acts each row once, with its probes on one axis.  A
-check's seed keys its sample points and its own counter-based stream of
-unitaries (``cmatrix.random_unitary``): trial i reads the draws at index i
-of that stream (2i and 2i + 1 for the group law's two factors), so a chunk
-of trials is one call, and any trial is replayed from (check seed, index)
-alone, in any chunk and beside any other specs.
+check's seed keys its two counter-based streams of ``hopfact.cmatrix``,
+of unitaries and of sample points: trial i reads the draws at index i of
+each (2i and 2i + 1 for the group law's A1 and A2 and the transport's z
+and w), one call a stream and chunk, so any trial is replayed from (check
+seed, index) alone, in any chunk and beside any other specs.
 
 Every check, and the kernel agreement, takes a stack only: a check gives
 a :class:`Checked`, arrays with one entry a spec, and
@@ -46,9 +46,9 @@ import numpy as np
 
 from .action import (ActionKind, ActionSpec, Rows, SpecStack, SU2_CONJUGATOR, _apply, _transport,
                      evaluate_formula)
-from .cmatrix import TWO_PI, UnitaryElement, _rng, _split, random_unitary
+from .cmatrix import TWO_PI, UnitaryElement, _split, random_unitary, sample_points
 from .effectiveness import _congruence_coefficient, find_witnesses, line_class
-from .hopf import HopfParams, orbit_distance
+from .hopf import orbit_distance
 
 
 class Checked(NamedTuple):
@@ -77,17 +77,6 @@ def _chunk(values_per_item: int) -> int:
     """Items per chunk when each item's largest temporary holds this many
     complex values."""
     return max(1, _CHUNK_BYTES // (16 * values_per_item))
-
-
-def sample_points(params: HopfParams, count: int, seed: int,
-                  log10_scale: float = 0.0) -> np.ndarray:
-    """Deterministic nonzero sample vectors, optionally spread in norm, as a
-    (count, n) array."""
-    rng = _rng(seed)
-    v = rng.standard_normal((count, params.n)) + 1j * rng.standard_normal((count, params.n))
-    if log10_scale:
-        v = v * 10.0 ** rng.uniform(-log10_scale, log10_scale, size=(count, 1))
-    return v
 
 
 def _distance(part, x, y) -> np.ndarray:
@@ -157,7 +146,7 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
     j = np.array([probes[N] + [0] * (width - len(probes[N])) for N in orders])
     split = _split(np.exp(2j * math.pi * j / np.array(orders)[:, None])[..., None, None]
                    * np.eye(p.n))
-    z = sample_points(p, z_samples, seed)
+    z = sample_points(p.n, seed, range(z_samples))
     hits = [None] * len(specs)
     step = max(1, _chunk(z_samples * p.n * max(3, p.n)) // (width * specs.width))
     # a power of d beyond the float range gives an inf or NaN distance,
@@ -232,10 +221,10 @@ def kernel_scan_agrees(specs: SpecStack, z_samples: int = 10, tol: float = 1e-9,
 
 def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int,
                draw, residuals) -> Checked:
-    """The check ``name`` on each spec of the stack.  ``draw(lo, hi)`` makes
-    the random inputs of trials lo..hi-1, with a row axis of size 1, and
-    ``residuals(part, *inputs)`` gives their residuals (specs, trials) for a
-    :class:`~hopfact.action.Part` of the stack, in the order of ``part.at``.
+    """The check ``name`` on each spec of the stack.  ``draw(at)`` makes
+    the random inputs of the trials in range ``at``, with a row axis of
+    size 1, and ``residuals(part, *inputs)`` their residuals (specs, trials)
+    for a :class:`~hopfact.action.Part` of the stack, in ``part.at`` order.
     Each chunk of trials is drawn once and run through the parts; a part's
     largest temporary holds ``values`` complex numbers a (spec, trial) pair.
     Overflow and invalid arithmetic are let through as inf and NaN, and any
@@ -247,7 +236,7 @@ def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int
     finite = np.ones(len(specs), dtype=bool)
     with np.errstate(all="ignore"):
         for lo in range(0, trials, trial_step):
-            inputs = draw(lo, min(lo + trial_step, trials))
+            inputs = draw(range(lo, min(lo + trial_step, trials)))
             for part in parts:
                 res = residuals(part, *inputs)
                 finite[part.at] &= np.isfinite(res).all(axis=1)
@@ -260,15 +249,14 @@ def verify_group_law(specs: SpecStack, trials: int = 200, seed: int = 1,
                      tol: float = 1e-8) -> Checked:
     """act(A1*A2, z) against act(A1, act(A2, z))."""
     p = specs.params
-    z = sample_points(p, trials, seed)
 
-    def draw(lo, hi):
+    def draw(at):
         # trial i's A1 and A2 are draws 2i and 2i + 1 of the check's stream
-        a = random_unitary(p.n, seed, trials=range(2 * lo, 2 * hi)).reshape(hi - lo, 2, p.n, p.n)
-        a1, a2 = a[:, 0], a[:, 1]
+        a = random_unitary(p.n, seed, range(2 * at.start, 2 * at.stop))
+        a1, a2 = a[0::2], a[1::2]
         ue = _split(np.stack([a1, a2, a1 @ a2]))
         return (*(UnitaryElement(t[None], b[None]) for t, b in zip(ue.t, ue.su_part)),
-                z[None, lo:hi])
+                sample_points(p.n, seed, at)[None])
 
     def residuals(part, a1, a2, a12, zc):
         rows = part.rows
@@ -287,16 +275,15 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
     the quotient."""
     p = specs.params
     n = p.n
-    z = sample_points(p, trials, seed)
     k = np.arange(n)
     ell = np.arange(-2, 3)
 
-    def draw(lo, hi):
-        ue = _split(random_unitary(n, seed, trials=range(lo, hi)))
+    def draw(at):
+        ue = _split(random_unitary(n, seed, at))
         t2 = ue.t[:, None, None] + TWO_PI * k[:, None] / n + TWO_PI * ell   # (T, n, 5)
         b2 = (np.exp(-2j * math.pi * k / n)[:, None, None, None]
               * ue.su_part[:, None, None])                                  # (T, n, 1, n, n)
-        return ue.t[None], ue.su_part[None], t2[None], b2[None], z[None, lo:hi]
+        return ue.t[None], ue.su_part[None], t2[None], b2[None], sample_points(n, seed, at)[None]
 
     def residuals(part, t, b, t2, b2, zc):
         base = evaluate_formula(part.rows, t, b, zc)                        # (R, T, n)
@@ -309,13 +296,15 @@ def verify_well_definedness(specs: SpecStack, trials: int = 50, seed: int = 2,
 
 def verify_transitivity(specs: SpecStack, trials: int = 200, seed: int = 3,
                         tol: float = 1e-8, log10_scale: float = 0.0) -> Checked:
-    """solve_transport round trip: act(A, z) must land on w."""
+    """solve_transport round trip: act(A, z) must land on w.  A nonzero
+    ``log10_scale`` spreads each z and w in norm by 10**e, e uniform in
+    [-log10_scale, log10_scale]."""
     p = specs.params
-    zs = sample_points(p, trials, seed)
-    ws = sample_points(p, trials, seed + 1, log10_scale=log10_scale)
 
-    def draw(lo, hi):
-        return zs[None, lo:hi], ws[None, lo:hi]
+    def draw(at):
+        # trial i's z and w are draws 2i and 2i + 1 of the check's points
+        zw = sample_points(p.n, seed, range(2 * at.start, 2 * at.stop), log10_scale)
+        return zw[None, 0::2], zw[None, 1::2]
 
     def residuals(part, zc, wc):
         rows = part.rows
@@ -331,7 +320,6 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
     exactly, as raw vectors.  One residual a row, which each spec of the
     row takes: m is never read."""
     p = specs.params
-    z = sample_points(p, trials, seed)
     # of the fields the formula reads, p moves only sigma: p - L*r takes L*n*r
     # off it, that is (A - L*n*r*m)/m with A = sigma*m, and int / int rounds
     # that rational correctly, as float() of it would; at L = 0 it is the
@@ -341,8 +329,8 @@ def verify_power_branch(specs: SpecStack, trials: int = 20, seed: int = 4,
     branches = np.arange(-2, 3)
     sigma = np.array([[(a - L * nrm) / m for L in branches.tolist()] for a, nrm, m in exact])
 
-    def draw(lo, hi):
-        return _split(random_unitary(p.n, seed, trials=range(lo, hi))[None]), z[None, lo:hi]
+    def draw(at):
+        return _split(random_unitary(p.n, seed, at)[None]), sample_points(p.n, seed, at)[None]
 
     def residuals(part, ue, zc):
         # each row five times, once a branch, in one evaluation
@@ -371,10 +359,9 @@ def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
     # +1 leave sigma as it is, and C @ J and J^T @ C^{-1} are exact
     twins = replace(rows, conj=np.zeros_like(rows.conj), C=rows.C @ SU2_CONJUGATOR,
                     C_inv=SU2_CONJUGATOR.T @ rows.C_inv)
-    z = sample_points(specs.params, trials, seed)
 
-    def draw(lo, hi):
-        return _split(random_unitary(2, seed, trials=range(lo, hi))[None]), z[None, lo:hi]
+    def draw(at):
+        return _split(random_unitary(2, seed, at)[None]), sample_points(2, seed, at)[None]
 
     def residuals(part, ue, zc):
         lhs = evaluate_formula(part.rows, ue.t, ue.su_part, zc)

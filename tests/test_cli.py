@@ -921,10 +921,11 @@ class TestVerify:
                         if name != "verify_dimtwo" or n == 2}
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
-        # stdout of the CLI once each check drew its trials from one
-        # counter-addressed stream and the transport became the SU(2) turn of
-        # the plane of x and y (numpy 2.4, OpenBLAS): later changes to how
-        # the draws are chunked or shared must not move a residual bit
+        # stdout of the CLI once each check drew its unitaries and its
+        # sample points from two counter-addressed streams, by trial index,
+        # and the transport became the SU(2) turn of the plane of x and y
+        # (numpy 2.4, OpenBLAS): later changes to how the draws are chunked
+        # or shared must not move a residual bit
         cfg = {"d": [0.5, 0.3], "trials": 10, "seed": 7,
                "ranges": {"n_list": [2, 3], "m_list": [3], "p_min": 0, "p_max": 0,
                           "q_min": 0, "q_max": 0, "r_min": -2, "r_max": 2}}
@@ -936,7 +937,7 @@ class TestVerify:
         # with 2 to 5 kernel probes a row.  The sha256 of stdout while each
         # row's probes were acted per (row, probe) pair and each check
         # re-gathered its per-row residuals at the end, re-taken with the
-        # plane-rotation transport
+        # plane-rotation transport and again with the points drawn by index
         cfg = {"d": [0.5, 0.3], "trials": 4, "seed": 7,
                "ranges": {"n_list": [2, 3], "m_list": [3, 6], "p_min": 0, "p_max": 1,
                           "q_min": 0, "q_max": 0, "r_min": -8, "r_max": 8}}
@@ -944,7 +945,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert len(json.loads(out)) == 256
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "59387117b73a0561c046cf62e81263823ede51bc20bcfb46ef96a7394ff1d487"
+            "52dc25b616c3fa6da3d5ab7dc0f88773b11f470fd8b636b28343019a26e44dd1"
 
     def test_scan_beyond_the_float_range_is_quiet(self, tmp_path, capsys):
         # d^(n*r*t/2pi) overflows in the kernel scan; the exit code is not
@@ -1076,9 +1077,8 @@ class TestVerify:
     ])
     def test_trials_beyond_the_points_exit_two(self, tmp_path, monkeypatch, capsys, cfg,
                                                points):
-        # each check's sample points are drawn before its first trial, so
-        # trials*n, with the largest n of a grid, is bounded before any is
-        # drawn: without the bound, 10^12 trials ask numpy for 14.6 TiB
+        # trials*n, with the largest n of a grid, caps the sample points a
+        # check draws, chunk by chunk; it is bounded before any is drawn
         self._no_check_runs(monkeypatch)
         monkeypatch.setattr(hopfact.oracle, "sample_points", None)
         start = time.perf_counter()
@@ -1087,8 +1087,8 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: trials*n = {points} exceeds MAX_TRIAL_POINTS = "
-                                f"{cli.MAX_TRIAL_POINTS}, the sample points verify draws "
-                                f"before any trial runs\n")
+                                f"{cli.MAX_TRIAL_POINTS}, the cap on the sample points a "
+                                f"verify check draws, chunk by chunk\n")
 
     def test_trials_at_the_points_bound_pass_the_settings(self, tmp_path, monkeypatch, capsys):
         # trials*n = MAX_TRIAL_POINTS is admitted: the checks, taken away

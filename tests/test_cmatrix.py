@@ -5,12 +5,13 @@ import pytest
 
 from hopfact.action import ActionKind, ActionSpec, SpecStack
 from hopfact.cmatrix import (
+    _gaussians,
     _orthonormalize,
-    _trial_words,
-    _unitary_stream,
+    _stream,
     as_cmatrix,
     principal_arg,
     random_unitary,
+    sample_points,
     su_decompose,
     unitarity_residual,
 )
@@ -113,16 +114,21 @@ def test_random_unitary_pins_its_philox_stream():
     # reads are fixed: the raw words pin the key and the counter exactly.
     # The entries go through numpy's float64 log and tan, whose last bit
     # may depend on the CPU, hence the tolerance
-    assert _unitary_stream(7).random_raw(6).tolist() == [
+    assert _stream(7, 0).random_raw(6).tolist() == [
         892338168548979717, 15170909771414443098, 1728185364418901974,
         1909119065848922519, 7862383318114072877, 1498835851804617308]
-    bits = _unitary_stream(7)
+    bits = _stream(7, 0)
     bits.advance(5)             # 5 counter steps of 4 words: trial 1 of n = 3 (W = 20)
-    assert bits.random_raw(4).tolist() == [12655867699524042484, 98185570645675457,
-                                           17131540420115231611, 5249249381371067672]
-    assert _unitary_stream(2**200 + 3).random_raw(2).tolist() == [16335762614722751198,
-                                                                  489761711303479239]
-    assert _trial_words(3) == 20
+    words = bits.random_raw(4)
+    assert words.tolist() == [12655867699524042484, 98185570645675457,
+                              17131540420115231611, 5249249381371067672]
+    assert _stream(2**200 + 3, 0).random_raw(2).tolist() == [16335762614722751198,
+                                                             489761711303479239]
+    # trial 1 of n = 3 starts at word 20: its first four moduli are those
+    # four words', by Box-Muller
+    moduli = np.abs(_gaussians((3, 3), 7, 0, range(1, 2)).ravel()[:4])
+    assert moduli == pytest.approx(np.sqrt(-np.log(1.0 - (words >> np.uint64(11)) * 2.0**-53)),
+                                   rel=1e-14)
     u = random_unitary(3, 7)
     assert u[0, 1] == pytest.approx(0.5782786563986366 + 0.7474645322191109j, abs=1e-12)
     assert u[2, 0] == pytest.approx(0.8359046820188974 - 0.4412710169290115j, abs=1e-12)
@@ -151,19 +157,84 @@ def test_random_unitary_rejects_negative_seeds(seed):
 
 
 def test_unitary_streams_share_no_key_with_point_streams():
-    # the sample points of a check seed s come from Philox(s), its unitaries
-    # from the first child of SeedSequence(s).  An entropy [s, 1] would be
-    # that of the integer s + 2**32, which is why the child's entropy ends
-    # in a 0 word, which no integer's has
+    # the unitaries of a check seed s come from child 0 of SeedSequence(s),
+    # its sample points from child 1.  A child's entropy is the seed's
+    # words, zero-padded to four, then the child's index, so no two
+    # (seed, child) pairs share it, even where the seeds' words differ only
+    # in a last 0 or 1 word
     def key(bits):
         return tuple(bits.state["state"]["key"].tolist())
 
     seeds = list(range(2000)) + [2**32 + s for s in range(50)] + [2**128 + s for s in range(50)]
-    points = {key(np.random.Philox(s)) for s in seeds}
-    unitaries = {key(_unitary_stream(s)) for s in seeds}
+    points = {key(_stream(s, 1)) for s in seeds}
+    unitaries = {key(_stream(s, 0)) for s in seeds}
     assert len(points) == len(unitaries) == len(seeds)
     assert not points & unitaries
-    assert key(np.random.Philox(np.random.SeedSequence([5, 1]))) == key(np.random.Philox(5 + 2**32))
+
+
+def test_sample_points_pin_their_philox_stream():
+    # child 1 of SeedSequence(7); a point of n = 3 reads 8 words (W = 8),
+    # so draw 2 starts at word 16
+    assert _stream(7, 1).random_raw(4).tolist() == [
+        5072785436057791280, 16434814378201582345, 4915419271048200674, 5240045332451757033]
+    z = sample_points(3, 7, range(2, 3))[0]
+    assert z == pytest.approx([0.7311965947595164 + 0.5083201628587128j,
+                               0.6350049167595758 - 0.4155070741919355j,
+                               0.09147504100196317 - 0.15487629005085427j], abs=1e-12)
+
+
+@pytest.mark.parametrize("log10_scale", [0.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sample_points_depend_only_on_seed_and_index(n, log10_scale):
+    # a chunk [lo, hi) of a check's points equals each of its draws made
+    # alone, bit for bit, in chunks of 1, of 7 and all at once; and the
+    # first k draws of T are the k draws of a call for k
+    lo, hi = 3, 60
+    chunk = sample_points(n, 11, range(lo, hi), log10_scale)
+    assert chunk.shape == (hi - lo, n)
+    for size in (1, 7, hi - lo):
+        parts = [sample_points(n, 11, range(at, min(at + size, hi)), log10_scale)
+                 for at in range(lo, hi, size)]
+        assert np.concatenate(parts).tobytes() == chunk.tobytes()
+    whole = sample_points(n, 11, range(40), log10_scale)
+    for k in (1, 3, 17):
+        assert sample_points(n, 11, range(k), log10_scale).tobytes() == whole[:k].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_sample_points_batch_across_2_to_the_128_is_bitwise_per_seed(n):
+    # any non-negative seed keys a point stream, however many words it has
+    for seed in [5, 2**128, 2**64 + 1, 3**200, 2**128 - 1, 0, 2**40]:
+        chunk = sample_points(n, seed, range(2, 9))
+        for i, z in enumerate(chunk):
+            assert z.tobytes() == sample_points(n, seed, range(2 + i, 3 + i))[0].tobytes()
+        assert np.isfinite(chunk).all() and (np.abs(chunk) > 0).all()
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -2], [2**70, -1]])
+def test_sample_points_reject_negative_addresses(seed):
+    seed, index = (seed, 0) if isinstance(seed, int) else seed
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_points(2, seed, range(index, index + 1))
+
+
+def test_sample_points_moments_and_spread():
+    # coordinates are standard complex Gaussians, E|z_j|^2 = 1 and
+    # E|z_j|^4 = 2; over 40,000 values the standard errors are 0.005 and
+    # 0.022.  A log10_scale s multiplies each draw's Gaussians by 10**e,
+    # e uniform in [-s, s]: mean 0 and variance s^2/3, standard errors
+    # 0.012 and 0.013 for s = 3 over 20,000 draws; the bounds are 5 of them
+    z = sample_points(2, 31, range(20_000))
+    power = np.abs(z) ** 2
+    assert abs(power.mean() - 1.0) < 5 * 0.005
+    assert abs(np.mean(power ** 2) - 2.0) < 5 * 0.022
+    scaled = sample_points(2, 31, range(20_000), log10_scale=3)
+    factor = scaled / _gaussians((3,), 31, 1, range(20_000))[:, :2]
+    assert np.abs(factor.imag).max() <= 1e-15 * np.abs(factor).max()
+    e = np.log10(factor.real)
+    assert np.abs(e[:, 0] - e[:, 1]).max() < 1e-14 and np.abs(e).max() <= 3.0 + 1e-14
+    assert abs(e[:, 0].mean()) < 5 * 0.012
+    assert abs(e[:, 0].var() - 3.0) < 5 * 0.013
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -16,7 +16,7 @@ import hopfact.oracle
 from _grid import fixed_C, grid_specs
 from _scan_reference import scan_lattice
 from hopfact.action import ActionKind, ActionSpec, Rows, SpecStack, d_pow, evaluate_formula
-from hopfact.cmatrix import _rng, random_unitary, su_decompose
+from hopfact.cmatrix import random_unitary, su_decompose
 from hopfact.effectiveness import _congruence_coefficient, is_effective
 from hopfact.hopf import HopfParams
 from hopfact.report import report_texts
@@ -89,7 +89,7 @@ def reference_hits(spec, seed):
     """The j of every scalar e^{2*pi*i*j/N} * id, N = n*|r|, that acts
     trivially, from the loop scan of all lattice cells (ell, k)."""
     p = spec.params
-    z = sample_points(p, 10, seed)
+    z = sample_points(p.n, seed, range(10))
     rows = SpecStack.of([spec]).rows
     w = (rows.C[0] @ (rows.C_inv[0] @ z.T)).T
     pairs = scan_lattice(spec.kind.eps, p.n, p.m, spec.p, spec.q, spec.r, p.d, w, z, 1e-9)
@@ -275,7 +275,7 @@ def test_power_branch_in_one_call_equals_per_branch_calls():
     rows = stack.rows
     p = stack.params
     ue = su_decompose(random_unitary(p.n, 3, trials=range(6)))
-    z = sample_points(p, 6, 4)
+    z = sample_points(p.n, 4, range(6))
     shift = {L: np.array([(_congruence_coefficient(s.kind, p.n, s.params.m, s.p, s.q)
                            - L * p.n * s.r * s.params.m) / s.params.m
                           for s in (specs[i] for i in stack.first)]) for L in range(-2, 3)}
@@ -449,20 +449,20 @@ def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
 @pytest.mark.parametrize("chunk_bytes", [None, 4096])
 def test_each_run_draws_once(monkeypatch, chunk_bytes):
     # every run of specs with equal (d, n) draws each trial's unitaries and
-    # each point array once, whatever the chunking, however many specs and
-    # however many m among them
+    # points once, whatever the chunking, however many specs and however
+    # many m among them
     calls, points = [], []
 
     def counted(n, seed, trials):
         calls.append((seed, trials))
         return random_unitary(n, seed, trials=trials)
 
-    def recorded(seed):
-        points.append(seed)
-        return _rng(seed)
+    def counted_points(n, seed, trials, log10_scale=0.0):
+        points.append((seed, trials))
+        return sample_points(n, seed, trials, log10_scale)
 
     monkeypatch.setattr(hopfact.oracle, "random_unitary", counted)
-    monkeypatch.setattr(hopfact.oracle, "_rng", recorded)
+    monkeypatch.setattr(hopfact.oracle, "sample_points", counted_points)
     if chunk_bytes is not None:
         monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", chunk_bytes)
     specs = shared_specs()
@@ -471,22 +471,71 @@ def test_each_run_draws_once(monkeypatch, chunk_bytes):
         specs, key=lambda spec: (spec.params.d, spec.params.n))]
     assert len(runs) == 8
     assert [sorted({s.params.m for s in run}) for run in runs[-2:]] == [[1, 2, 3, 7]] * 2
-    # each run reads, of the stream of each check seed, the draws 0..k-1
-    # once: group law (seed 18) 2 * 40 draws, well-definedness (19) 40 // 4,
-    # power branch (21) 40 // 10 and dimtwo (22) 40 // 2; six point arrays,
-    # and one more for dimtwo
+    # each run reads, of the unitary stream of each check seed, the draws
+    # 0..k-1 once: group law (seed 18) 2 * 40 draws, well-definedness (19)
+    # 40 // 4, power branch (21) 40 // 10 and dimtwo (22) 40 // 2; and of
+    # the point stream one draw a trial, two for transitivity (20), and the
+    # kernel probe's (23) 10
     dimtwo = [any(s.params.n == 2 and s.kind is ActionKind.TYPE2 for s in run) for run in runs]
     drawn = collections.Counter((seed, i) for seed, trials in calls for i in trials)
-    want = collections.Counter()
+    drawn_points = collections.Counter((seed, i) for seed, trials in points for i in trials)
+    want, want_points = collections.Counter(), collections.Counter()
     for d in dimtwo:
         for seed, count in [(18, 2 * 40), (19, 40 // 4), (21, 40 // 10), (22, 40 // 2 * d)]:
             want.update((seed, i) for i in range(count))
+        for seed, count in [(18, 40), (19, 40 // 4), (20, 2 * 40), (21, 40 // 10),
+                            (22, 40 // 2 * d), (23, 10)]:
+            want_points.update((seed, i) for i in range(count))
     assert drawn == want
-    assert len(points) == sum(6 + d for d in dimtwo)
-    # at the default chunk size, each check draws in one call a run: 3 calls,
-    # and one more for dimtwo
+    assert drawn_points == want_points
+    # at the default chunk size, each check draws in one call a stream and
+    # run: 3 unitary calls and 5 point calls, and one more each for dimtwo
     if chunk_bytes is None:
         assert len(calls) == sum(3 + d for d in dimtwo)
+        assert len(points) == sum(5 + d for d in dimtwo)
+
+
+def test_no_two_checks_of_a_suite_read_one_stream(monkeypatch):
+    # every Philox stream a suite run keys, by its key, and the check that
+    # keyed it: each key belongs to one check.  A check may key a stream in
+    # every chunk, so the chunks are made small
+    monkeypatch.setattr(hopfact.oracle, "_CHUNK_BYTES", 4096)
+    owners = {}
+    running = [None]
+
+    class Recorded(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            owners.setdefault(tuple(self.state["state"]["key"].tolist()), set()).add(running[0])
+
+    def labelled(name, check):
+        def run(*args, **kwargs):
+            running[0] = name
+            try:
+                return check(*args, **kwargs)
+            finally:
+                running[0] = None
+        return run
+
+    monkeypatch.setattr(np.random, "Philox", Recorded)
+    for name in ("verify_group_law", "verify_well_definedness", "verify_transitivity",
+                 "verify_power_branch", "verify_dimtwo", "kernel_scan_agrees"):
+        monkeypatch.setattr(hopfact.oracle, name, labelled(name, getattr(hopfact.oracle, name)))
+    stack = SpecStack.of([make_spec(ActionKind.TYPE2, 2, 3, 1, 0, 2, d=1 + 2j),
+                          make_spec(ActionKind.TYPE1, 2, 3, 0, 1, -1, d=1 + 2j)])
+    for seed in (0, 4, 17):
+        owners.clear()
+        checks = run_suite(stack, trials=12, seed=seed)
+        assert [checked.name for checked, _ in checks] == [
+            "group_law", "well_definedness", "transitivity", "power_branch", "dimtwo",
+            "kernel_scan_agreement"]
+        # a unitary and a point stream for each check but transitivity and
+        # the kernel probe, which draw points only
+        assert set().union(*owners.values()) == {
+            "verify_group_law", "verify_well_definedness", "verify_transitivity",
+            "verify_power_branch", "verify_dimtwo", "kernel_scan_agrees"}
+        assert len(owners) == 10
+        assert {key: names for key, names in owners.items() if len(names) > 1} == {}
 
 
 def test_memory_of_a_large_run_is_bounded():
