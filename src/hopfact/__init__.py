@@ -20,20 +20,16 @@ _SOURCES = {
     "HopfParams": "hopf",
     "OrbitPoint": "hopf",
     "canonicalize": "hopf",
-    "deck_equal": "hopf",
     "orbit_distance": "hopf",
     "ActionKind": "effectiveness",
     "ActionSpec": "action",
     "act": "action",
     "d_pow": "action",
-    "example_action": "action",
-    "match_example_to_type1": "action",
     "solve_transport": "action",
     "EffectivenessVerdict": "effectiveness",
     "is_effective": "effectiveness",
     "is_effective_corollary": "effectiveness",
     "kernel_witness_element": "effectiveness",
-    "numeric_kernel_scan": "oracle",
     "verify_group_law": "oracle",
     "verify_transitivity": "oracle",
     "verify_well_definedness": "oracle",

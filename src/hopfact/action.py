@@ -30,16 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cmatrix import (
-    TWO_PI,
-    as_cmatrix,
-    principal_arg,
-    random_unitary,
-    sample_points,
-    su_decompose,
-)
+from .cmatrix import TWO_PI, as_cmatrix, su_decompose
 from .effectiveness import ActionKind, _congruence_coefficient
-from .hopf import HopfParams, OrbitPoint, deck_equal, orbit_distance
+from .hopf import HopfParams, OrbitPoint
 
 
 # For n = 2 conjugation B -> conj(B) is inner: conj(B) = J B J^{-1} with
@@ -312,46 +305,6 @@ def act(spec: ActionSpec, A: np.ndarray, z: OrbitPoint) -> OrbitPoint:
     return OrbitPoint(spec.params, _apply(SpecStack.of([spec]).rows, A, z.rep)[0])
 
 
-def example_lambda(params: HopfParams) -> complex:
-    """Principal solution of e^{2*pi*(lambda - i)/n} = d."""
-    d = params.d
-    return 1j + params.n * (math.log(abs(d)) + 1j * principal_arg(d)) / TWO_PI
-
-
-def example_action(params: HopfParams, A: np.ndarray, z: OrbitPoint) -> OrbitPoint:
-    """The reference action A[z] = [e^{lambda*t} B z] on M_d^n (m = 1)."""
-    if z.params != params:
-        raise ValueError("point and action live on different quotient manifolds")
-    A = as_cmatrix(A)
-    if A.shape[0] != params.n:
-        raise ValueError(f"A has dimension {A.shape[0]}, manifold has n = {params.n}")
-    ue = su_decompose(A)
-    lam = example_lambda(params)
-    return OrbitPoint(params, cmath.exp(lam * ue.t) * (ue.su_part @ z.rep))
-
-
-def match_example_to_type1(params: HopfParams, samples: int = 20, seed: int = 20260824,
-                           tol: float = 1e-9) -> ActionSpec:
-    """Express the reference action in the classified form.
-
-    With the principal lambda branch the reference action is the Type1
-    action with p = q = 0, r = 1 and C = id; the identification is
-    re-verified numerically on sampled (A, z) pairs before the spec is
-    returned.
-    """
-    if params.m != 1:
-        raise ValueError("the reference action is defined on M_d^n (m = 1)")
-    n = params.n
-    spec = ActionSpec(ActionKind.TYPE1, p=0, q=0, r=1,
-                      C=np.eye(n, dtype=np.complex128), params=params)
-    draws = range(samples)
-    for A, v in zip(random_unitary(n, seed, draws), sample_points(n, seed, draws)):
-        z = OrbitPoint(params, v)
-        if not deck_equal(example_action(params, A, z), act(spec, A, z), tol):
-            raise AssertionError("reference action failed to match its Type1 form")
-    return spec
-
-
 def _plane_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The special unitaries B (..., n, n) with B x = y, for ||x|| = ||y||:
     the SU(2) turn of the plane of x and y that fixes its complement.  With
@@ -409,19 +362,3 @@ def solve_transport(spec: ActionSpec, z: OrbitPoint, w: OrbitPoint) -> np.ndarra
     if z.params != p or w.params != p:
         raise ValueError("points and action live on different quotient manifolds")
     return _transport(SpecStack.of([spec]).rows, z.rep, w.rep)[0]
-
-
-def type2_as_type1(spec: ActionSpec) -> ActionSpec:
-    """For n = 2, the Type1 action that coincides with a Type2 action.
-
-    Conjugation is inner on SU_2, so C is replaced by C @ SU2_CONJUGATOR;
-    matching the scalar phase exponents (eps flips from -1 to +1) shifts
-    p to p - 1.  The two raw formulas then agree vector for vector.
-    """
-    if spec.params.n != 2:
-        raise ValueError("the conjugation identity is specific to n = 2")
-    if spec.kind is not ActionKind.TYPE2:
-        raise ValueError("expected a Type2 action")
-    # the conjugator's entries are 0 and +-1, so C @ J is exact
-    return ActionSpec(ActionKind.TYPE1, spec.p - 1, spec.q, spec.r, spec.C @ SU2_CONJUGATOR,
-                      spec.params)

@@ -116,13 +116,6 @@ def orbit_distance(x, y, params: HopfParams, m=None):
     return (np.sqrt(least) / nx)[()]
 
 
-def deck_equal(z: OrbitPoint, w: OrbitPoint, tol: float = 1e-9) -> bool:
-    """Decide whether z and w represent the same point of M_d^n/Z_m."""
-    if z.params != w.params:
-        raise ValueError("points live on different quotient manifolds")
-    return bool(orbit_distance(w.rep, z.rep, z.params) <= tol)
-
-
 def canonicalize(z: OrbitPoint) -> OrbitPoint:
     """Fundamental-domain representative of the orbit of z.
 

@@ -29,14 +29,12 @@ seed, index) alone, in any chunk and beside any other specs.
 Every check, and the kernel agreement, takes a stack only: a check gives
 a :class:`Checked`, arrays with one entry a spec, and
 ``kernel_scan_agrees`` a list of verdicts; one spec is the stack
-``SpecStack.of([spec])``, and ``numeric_kernel_scan(spec)`` probes one
-spec.  ``run_suite`` runs every check on one stack, so each draw is made
-once for the stack by construction; ``hopfact.report`` writes its reports,
-and ``run_full_verification`` is the report of one spec that ``hopfact
-verify`` prints, parsed.  Nothing is kept from one call to the next.
+``SpecStack.of([spec])``.  ``run_suite`` runs every check on one stack,
+so each draw is made once for the stack by construction, and
+``hopfact.report`` writes its reports.  Nothing is kept from one call to
+the next.
 """
 
-import json
 import math
 from dataclasses import replace
 from itertools import compress, groupby
@@ -44,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .action import (ActionKind, ActionSpec, Rows, SpecStack, SU2_CONJUGATOR, _apply, _transport,
+from .action import (ActionKind, Rows, SpecStack, SU2_CONJUGATOR, _apply, _transport,
                      evaluate_formula)
 from .cmatrix import TWO_PI, UnitaryElement, _split, random_unitary, sample_points
 from .effectiveness import _congruence_coefficient, find_witnesses, line_class
@@ -88,25 +86,24 @@ def _distance(part, x, y) -> np.ndarray:
     return orbit_distance(x, y, part.rows.params, part.m.reshape((-1,) + (1,) * (lead - 1)))
 
 
-# The largest n*|r|*m the kernel probe tells apart at the tol of 1e-9 that
-# verify uses.  A probe scalar outside the kernel turns the samples by an
-# angle at least 2*pi/(n*|r|*m) away from mu_m, and the probe counts it as
-# trivial below its tol; the bound 2*pi/(10*tol) keeps that angle 10 times
-# the tol.  At 1e-9 it also caps the trial divisions that factor n*|r| at
-# about 25,000.
-MAX_PROBE_ORDER = int(TWO_PI / (10 * 1e-9))
+# The kernel probe's tol and its number of sample points.
+PROBE_TOL = 1e-9
+PROBE_SAMPLES = 10
+
+# The largest n*|r|*m the kernel probe tells apart at its tol.  A probe
+# scalar outside the kernel turns the samples by an angle at least
+# 2*pi/(n*|r|*m) away from mu_m, and the probe counts it as trivial below
+# its tol; the bound 2*pi/(10*tol) keeps that angle 10 times the tol.  It
+# also caps the trial divisions that factor n*|r| at about 25,000.
+MAX_PROBE_ORDER = int(TWO_PI / (10 * PROBE_TOL))
 
 
-def _scan_order(n: int, r: int, m: int, tol: float = 1e-9) -> int:
-    """N = n*|r|, the order of the scalars the kernel scan probes at ``tol``
-    on M_d^n/Z_m."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    N, bound = n * abs(r), TWO_PI / (10 * tol)
-    # an int against a float compares exactly, and against inf for a tiny tol
-    if N * m > bound:
-        name = "MAX_PROBE_ORDER" if tol == 1e-9 else f"2*pi/(10*tol) at tol = {tol!r}"
-        raise ValueError(f"n*|r|*m = {N * m} exceeds {name} = {int(bound)}, "
+def _scan_order(n: int, r: int, m: int) -> int:
+    """N = n*|r|, the order of the scalars the kernel probe acts with on
+    M_d^n/Z_m."""
+    N = n * abs(r)
+    if N * m > MAX_PROBE_ORDER:
+        raise ValueError(f"n*|r|*m = {N * m} exceeds MAX_PROBE_ORDER = {MAX_PROBE_ORDER}, "
                          f"beyond which the kernel probe cannot tell a scalar outside the "
                          f"kernel from one in it")
     return N
@@ -127,28 +124,33 @@ def _prime_powers(N: int) -> list:
     return powers
 
 
-def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
-    """The hits of :func:`numeric_kernel_scan` for each spec of the stack.
-    The probes of a row, j = 0 and N/q, depend only on its N = n*|r|; each
-    row's list is padded with j = 0 to the longest, so the probes are a
-    (rows, P) rectangle, split once.  Each chunk of rows is acted on with
-    its P probes on one axis, and each spec of a row measures the images at
-    its own m.  A padded j = 0 repeats the identity probe, so a spec's hits
-    are the distinct j of its row that hit."""
-    if z_samples < 1:
-        raise ValueError("z_samples must be >= 1")
+def _probe(specs: SpecStack, seed: int) -> list:
+    """For each spec of the stack, the j, among 0 and N/q for each prime
+    power q | N (N = n*|r|), whose scalar e^{2*pi*i*j/N} * id acts
+    trivially: every sample's image lies within ``PROBE_TOL`` orbit
+    distance of it, in sorted order.  Those scalars form a subgroup mu_h
+    (Cauchy: it is nontrivial iff it has an element of prime order), and
+    N/q is a hit iff q | h, so these O(log N) probes, acted through the
+    action, find h.
+
+    The probes of a row depend only on its N; each row's list is padded
+    with j = 0 to the longest, so the probes are a (rows, P) rectangle,
+    split once.  Each chunk of rows is acted on with its P probes on one
+    axis, and each spec of a row measures the images at its own m.  A
+    padded j = 0 repeats the identity probe, so a spec's hits are the
+    distinct j of its row that hit."""
     p = specs.params
     for r, m in dict.fromkeys(zip(specs.r, specs.m)):     # in order, each once
-        _scan_order(p.n, r, m, tol)
+        _scan_order(p.n, r, m)
     orders = [p.n * abs(specs.r[i]) for i in specs.first]
     probes = {N: [0] + [N // q for q in _prime_powers(N)] for N in set(orders)}
     width = max(map(len, probes.values()))
     j = np.array([probes[N] + [0] * (width - len(probes[N])) for N in orders])
     split = _split(np.exp(2j * math.pi * j / np.array(orders)[:, None])[..., None, None]
                    * np.eye(p.n))
-    z = sample_points(p.n, seed, range(z_samples))
+    z = sample_points(p.n, seed, range(PROBE_SAMPLES))
     hits = [None] * len(specs)
-    step = max(1, _chunk(z_samples * p.n * max(3, p.n)) // (width * specs.width))
+    step = max(1, _chunk(PROBE_SAMPLES * p.n * max(3, p.n)) // (width * specs.width))
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
@@ -156,24 +158,11 @@ def _probe(specs: SpecStack, z_samples: int, tol: float, seed: int) -> list:
             rows_at = part.rows_at
             images = evaluate_formula(part.rows, split.t[rows_at][..., None],
                                       split.su_part[rows_at][:, :, None], z)
-            hit = (_distance(part, images, z[None, None]) < tol).all(axis=-1)
+            hit = (_distance(part, images, z[None, None]) < PROBE_TOL).all(axis=-1)
             for s, js, ok in zip(part.at.tolist(), j[rows_at][part.row].tolist(),
                                  hit.tolist()):
                 hits[s] = sorted(set(compress(js, ok)))
     return hits
-
-
-def numeric_kernel_scan(spec: ActionSpec, z_samples: int = 10, tol: float = 1e-9,
-                        seed: int = 0) -> list:
-    """The j, among 0 and N/q for each prime power q | N (N = n*|r|), whose
-    scalar e^{2*pi*i*j/N} * id acts trivially: every sample's image lies
-    within ``tol`` orbit distance of it.  Those scalars form a subgroup mu_h
-    (Cauchy: it is nontrivial iff it has an element of prime order), and
-    N/q is a hit iff q | h, so these O(log N) probes, acted through the
-    action, find h.  Returns the hits in sorted order."""
-    # before the stack takes n*r, which may be past the floats
-    _scan_order(spec.params.n, spec.r, spec.params.m, tol)
-    return _probe(SpecStack.of([spec]), z_samples, tol, seed)[0]
 
 
 def _exact_kernels(specs: SpecStack) -> list:
@@ -209,14 +198,13 @@ def _agrees(hits: list, N: int, h: int, j_witness: Optional[int]) -> bool:
     return j_witness is None or (j_witness != 0 and j_witness % s == 0)
 
 
-def kernel_scan_agrees(specs: SpecStack, z_samples: int = 10, tol: float = 1e-9,
-                       seed: int = 0) -> list:
+def kernel_scan_agrees(specs: SpecStack, seed: int = 0) -> list:
     """Exact verdict vs numeric scan: the identity acts trivially, and the
     trivially acting scalars, the j divisible by s = gcd(N, hits), are
     N/s = h of them, h the exact kernel order, and hold the exact witness
     unless the action is effective."""
     return [_agrees(hits, *kernel) for hits, kernel in
-            zip(_probe(specs, z_samples, tol, seed), _exact_kernels(specs))]
+            zip(_probe(specs, seed), _exact_kernels(specs))]
 
 
 def _run_check(name: str, specs: SpecStack, trials: int, tol: float, values: int,
@@ -355,8 +343,8 @@ def verify_dimtwo(specs: SpecStack, trials: int = 100, seed: int = 5,
     rows = specs.rows
     if specs.params.n != 2 or not rows.conj.all():
         raise ValueError("dimtwo identity applies to Type2 actions with n = 2")
-    # action.type2_as_type1 for each row: at n = 2, p - 1 and eps from -1 to
-    # +1 leave sigma as it is, and C @ J and J^T @ C^{-1} are exact
+    # each row's Type1 twin: at n = 2, p - 1 and eps from -1 to +1 leave
+    # sigma as it is, and C @ J and J^T @ C^{-1} are exact
     twins = replace(rows, conj=np.zeros_like(rows.conj), C=rows.C @ SU2_CONJUGATOR,
                     C_inv=SU2_CONJUGATOR.T @ rows.C_inv)
 
@@ -385,18 +373,7 @@ def run_suite(stack: SpecStack, trials: int = 200, seed: int = 0, tol: float = 1
     if stack.params.n == 2 and any(conj):
         at = np.flatnonzero(conj)
         checks.append((verify_dimtwo(stack.take(at), trials // 2 or 1, seed + 5, 1e-10), at))
-    agrees = np.array(kernel_scan_agrees(stack, z_samples=10, tol=1e-9, seed=seed + 6))
-    checks.append((Checked("kernel_scan_agreement", 10, np.where(agrees, 0.0, 1.0), agrees), None))
+    agrees = np.array(kernel_scan_agrees(stack, seed + 6))
+    checks.append((Checked("kernel_scan_agreement", PROBE_SAMPLES, np.where(agrees, 0.0, 1.0),
+                           agrees), None))
     return checks
-
-
-def run_full_verification(spec: ActionSpec, trials: int = 200, seed: int = 0,
-                          tol: float = 1e-8) -> dict:
-    """The report of ``hopfact verify`` on one spec, parsed from its text:
-    ``run_suite`` on the spec's one-row stack, written by
-    ``hopfact.report``."""
-    from .report import report_texts
-    # before the stack takes n*r, which may be past the floats
-    _scan_order(spec.params.n, spec.r, spec.params.m)
-    stack = SpecStack.of([spec])
-    return json.loads(report_texts(stack, seed, tol, run_suite(stack, trials, seed, tol))[0])

@@ -7,8 +7,8 @@ with ``int.__repr__`` and a finite float with ``float.__repr__`` (d, tol
 and every residual are finite or null), so each check's piece is a
 template with its name and trial count filled in once, and each spec adds
 only its own fields, residuals and verdicts.  This is the one writer of
-reports: ``verify`` and ``oracle.run_full_verification`` import it when
-they run.
+reports, and only ``verify`` imports it.  One spec's report is
+``report_texts`` of ``oracle.run_suite`` on ``SpecStack.of([spec])``.
 """
 
 import numpy as np

@@ -15,13 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from hopfact.action import (
+    SU2_CONJUGATOR,
     ActionKind,
     ActionSpec,
     SpecStack,
     act,
     evaluate_formula,
     solve_transport,
-    type2_as_type1,
 )
 from hopfact.cmatrix import TWO_PI, random_unitary, su_decompose
 from hopfact.hopf import OrbitPoint, orbit_distance
@@ -120,6 +120,22 @@ def verify_power_branch(spec: ActionSpec, trials: int = 20, seed: int = 4,
             alt = formula(shifted_spec, ue.t, ue.su_part, z, branch=L)
             worst = max(worst, float(np.linalg.norm(alt - base)) / scale)
     return Reference("power_branch", trials, worst, worst < tol)
+
+
+def type2_as_type1(spec: ActionSpec) -> ActionSpec:
+    """For n = 2, the Type1 action that coincides with a Type2 action.
+
+    Conjugation is inner on SU_2, so C is replaced by C @ SU2_CONJUGATOR;
+    matching the scalar phase exponents (eps flips from -1 to +1) shifts
+    p to p - 1.  The two raw formulas then agree vector for vector.
+    """
+    if spec.params.n != 2:
+        raise ValueError("the conjugation identity is specific to n = 2")
+    if spec.kind is not ActionKind.TYPE2:
+        raise ValueError("expected a Type2 action")
+    # the conjugator's entries are 0 and +-1, so C @ J is exact
+    return ActionSpec(ActionKind.TYPE1, spec.p - 1, spec.q, spec.r, spec.C @ SU2_CONJUGATOR,
+                      spec.params)
 
 
 def verify_dimtwo(spec: ActionSpec, trials: int = 100, seed: int = 5,

@@ -1,7 +1,10 @@
 """Loop reference for the kernel lattice scan.
 
 One candidate and one sample at a time, written for reading rather than
-speed; ``oracle.numeric_kernel_scan`` must return exactly what this does.
+speed.  Each pair (ell, k) is the scalar of j = sign(r)*ell + k*|r| mod
+N, N = n*|r|.  The kernel probe, ``oracle._probe``, must hit exactly these
+j among the j it probes, and these j must be the multiples of the gcd of
+N and the probe's hits.
 Kernel candidates are the scalar unitaries e^{i(2*pi*ell/(n*r) + 2*pi*k/n)} * id;
 a lattice pair is reported when the acted sample points all stay within
 ``tol`` orbit distance of themselves.

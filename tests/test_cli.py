@@ -850,10 +850,12 @@ class TestVerify:
         assert piece in out
         assert out.startswith("[" if "ranges" in cfg else '{\n  "spec"')
         if "ranges" not in cfg:
-            # the library's one-spec report is the CLI's, parsed
-            settings = cfg.get("trials", 200), cfg.get("seed", 0), cfg.get("tol", 1e-8)
-            assert hopfact.oracle.run_full_verification(serialize.spec_from_config(cfg),
-                                                        *settings) == json.loads(out)
+            # the library's one-spec report is the CLI's: run_suite on the
+            # spec's one-row stack, written by report_texts
+            trials, seed, tol = cfg.get("trials", 200), cfg.get("seed", 0), cfg.get("tol", 1e-8)
+            stack = SpecStack.of([serialize.spec_from_config(cfg)])
+            texts = report_texts(stack, seed, tol, run_suite(stack, trials, seed, tol))
+            assert texts == [out.removesuffix("\n")]
 
     def test_report_template_takes_any_float(self):
         # float.__repr__ is json's float text: subnormal, huge and signed values

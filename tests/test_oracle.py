@@ -24,8 +24,6 @@ from hopfact.oracle import (
     MAX_PROBE_ORDER,
     _prime_powers,
     kernel_scan_agrees,
-    numeric_kernel_scan,
-    run_full_verification,
     run_suite,
     sample_points,
     verify_group_law,
@@ -48,15 +46,34 @@ def alone(spec):
     return SpecStack.of([spec])
 
 
+def probe(spec, seed=0):
+    """The kernel probe's hits on ``spec`` alone."""
+    return hopfact.oracle._probe(alone(spec), seed)[0]
+
+
+def report_of(spec, trials, seed, tol=1e-8):
+    """The report that ``hopfact verify`` prints for ``spec``, parsed."""
+    stack = alone(spec)
+    return json.loads(report_texts(stack, seed, tol, run_suite(stack, trials, seed, tol))[0])
+
+
 def test_scan_effective_spec_only_identity():
-    assert numeric_kernel_scan(demo_spec()) == [0]
+    # and at large |r|, where the probes' powers of d span hundreds of
+    # decades: an earlier scan reported scalars outside the kernel as hits
+    # on these specs (j = 536, 537 and 1737 at r = 600, d = 0.5), through
+    # distances whose squares underflowed to 0
+    for spec in [demo_spec()] + [make_spec(ActionKind.TYPE1, 3, 7, 0, 0, r, d=d)
+                                 for r, d in [(600, 0.5), (-2000, 2), (2000, 0.5)]]:
+        assert is_effective(spec).effective
+        assert probe(spec) == [0], spec
+        assert kernel_scan_agrees(alone(spec)) == [True], spec
 
 
 def test_scan_finds_known_kernel():
     # N = 6: the probes are j = 0, 3 and 2, and the scalars of order 3 act
     # trivially; the exact witness (ell, k) = (1, 1) is j_w = 1 + 1*3 = 4
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
-    assert numeric_kernel_scan(spec) == [0, 2]
+    assert probe(spec) == [0, 2]
     verdict = is_effective(spec)
     assert (verdict.witness.ell + verdict.kernel_element.k * 3) % 6 == 4
     assert kernel_scan_agrees(alone(spec)) == [True]
@@ -68,12 +85,12 @@ def test_scan_finds_known_kernel():
     (ActionKind.TYPE1, 2, 3, -2, 2, -3),
 ])
 def test_identity_always_present(kind, n, m, p, q, r):
-    assert 0 in numeric_kernel_scan(make_spec(kind, n, m, p, q, r))
+    assert 0 in probe(make_spec(kind, n, m, p, q, r))
 
 
 def test_scan_deterministic():
     spec = make_spec(ActionKind.TYPE2, 3, 2, 1, 2, -2, d=1 + 2j)
-    assert numeric_kernel_scan(spec, seed=5) == numeric_kernel_scan(spec, seed=5)
+    assert probe(spec, seed=5) == probe(spec, seed=5)
 
 
 def test_prime_powers_by_brute_force():
@@ -101,7 +118,7 @@ def assert_probe_matches_reference(spec, seed):
     """The probe's hits are the reference's hits among the probed j, and the
     reference's hits are exactly the multiples of gcd(N, probe hits)."""
     N = spec.params.n * abs(spec.r)
-    hits = numeric_kernel_scan(spec, seed=seed)
+    hits = probe(spec, seed)
     expected = reference_hits(spec, seed)
     probed = {N // q % N for q in [1] + _prime_powers(N)}
     assert hits == [j for j in expected if j in probed]
@@ -150,8 +167,8 @@ def test_stacked_probe_equals_each_spec_alone(monkeypatch, chunk_bytes):
     stack = SpecStack.of(specs)
     assert (len(stack), len(stack.rows)) == (96, 24)
     assert sum(not is_effective(spec).effective for spec in specs) == 58
-    stacked = hopfact.oracle._probe(stack, 10, 1e-9, 11)
-    assert stacked == [numeric_kernel_scan(spec, seed=11) for spec in specs]
+    stacked = hopfact.oracle._probe(stack, 11)
+    assert stacked == [probe(spec, 11) for spec in specs]
     assert kernel_scan_agrees(stack, seed=11) == [True] * len(specs)
 
 
@@ -159,7 +176,7 @@ def test_scan_of_large_r_at_once():
     # O(log N) probes: N = 400,000 = 2^7 * 5^5 has 12 prime-power divisors
     spec = make_spec(ActionKind.TYPE1, 2, 7, 1, 0, 200_000)
     start = time.perf_counter()
-    hits = numeric_kernel_scan(spec)
+    hits = probe(spec)
     assert time.perf_counter() - start < 0.5
     assert 0 in hits
 
@@ -169,29 +186,13 @@ def test_scan_rejects_an_order_beyond_the_probe_bound():
     # 2*pi/(n*|r|*m) from mu_m, and that must stay well above the tol 1e-9
     assert 10 * 1e-9 * MAX_PROBE_ORDER <= 2 * math.pi
     r = MAX_PROBE_ORDER // 14
-    numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r))
+    probe(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r))
     with pytest.raises(ValueError, match=re.escape(f"n*|r|*m = {14 * (r + 1)} exceeds "
                                                    f"MAX_PROBE_ORDER = {MAX_PROBE_ORDER}")):
-        numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r + 1))
-
-
-def test_probe_bound_follows_the_tol():
-    # n*|r|*m = 540,000,009 is inside MAX_PROBE_ORDER, but at tol 1e-6 a
-    # scalar 2*pi/540,000,009 from mu_m passes for trivial (the probe would
-    # report [0, 1, 3]); the bound at a tol is 2*pi/(10*tol)
-    spec = make_spec(ActionKind.TYPE1, 3, 60_000_001, 0, 0, 3)
-    assert numeric_kernel_scan(spec) == [0]
-    message = "n*|r|*m = 540000009 exceeds 2*pi/(10*tol) at tol = 1e-06 = 628318"
-    for check in (numeric_kernel_scan, kernel_scan_agrees):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            check(spec if check is numeric_kernel_scan else alone(spec), tol=1e-6)
-    # 628,318 <= 2*pi/1e-5 < 628,320
-    assert 0 in numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 314_159), tol=1e-6)
-    with pytest.raises(ValueError, match=re.escape("n*|r|*m = 628320 exceeds")):
-        numeric_kernel_scan(make_spec(ActionKind.TYPE1, 2, 1, 0, 0, 314_160), tol=1e-6)
-    for tol in (0.0, -1e-9, float("nan")):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            numeric_kernel_scan(demo_spec(), tol=tol)
+        probe(make_spec(ActionKind.TYPE1, 2, 7, 0, 0, r + 1))
+    # inside the bound at m = 60,000,001 a scalar 2*pi/540,000,009 from mu_m
+    # is still told apart from the kernel
+    assert probe(make_spec(ActionKind.TYPE1, 3, 60_000_001, 0, 0, 3)) == [0]
 
 
 def test_scan_runs_through_the_action(monkeypatch):
@@ -200,7 +201,7 @@ def test_scan_runs_through_the_action(monkeypatch):
     spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
     assert kernel_scan_agrees(alone(spec)) == [True]
     monkeypatch.setattr(hopfact.action, "d_pow", lambda d, mu, branch=0: np.full_like(mu, np.nan))
-    assert numeric_kernel_scan(spec) == []
+    assert probe(spec) == []
     assert kernel_scan_agrees(alone(spec)) == [False]
 
 
@@ -225,7 +226,7 @@ def test_scan_agreement_needs_the_exact_kernel_order(monkeypatch):
 
 
 def test_verification_suite_passes_on_demo():
-    report = run_full_verification(demo_spec(), trials=50, seed=3)
+    report = report_of(demo_spec(), trials=50, seed=3)
     assert report["all_passed"] is True
     names = {c["name"] for c in report["checks"]}
     assert {"group_law", "well_definedness", "transitivity",
@@ -234,7 +235,7 @@ def test_verification_suite_passes_on_demo():
 
 def test_verification_suite_type2_with_dimtwo():
     spec = make_spec(ActionKind.TYPE2, 2, 3, 1, 0, 1, d=1 + 2j)
-    report = run_full_verification(spec, trials=40, seed=4)
+    report = report_of(spec, trials=40, seed=4)
     assert report["all_passed"] is True
     assert "dimtwo" in {c["name"] for c in report["checks"]}
 
@@ -293,7 +294,7 @@ def test_power_branch_in_one_call_equals_per_branch_calls():
 
 
 def test_report_serialization():
-    d = run_full_verification(demo_spec(), trials=10, seed=1)
+    d = report_of(demo_spec(), trials=10, seed=1)
     assert d["all_passed"] is True
     assert {"name", "trials", "max_residual", "pass"} == set(d["checks"][0])
 
@@ -356,7 +357,7 @@ def test_non_finite_residual_fails_with_no_value():
     assert math.isnan(check.residual[0]) and check.passed.tolist() == [False]
     # and the report writes it as null: the suite's well-definedness check
     # is this one, at trials // 4 and seed + 2
-    report = run_full_verification(spec, trials=12, seed=0)
+    report = report_of(spec, trials=12, seed=0)
     assert report["checks"][1] == {"name": "well_definedness", "trials": 3,
                                    "max_residual": None, "pass": False}
 
@@ -428,7 +429,7 @@ def test_shared_draws_equal_single_runs(monkeypatch, chunk_bytes):
     stacks = [SpecStack.of(run) for _, run in itertools.groupby(
         specs, key=lambda spec: (spec.params.d, spec.params.n))]
     assert [len(stack) - len(stack.rows) for stack in stacks] == [0, 2, 0, 0, 0, 0, 5, 0]
-    single = [run_full_verification(spec, trials=40, seed=17) for spec in specs]
+    single = [report_of(spec, trials=40, seed=17) for spec in specs]
     stacked = stacked_reports(specs, trials=40, seed=17)
     assert stacked == single
     assert all(report["all_passed"] is True for report in single)

@@ -10,13 +10,11 @@ import hopfact.hopf
 import hopfact.oracle
 
 PUBLIC = [
-    "HopfParams", "OrbitPoint", "canonicalize", "deck_equal", "orbit_distance",
-    "ActionKind", "ActionSpec", "act", "d_pow", "example_action",
-    "match_example_to_type1", "solve_transport",
+    "HopfParams", "OrbitPoint", "canonicalize", "orbit_distance",
+    "ActionKind", "ActionSpec", "act", "d_pow", "solve_transport",
     "EffectivenessVerdict", "is_effective", "is_effective_corollary",
     "kernel_witness_element",
-    "numeric_kernel_scan", "verify_group_law", "verify_transitivity",
-    "verify_well_definedness",
+    "verify_group_law", "verify_transitivity", "verify_well_definedness",
     "BACKEND_NAME",
 ]
 MODULES = (hopfact.hopf, hopfact.action, hopfact.effectiveness, hopfact.oracle)
