@@ -23,9 +23,9 @@ only in m, or in m, p and q with one sigma, share a row.  ``act`` and
 ``solve_transport`` evaluate the one row of their spec.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +87,8 @@ class Rows:
     """The fields the action formula reads, stacked on a leading axis, one
     entry a formula row.  Passed where one spec goes, that axis is the first
     leading axis of the broadcast inputs: an input that every row shares has
-    size 1 there, or fewer leading axes."""
+    size 1 there, or fewer leading axes.  ``identity`` is read from C, so
+    rows made with another C (``dataclasses.replace``) read their own."""
 
     params: HopfParams
     sigma: np.ndarray       # (R,) sigma as a float
@@ -98,6 +99,14 @@ class Rows:
 
     def __len__(self) -> int:
         return len(self.sigma)
+
+    @cached_property
+    def identity(self) -> bool:
+        """Whether every row's C is the identity, so that the products by C
+        and C^{-1} may be skipped: I*v is v for a finite v.  A C of the
+        form 2^k * I is the identity here, ``_unit_scaled`` having scaled
+        it."""
+        return bool((self.C == np.eye(self.params.n)).all())
 
     def __getitem__(self, index) -> "Rows":
         """The rows at ``index``, a slice or an array of positions."""
@@ -241,8 +250,10 @@ def d_pow(d: complex, mu, branch=0):
     d = complex(d)
     if d == 0:
         raise ValueError("d must be nonzero")
-    # principal_arg(d) in Python floats, bit for bit: atan2, then the shifts
-    arg = cmath.phase(d)
+    # arg d in Python floats: atan2, then principal_arg's shifts.  math.atan2
+    # is cmath.phase bit for bit, but returns 0 where the argument underflows
+    # (d = 2 + 5e-324j), which cmath.phase raises as an OverflowError
+    arg = math.atan2(d.imag, d.real)
     arg = arg + TWO_PI if arg < 0.0 else arg
     theta = (arg - TWO_PI if arg >= TWO_PI else arg) + TWO_PI * np.asarray(branch)
     mu = np.asarray(mu, dtype=np.float64)
@@ -275,13 +286,15 @@ def evaluate_formula(spec: Rows, t, B: np.ndarray, vec: np.ndarray,
     power-branch identities can be probed with non-canonical splittings.
     t (...), B (..., n, n) and vec (..., n) broadcast over leading axes,
     the first of them the row axis, and ``branch`` may be an array with
-    one entry a row.
+    one entry a row.  Rows whose C is the identity skip its two products.
     """
     t = np.asarray(t, dtype=np.float64)
     ndim = max(t.ndim, np.ndim(B) - 2, np.ndim(vec) - 1)
     _, _, conj, C, C_inv = _fields(spec, ndim)
     Bp = np.where(conj[..., None, None], np.conj(B), B)
     scalar = _scalar_factor(spec, t, branch, ndim)
+    if spec.identity:
+        return scalar[..., None] * _matvec(Bp, vec)
     return scalar[..., None] * _matvec(C, _matvec(Bp, _matvec(C_inv, vec)))
 
 
@@ -335,11 +348,10 @@ def _plane_rotation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _transport(spec: Rows, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unitaries (..., n, n) carrying the vectors z to w (..., n); see
-    :func:`solve_transport`."""
+    :func:`solve_transport`; rows whose C is the identity skip C^{-1}."""
     ndim = max(z.ndim, w.ndim) - 1
     _, nr, conj, _, C_inv = _fields(spec, ndim)
-    u = _matvec(C_inv, z)
-    v = _matvec(C_inv, w)
+    u, v = (z, w) if spec.identity else (_matvec(C_inv, z), _matvec(C_inv, w))
     t = TWO_PI * np.log(np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)) / (
         nr * math.log(abs(spec.params.d))
     )

@@ -1,10 +1,10 @@
 """The quotient manifold M_d^n/Z_m as a decidable quotient set.
 
 Points are nonzero n-vectors taken modulo the deck group generated by
-z -> d*z and z -> e^{2*pi*i/m} * z.  Equality is decided on three deck
-candidates, each rotation found in closed form; canonical representatives
-live in the annulus ln||z|| / ln|d| in [0, 1) with a phase normalization
-for the Z_m factor.
+z -> d*z and z -> e^{2*pi*i/m} * z.  Equality is decided on at most three
+deck candidates, the centre shell's first, each rotation found in closed
+form; canonical representatives live in the annulus ln||z|| / ln|d| in
+[0, 1) with a phase normalization for the Z_m factor.
 """
 
 import cmath
@@ -78,6 +78,43 @@ def _norm2(v):
     return _sum_last((v.conj() * v).real)
 
 
+# the two neighbours of the centre shell, as offsets of its exponent
+_NEIGHBOURS = np.array([-1.0, 1.0])
+
+
+def _shells(x, y, inner, d, ell, m) -> list:
+    """||x - g*y||^2 on each shell of ell (..., k), one array a shell: g is
+    c = d^ell times the m-th root of unity zeta nearest to the phase of
+    conj(c*<x, y>), which minimizes ||x||^2 + ||c*y||^2 - 2 Re(zeta*c*<x, y>)."""
+    c = d ** ell
+    K = np.rint(-np.angle(c * inner) * (m / TWO_PI))            # in [-m/2, m/2]
+    # K mod m, so that zeta is the same float as e^{2*pi*i*K/m}, K = 0..m-1
+    g = c * np.exp(2j * math.pi * np.where(K < 0, K + m, K) / m)
+    # each candidate's g*y is one product over all n coordinates with g
+    # broadcast, as in a (..., 3, n) broadcast: numpy's SIMD loop rounds a
+    # complex product otherwise than its scalar loop, which a product of
+    # single elements may take
+    return [_norm2(x - g[..., k, None] * y) for k in range(ell.shape[-1])]
+
+
+def _neighbours_farther(centre, norm2_x, ell, log_d: float) -> bool:
+    """Whether no neighbour shell can be nearer than the centre shell for
+    any pair, with no neighbour's distance NaN: every pair's squared centre
+    distance is below (B/2)^2, B = ||x||*(1 - e^{-|ln|d||/2}), and every
+    float the neighbours would form stays well inside the normal range."""
+    gap = math.expm1(-abs(log_d) / 2) / 2                       # -B/(2||x||)
+    bound = gap * gap
+    if not (centre < bound * norm2_x).all():                   # NaN fails too
+        return False
+    # (B/2)^2 far above the subnormals, and d^(ell* +- 1) and the neighbours'
+    # g*y and c*<x, y>, at most ||x|| and ||x||^2 times e^{3|ln|d||/2},
+    # below e^690, so that their rounding is relative and no product of
+    # theirs overflows into a NaN
+    return (float(norm2_x.min()) * bound > 1e-290
+            and (float(np.abs(ell).max()) + 1.5) * abs(log_d)
+            + max(math.log(float(norm2_x.max())), 0.0) < 690.0)
+
+
 def orbit_distance(x, y, params: HopfParams, m=None):
     """min over deck candidates g of ||x - g*y|| / ||x||.
 
@@ -92,27 +129,41 @@ def orbit_distance(x, y, params: HopfParams, m=None):
     infinite or NaN, and d to that power is NaN, so the distance is NaN,
     never a number that could pass a tolerance.
 
+    The centre shell comes first, and the neighbours only where they could
+    change a result.  For g on the shell ell = ell* +- 1, ||x - g*y|| >=
+    | ||x|| - |d|^ell ||y|| | = ||x|| * |1 - e^u|, u = ln|d| * (ell - s),
+    s = ln(||x||/||y||)/ln|d|.  ell* is the integer nearest s, so
+    |ell - s| >= 1/2 and |u| >= |ln|d||/2, and |1 - e^u| >= 1 - e^{-|u|}
+    (for u > 0, e^u - 1 >= u >= 1 - e^{-u}): each neighbour is at least
+    B = ||x|| * (1 - e^{-|ln|d||/2}) from x.  Where every pair's centre
+    distance is below B/2, the least of the three is the centre's, and the
+    neighbours are skipped; the factor 2 is far beyond the rounding of
+    ell* and of the distances, as B is at least about 5e-10 * ||x|| for
+    ||d| - 1| > 1e-9 (``HopfParams``).  The neighbours are also taken
+    wherever a float they form could leave the normal range, where a NaN
+    neighbour would make the distance NaN.  Otherwise they are taken for
+    every pair and combined with the centre in shell order, so the result
+    is the same whether they are taken or not.
+
     Each candidate's squared distance is a sum over the coordinates
     (``_norm2``), and the root is taken of the least of the three, which
     equals the least root; every norm is ``np.linalg.norm``'s bit for bit.
+    The shells are an axis of their own, of size 1 for the centre, so that
+    even one pair's products run in numpy's array loops: its scalar loops
+    round a complex product otherwise.
     """
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    nx = np.sqrt(_norm2(x))
-    ell_center = np.rint(np.log(nx / np.sqrt(_norm2(y))) / math.log(abs(params.d)))
-    c = params.d ** (ell_center[..., None] + np.arange(-1.0, 2.0))
+    norm2_x = _norm2(x)
+    nx = np.sqrt(norm2_x)
+    log_d = math.log(abs(params.d))
+    ell = np.rint(np.log(nx / np.sqrt(_norm2(y))) / log_d)[..., None]
     inner = np.einsum("...i,...i->...", x.conj(), y)[..., None]
     m = np.asarray(params.m if m is None else m, dtype=np.float64)[..., None]
-    K = np.rint(-np.angle(c * inner) * (m / TWO_PI))            # in [-m/2, m/2]
-    # K mod m, so that zeta is the same float as e^{2*pi*i*K/m}, K = 0..m-1
-    g = c * np.exp(2j * math.pi * np.where(K < 0, K + m, K) / m)
-    # each candidate's g*y is one product over all n coordinates with g
-    # broadcast, as in a (..., 3, n) broadcast: numpy's SIMD loop rounds a
-    # complex product otherwise than its scalar loop, which a product of
-    # single elements may take
-    least = _norm2(x - g[..., 0, None] * y)
-    for k in (1, 2):
-        least = np.minimum(least, _norm2(x - g[..., k, None] * y))
+    least, = _shells(x, y, inner, params.d, ell, m)
+    if not _neighbours_farther(least, norm2_x, ell, log_d):
+        below, above = _shells(x, y, inner, params.d, ell + _NEIGHBOURS, m)
+        least = np.minimum(np.minimum(below, least), above)
     return (np.sqrt(least) / nx)[()]
 
 

@@ -19,7 +19,9 @@ formula, ``_transport`` and ``_apply`` evaluation.  Only the orbit
 distances read m, so only they gather the rows' images to the specs by
 ``SpecStack.row``, each spec's m on their first axis; ``power_branch`` and
 ``dimtwo`` compute one residual a row, which each spec of the row takes.
-The kernel probe acts each row once, with its probes on one axis.  A
+The kernel probe acts each row once on its first sample, with its probes
+on one axis, and its other samples only on the (row, probe) cells where
+some spec hit on the first, as a probe that misses one sample misses.  A
 check's seed keys its two counter-based streams of ``hopfact.cmatrix``,
 of unitaries and of sample points: trial i reads the draws at index i of
 each (2i and 2i + 1 for the group law's A1 and A2 and the transport's z
@@ -64,7 +66,7 @@ class Checked(NamedTuple):
 # 1 MB and adds almost nothing to peak memory.  Per pair that temporary holds
 # at most max(3, n) x n values: an n x n matrix, or the few n-coordinate
 # arrays of an orbit distance (for each of the 5n re-splittings of a
-# well-definedness trial, or of the kernel probe's 10 samples).  A chunk
+# well-definedness trial, or of the kernel probe's samples).  A chunk
 # takes as many trials as fit, and then as many rows as fit beside them with
 # every spec that uses them; each chunk of trials is drawn once and serves
 # every spec of the stack.
@@ -133,12 +135,15 @@ def _probe(specs: SpecStack, seed: int) -> list:
     N/q is a hit iff q | h, so these O(log N) probes, acted through the
     action, find h.
 
+    A probe hits only if every sample does, so it is decided in two passes.
     The probes of a row depend only on its N; each row's list is padded
     with j = 0 to the longest, so the probes are a (rows, P) rectangle,
-    split once.  Each chunk of rows is acted on with its P probes on one
-    axis, and each spec of a row measures the images at its own m.  A
-    padded j = 0 repeats the identity probe, so a spec's hits are the
-    distinct j of its row that hit."""
+    split once.  The first pass acts sample 0 alone on each chunk of rows,
+    with its P probes on one axis, and each spec of a row measures the
+    images at its own m.  The second pass acts the other samples on the
+    (row, probe) cells, padding aside, where some spec hit, in chunks of
+    cells, and measures them for the specs that hit there; a spec's hits
+    are the j of its row that hit in both."""
     p = specs.params
     for r, m in dict.fromkeys(zip(specs.r, specs.m)):     # in order, each once
         _scan_order(p.n, r, m)
@@ -146,23 +151,36 @@ def _probe(specs: SpecStack, seed: int) -> list:
     probes = {N: [0] + [N // q for q in _prime_powers(N)] for N in set(orders)}
     width = max(map(len, probes.values()))
     j = np.array([probes[N] + [0] * (width - len(probes[N])) for N in orders])
+    real = np.arange(width) < np.array([len(probes[N]) for N in orders])[:, None]
     split = _split(np.exp(2j * math.pi * j / np.array(orders)[:, None])[..., None, None]
                    * np.eye(p.n))
     z = sample_points(p.n, seed, range(PROBE_SAMPLES))
-    hits = [None] * len(specs)
-    step = max(1, _chunk(PROBE_SAMPLES * p.n * max(3, p.n)) // (width * specs.width))
+    values = p.n * max(3, p.n)                      # a sample's temporary, per pair
+    hit = np.zeros((len(specs), width), dtype=bool)
     # a power of d beyond the float range gives an inf or NaN distance,
     # which is never below tol, so numpy's warnings about it are noise
     with np.errstate(all="ignore"):
-        for part in specs.parts(step):
+        for part in specs.parts(max(1, _chunk(values) // (width * specs.width))):
             rows_at = part.rows_at
-            images = evaluate_formula(part.rows, split.t[rows_at][..., None],
-                                      split.su_part[rows_at][:, :, None], z)
-            hit = (_distance(part, images, z[None, None]) < PROBE_TOL).all(axis=-1)
-            for s, js, ok in zip(part.at.tolist(), j[rows_at][part.row].tolist(),
-                                 hit.tolist()):
-                hits[s] = sorted(set(compress(js, ok)))
-    return hits
+            images = evaluate_formula(part.rows, split.t[rows_at], split.su_part[rows_at], z[0])
+            hit[part.at] = (_distance(part, images, z[None, None, 0]) < PROBE_TOL) \
+                & real[rows_at][part.row]
+        # the (spec, probe) pairs that hit on sample 0, by cell, and the cells
+        at, col = np.nonzero(hit)
+        cells, cell_of = np.unique(specs.row[at] * width + col, return_inverse=True)
+        order = np.argsort(cell_of, kind="stable")
+        at, col, cell_of = at[order], col[order], cell_of[order]
+        cell_row, cell_col = np.divmod(cells, width)
+        deck_m = np.array(specs.m, dtype=np.float64)[at, None]
+        step = max(1, _chunk((PROBE_SAMPLES - 1) * values) // specs.width)
+        for lo in range(0, len(cells), step):
+            rows_at, cols = cell_row[lo:lo + step], cell_col[lo:lo + step]
+            images = evaluate_formula(specs.rows[rows_at], split.t[rows_at, cols][:, None],
+                                      split.su_part[rows_at, cols][:, None], z[1:])
+            pairs = slice(*np.searchsorted(cell_of, [lo, lo + step]))
+            distance = orbit_distance(images[cell_of[pairs] - lo], z[1:], p, deck_m[pairs])
+            hit[at[pairs], col[pairs]] = (distance < PROBE_TOL).all(axis=-1)
+    return [sorted(compress(js, ok)) for js, ok in zip(j[specs.row].tolist(), hit.tolist())]
 
 
 def _exact_kernels(specs: SpecStack) -> list:

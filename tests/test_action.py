@@ -3,11 +3,14 @@ import copy
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hopfact.oracle
 from _example_reference import example_action, example_lambda, match_example_to_type1
+from _grid import fixed_C
 from _oracle_reference import type2_as_type1
 from hopfact.action import (
     SU2_CONJUGATOR,
@@ -22,7 +25,8 @@ from hopfact.action import (
     evaluate_formula,
     solve_transport,
 )
-from hopfact.cmatrix import principal_arg, random_unitary, su_decompose, unitarity_residual
+from hopfact.cmatrix import (principal_arg, random_unitary, sample_points, su_decompose,
+                             unitarity_residual)
 from hopfact.hopf import HopfParams, OrbitPoint, orbit_distance
 
 TWO_PI = 2 * math.pi
@@ -60,13 +64,21 @@ class TestDPow:
 
     @pytest.mark.parametrize("d", [-1, 1 - 0j, complex(-1, -0.0), 1e-300j, 1 + 2j])
     def test_argument_is_principal_arg_bit_for_bit(self, d):
-        # d_pow takes arg d with cmath.phase and principal_arg's shifts in
+        # d_pow takes arg d with math.atan2 and principal_arg's shifts in
         # Python floats; the powers keep their bits, signed zeros included
         mu = np.array([0.0, 1.0, 0.5, -1.25, 3.0, 60.0])
         for branch in (0, -2, np.array([1, 0, -1, 2, -2, 0])):
             with np.errstate(over="ignore"):        # (1e-300)^-1.25 is inf
                 want = abs(d) ** mu * np.exp(1j * mu * (principal_arg(d) + TWO_PI * branch))
             assert d_pow(d, mu, branch).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2 + 5e-324j, 2 - 5e-324j, 1e300 + 1e-30j])
+    def test_argument_underflow_is_zero(self, d):
+        # arg d below the subnormals is 0 (cmath.phase raised on it), so the
+        # power is that of the real base
+        mu = np.array([0.0, 1.0, 0.5, -1.25, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(d_pow(d, mu), d_pow(d.real, mu))
 
 
 class TestActionSpec:
@@ -403,3 +415,71 @@ class TestDimTwoIdentity:
         spec = ActionSpec(ActionKind.TYPE2, 0, 0, 1, np.eye(3), params)
         with pytest.raises(ValueError):
             type2_as_type1(spec)
+
+
+def three_products(rows):
+    """``rows`` held to the three-product formula whatever its C: a copy
+    whose cached ``identity`` is set to False before it is first read."""
+    forced = replace(rows)
+    vars(forced)["identity"] = False
+    return forced
+
+
+class TestIdentityC:
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_identity_rows_skip_C_bit_for_bit(self, n, scale):
+        # both kinds and several sigma and r on a row axis: the formula,
+        # nested as in the group law and with a power branch on each row,
+        # and the transport equal the three products by I, bit for bit
+        params = HopfParams(d=0.5 + 0.3j, n=n, m=3)
+        specs = [ActionSpec(kind, p, q, r, scale * np.eye(n), params) for kind in ActionKind
+                 for p, q, r in [(0, 0, 1), (1, 2, -2), (-1, 1, 3)]]
+        rows = SpecStack.of(specs).rows
+        assert rows.identity and len(rows) == 6
+        general = three_products(rows)
+        ue = su_decompose(random_unitary(n, 7, range(8)))
+        t, b = ue.t[None], ue.su_part[None]
+        z, w = (sample_points(n, seed, range(8))[None] for seed in (8, 9))
+        assert not general.identity
+
+        def outputs(r):
+            return [evaluate_formula(r, t, b, z),
+                    evaluate_formula(r, t, b, evaluate_formula(r, t, b, z)),
+                    evaluate_formula(r, t, b, z, branch=np.arange(-2, 4)),
+                    _transport(r, z, w)]
+
+        for got, want in zip(outputs(rows), outputs(general)):
+            assert got.shape == want.shape and got.shape[:2] == (6, 8)
+            assert got.tobytes() == want.tobytes()
+
+    def test_other_C_takes_the_general_path(self):
+        # a fixed non-identity C, alone or beside the identity, and -I
+        n = 3
+        params = HopfParams(d=2, n=n, m=2)
+        one = [ActionSpec(ActionKind.TYPE1, 0, 0, 1, c, params)
+               for c in (np.eye(n), fixed_C(n), -np.eye(n))]
+        assert SpecStack.of(one[:1]).rows.identity
+        assert not SpecStack.of(one[1:2]).rows.identity
+        assert not SpecStack.of(one[:2]).rows.identity
+        assert not SpecStack.of(one[2:]).rows.identity
+        # rows made from identity rows with another C read their own C
+        rows = SpecStack.of(one[:1]).rows
+        assert rows.identity
+        assert not replace(rows, C=rows.C @ fixed_C(n)).identity
+
+    def test_dimtwo_twins_take_the_general_path(self, monkeypatch):
+        # the Type1 twins of identity Type2 rows have C = J, which is not
+        # the identity: each chunk evaluates the rows, then their twins
+        params = HopfParams(d=0.5, n=2, m=3)
+        stack = SpecStack.of([ActionSpec(ActionKind.TYPE2, p, 0, r, np.eye(2), params)
+                              for p in (0, 1) for r in (1, -2)])
+        evaluate, paths = hopfact.oracle.evaluate_formula, []
+
+        def recorded(rows, *args, **kwargs):
+            paths.append(rows.identity)
+            return evaluate(rows, *args, **kwargs)
+
+        monkeypatch.setattr(hopfact.oracle, "evaluate_formula", recorded)
+        assert hopfact.oracle.verify_dimtwo(stack, trials=10).passed.all()
+        assert paths == [True, False]

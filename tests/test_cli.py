@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 
 import _witness_reference as reference
 import hopfact.action
+import hopfact.hopf
 import hopfact.oracle
 from hopfact import cli, serialize
 from hopfact.cli import ENUMERATE_FORMATS
 from hopfact.action import ActionKind, ActionSpec, SpecStack, d_pow
-from hopfact.effectiveness import KernelWitness, find_witness, line_class
+from hopfact.effectiveness import KernelWitness, find_witness, is_effective, line_class
 from hopfact.cmatrix import random_unitary
 from hopfact.hopf import HopfParams
-from hopfact.oracle import Checked, run_suite
+from hopfact.oracle import Checked, _prime_powers, run_suite
 from hopfact.report import report_texts
 
 HERE = os.path.dirname(__file__)
@@ -877,6 +878,10 @@ class TestVerify:
             assert report_texts(stack, 0, tol, columns) == [text]
             assert report_texts(stack, 0, tol, columns, "  ") == [text.replace("\n", "\n  ")]
 
+    VERIFY_RANGE = {"d": [0.5, 0.0], "trials": 10, "seed": 205502,
+                    "ranges": {"n_list": [2, 3], "m_list": [3, 6], "p_min": 0, "p_max": 1,
+                               "q_min": 0, "q_max": 0, "r_min": -6, "r_max": 6}}
+
     def test_a_grid_evaluates_each_formula_row_once(self, tmp_path, monkeypatch, capsys):
         # the verify_range grid of the benchmark: q = 0, so sigma = eps + n*p
         # does not read m, and the 96 specs of each n (m = 3 and 6) are 48
@@ -885,8 +890,10 @@ class TestVerify:
         # definedness twice, transitivity's transport once, the power branch
         # five times (once a branch, in one call, the branch L = 0 being the
         # standard evaluation), and dimtwo twice on the 24 Type2 rows of
-        # n = 2; the kernel probe acts each row once, with its probes on one
-        # axis
+        # n = 2.  The kernel probe acts each row once on its first sample,
+        # with its probes on one axis, and then each (row, probe) cell where
+        # some spec of the row acts trivially on its other samples: j = 0,
+        # and N/q where q divides a spec's exact kernel order
         calls = []
 
         def check(func):
@@ -901,15 +908,22 @@ class TestVerify:
                 return func(rows, *args, **kwargs)
             return run
 
+        def hit_cells(n):
+            cells = set()
+            for m, kind, p, r in itertools.product((3, 6), ActionKind, (0, 1), range(-6, 7)):
+                if r:
+                    spec = ActionSpec(kind, p, 0, r, np.eye(n), HopfParams(d=0.5, n=n, m=m))
+                    h = is_effective(spec).kernel_order
+                    cells |= {(kind, p, r, q) for q in [1, *_prime_powers(n * abs(r))]
+                              if h % q == 0}
+            return len(cells)
+
         for name in ("verify_group_law", "verify_well_definedness", "verify_transitivity",
                      "verify_power_branch", "verify_dimtwo", "kernel_scan_agrees"):
             monkeypatch.setattr(hopfact.oracle, name, check(getattr(hopfact.oracle, name)))
         for name in ("evaluate_formula", "_transport"):
             monkeypatch.setattr(hopfact.oracle, name, sized(getattr(hopfact.oracle, name)))
-        cfg = {"d": [0.5, 0.0], "trials": 10, "seed": 205502,
-               "ranges": {"n_list": [2, 3], "m_list": [3, 6], "p_min": 0, "p_max": 1,
-                          "q_min": 0, "q_max": 0, "r_min": -6, "r_max": 6}}
-        assert run(["verify", "--spec", write_config(tmp_path, cfg)]) == 0
+        assert run(["verify", "--spec", write_config(tmp_path, self.VERIFY_RANGE)]) == 0
         rows = {(name, n, specs): sum(sizes) for name, n, specs, sizes in calls}
         assert rows == {(name, n, specs): per_row * count
                         for n in (2, 3)
@@ -919,8 +933,43 @@ class TestVerify:
                             ("verify_transitivity", 96, 1, 48),
                             ("verify_power_branch", 96, 5, 48),
                             ("verify_dimtwo", 48, 2, 24),
-                            ("kernel_scan_agrees", 96, 1, 48)]
+                            ("kernel_scan_agrees", 96, 1, 48 + hit_cells(n))]
                         if name != "verify_dimtwo" or n == 2}
+        # stdout as it was before the oracle skipped the neighbour shells of
+        # near pairs, the probe's second samples of its misses and the
+        # products by an identity C: none of them may move a bit
+        out = capsys.readouterr().out
+        assert len(out) == 186_537
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "b55f5d6c67d7a837b3358ca44d199e3ffa8c97a65ed173e2b6302421d4504605"
+
+    def test_neighbour_shells_only_in_the_probes_first_pass(self, tmp_path, monkeypatch):
+        # on the verify_range grid every orbit distance of the checks, and
+        # of the probe's second pass, is between near pairs, so only the
+        # probe's first pass, where most probes miss, takes the neighbours
+        stage, neighbours = [], []
+
+        def during(name, func):
+            def run(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    stage.pop()
+            monkeypatch.setattr(hopfact.oracle, name, run)
+
+        def shells(x, y, inner, d, ell, m):
+            if ell.shape[-1] == 2:
+                neighbours.append(tuple(stage))
+            return real_shells(x, y, inner, d, ell, m)
+
+        real_shells = hopfact.hopf._shells
+        monkeypatch.setattr(hopfact.hopf, "_shells", shells)
+        during("kernel_scan_agrees", hopfact.oracle.kernel_scan_agrees)
+        during("_distance", hopfact.oracle._distance)
+        assert run(["verify", "--spec", write_config(tmp_path, self.VERIFY_RANGE)]) == 0
+        # one first-pass part for each n
+        assert neighbours == [("kernel_scan_agrees", "_distance")] * 2
 
     def test_ranges_output_pinned(self, tmp_path, capsys):
         # stdout of the CLI once each check drew its unitaries and its
@@ -979,10 +1028,17 @@ class TestVerify:
         assert captured.out == ""
         assert f"n*|r|*m = {2 * r} exceeds MAX_PROBE_ORDER = 628318530" in captured.err
 
+    def test_d_of_underflowing_argument(self, tmp_path, capsys):
+        # arg d = atan2(5e-324, 2) underflows to 0, which cmath.phase raised
+        # as an OverflowError (exit 4): d acts as the real 2 does
+        code = run(["verify", "--spec", write_config(tmp_path, dict(DEMO, d=[2.0, 5e-324],
+                                                                     trials=5))])
+        assert code == 0, capsys.readouterr().err
+
     LARGE_M = {"n": 3, "d": [4, 0], "kind": "type1", "p": 0, "q": 0, "r": 3, "trials": 20}
 
     def test_large_m_costs_no_more(self, tmp_path, capsys):
-        # each orbit distance compares 3 deck candidates whatever m is, so
+        # each orbit distance compares at most 3 deck candidates whatever m is, so
         # m = 10^6 takes the time and memory of a small m: a few chunks
         path = write_config(tmp_path, dict(self.LARGE_M, m=10**6))
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from _canonical_reference import rotation_index
 from _orbit_reference import closed_form_distance
 from _orbit_reference import orbit_distance as search_distance
+from hopfact import hopf
 from hopfact.cmatrix import TWO_PI, principal_arg
 from hopfact.hopf import HopfParams, OrbitPoint, canonicalize, orbit_distance
 
@@ -293,3 +295,102 @@ def test_orbit_distance_is_the_closed_form_bit_for_bit(n, m):
                 got = orbit_distance(scale_x * x, scale_y * y, p)
                 want = closed_form_distance(scale_x * x, scale_y * y, p)
             assert_same_bits(got, want)
+
+
+
+def shell_calls(monkeypatch):
+    """The number of shells of each ``hopf._shells`` call from here on: 1
+    for the centre shell alone, 2 for its two neighbours."""
+    calls, shells = [], hopf._shells
+
+    def counted(x, y, inner, d, ell, m):
+        calls.append(ell.shape[-1])
+        return shells(x, y, inner, d, ell, m)
+
+    monkeypatch.setattr(hopf, "_shells", counted)
+    return calls
+
+
+def near_pairs(rng, params, count, noise=(0.0, 1e-12, 1e-6), y=None):
+    """``count`` pairs (x, y), x = d^ell * zeta * y up to a relative noise
+    drawn from ``noise``, as ``orbit_pairs`` makes its near pairs; y may be
+    given."""
+    n, m = params.n, params.m
+    if y is None:
+        y = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    ell = rng.integers(-3, 4, (count, 1))
+    K = rng.integers(0, m, (count, 1))
+    jitter = rng.choice(noise, (count, 1)) * rng.standard_normal((count, n))
+    return params.d ** ell * np.exp(2j * math.pi * K / m) * y * (1 + jitter), y
+
+
+@pytest.mark.parametrize("m", [1, 3, 60])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 16])
+@pytest.mark.parametrize("d", [0.5, 2, 1 + 2j, 0.3 + 0.8j, 1e12])
+def test_near_pairs_skip_the_neighbour_shells(monkeypatch, d, n, m):
+    # every pair is within B/2 of its centre shell: only the centre is
+    # taken, and the result is still the closed form's over all three
+    # shells, for a stack, for one pair, and for a stack against a
+    # broadcast y with an m for each spec (multiples of m, so that mu_m
+    # keeps the pairs near)
+    rng = np.random.Generator(np.random.Philox(30 + n + m))
+    p = HopfParams(d=d, n=n, m=m)
+    x, y = near_pairs(rng, p, 24)
+    calls = shell_calls(monkeypatch)
+    assert_same_bits(orbit_distance(x, y, p), closed_form_distance(x, y, p))
+    assert_same_bits(orbit_distance(x[0], y[0], p), closed_form_distance(x[0], y[0], p))
+    spec_m = np.array([m, 2 * m, 3 * m, m])[:, None]
+    stack = near_pairs(rng, p, 24, y=np.tile(y[:6], (4, 1)))[0].reshape(4, 6, n)
+    assert_same_bits(orbit_distance(stack, y[:6], p, spec_m),
+                     closed_form_distance(stack, y[:6], p, spec_m))
+    assert calls == [1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [1, 3, 60])
+@pytest.mark.parametrize("d", [0.5, 1 + 2j, 1e12])
+def test_one_unrelated_pair_takes_the_neighbour_shells(monkeypatch, d, m):
+    # near pairs and one unrelated pair: the neighbours are taken for every
+    # pair, bit for bit as the closed form
+    rng = np.random.Generator(np.random.Philox(40 + m))
+    p = HopfParams(d=d, n=3, m=m)
+    x, y = near_pairs(rng, p, 24)
+    x[17] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    calls = shell_calls(monkeypatch)
+    got = orbit_distance(x, y, p)
+    assert_same_bits(got, closed_form_distance(x, y, p))
+    assert calls == [1, 2]
+    assert got[17] > 1e-3 and (np.delete(got, 17) < 1e-5).all()
+
+
+@pytest.mark.parametrize("d", [1 + 1e-8, 1 - 1e-8])
+@pytest.mark.parametrize("m", [1, 3, 60])
+def test_the_skip_near_unit_modulus(monkeypatch, d, m):
+    # at |d| = 1 +- 1e-8 the bound B is about 5e-9 * ||x||: pairs within
+    # 1e-12 of their orbit skip the neighbours, and one pair 1e-6 off, as
+    # near to the neighbouring shells as to its own, takes them (a turn of
+    # one coordinate, as a change of modulus only moves the nearest shell)
+    rng = np.random.Generator(np.random.Philox(50 + m))
+    p = HopfParams(d=d, n=3, m=m)
+    x, y = near_pairs(rng, p, 20, noise=(0.0, 1e-12))
+    calls = shell_calls(monkeypatch)
+    assert_same_bits(orbit_distance(x, y, p), closed_form_distance(x, y, p))
+    assert calls == [1]
+    x[3, 0] *= cmath.exp(1e-6j)
+    assert_same_bits(orbit_distance(x, y, p), closed_form_distance(x, y, p))
+    assert calls == [1, 1, 2]
+
+
+def test_neighbours_past_the_floats_are_taken(monkeypatch):
+    # near pairs on the shell ell* = 1 of d = e^380, whose neighbour d^2 is
+    # past the floats: the closed form's distance is NaN there, so the
+    # neighbours must be taken although the centre distance is below B/2
+    rng = np.random.Generator(np.random.Philox(60))
+    p = HopfParams(d=math.exp(380), n=3, m=4)
+    x = math.exp(50) * (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    calls = shell_calls(monkeypatch)
+    with np.errstate(all="ignore"):
+        got = orbit_distance(x, x / p.d, p)
+        want = closed_form_distance(x, x / p.d, p)
+    assert np.isnan(want).all()
+    assert_same_bits(got, want)
+    assert calls == [1, 2]

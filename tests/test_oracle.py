@@ -172,6 +172,28 @@ def test_stacked_probe_equals_each_spec_alone(monkeypatch, chunk_bytes):
     assert kernel_scan_agrees(stack, seed=11) == [True] * len(specs)
 
 
+def test_probe_misses_when_only_later_samples_leave_the_orbit(monkeypatch):
+    # a fault that keeps sample 0's image and moves every other sample's
+    # off its orbit (times 1.1, which no deck element of d = 4 is): sample 0
+    # alone hits on j = 0 and 2, so only the second pass, which acts
+    # samples 1 to 9, can find the misses
+    spec = make_spec(ActionKind.TYPE1, 2, 1, 1, 0, 3)
+    assert probe(spec) == [0, 2]
+    z0 = sample_points(2, 0, range(1))[0]
+    evaluate, moved = hopfact.oracle.evaluate_formula, []
+
+    def faulty(rows, t, B, vec, branch=0):
+        images = evaluate(rows, t, B, vec, branch)
+        later = (vec != z0).any(axis=-1)
+        moved.append(bool(later.any()))
+        return np.where(later[..., None], 1.1 * images, images)
+
+    monkeypatch.setattr(hopfact.oracle, "evaluate_formula", faulty)
+    assert probe(spec) == []
+    assert moved == [False, True]
+    assert kernel_scan_agrees(alone(spec)) == [False]
+
+
 def test_scan_of_large_r_at_once():
     # O(log N) probes: N = 400,000 = 2^7 * 5^5 has 12 prime-power divisors
     spec = make_spec(ActionKind.TYPE1, 2, 7, 1, 0, 200_000)
